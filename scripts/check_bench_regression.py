@@ -2,21 +2,20 @@
 """Bench regression gate: diff a fresh bench_micro --json run against the
 checked-in baseline(s) instead of only archiving it.
 
-Speedup ratios (new path vs in-tree reference path) are compared for
-every result key the current run shares with the baselines; absolute
-ns/op is machine-dependent and deliberately ignored. When several
-baselines record the same key, the MOST RECENT one (last on the
-command line / highest-numbered default) wins: it was measured on the
-machine class closest to the current run, while older files document
-the trajectory. A key regresses when its current speedup falls more
-than --tolerance (default 15%) below the winning baseline's recorded
+Speedup ratios (production path vs the row's baseline) are compared
+for every result key the current run shares with the baselines;
+absolute ns/op is machine-dependent and deliberately ignored. When
+several baselines record the same key, the last one on the command
+line wins. A key regresses when its current speedup falls more than
+--tolerance (default 15%) below the winning baseline's recorded
 speedup.
 
 Usage:
   check_bench_regression.py CURRENT.json [BASELINE.json ...]
       [--tolerance 0.15]
-With no baselines given, the checked-in BENCH_pr2.json through
-BENCH_pr10.json next to this script's repo root are used.
+With no baselines given, the one current baseline, BENCH_pr12.json at
+this script's repo root, is used; older BENCH_prN.json files are
+history and are not read.
 Exit code 1 on any regression.
 """
 
@@ -25,9 +24,7 @@ import json
 import os
 import sys
 
-DEFAULT_BASELINES = ["BENCH_pr2.json", "BENCH_pr3.json", "BENCH_pr4.json",
-                     "BENCH_pr5.json", "BENCH_pr6.json", "BENCH_pr7.json",
-                     "BENCH_pr8.json", "BENCH_pr9.json", "BENCH_pr10.json"]
+DEFAULT_BASELINES = ["BENCH_pr12.json"]
 
 
 def load_results(path):
@@ -53,8 +50,7 @@ def main():
         print(f"error: no results in {args.current}")
         return 1
 
-    # Later baselines override earlier ones per key: the newest recorded
-    # speedup is the live expectation, older files are history.
+    # Later baselines override earlier ones per key.
     expected = {}
     for baseline_path in args.baselines:
         for key, row in load_results(baseline_path).items():

@@ -103,10 +103,6 @@ Result<std::vector<std::unique_ptr<Router>>> ShardedRouter::build_shards(
 void ShardedRouter::adopt(std::vector<std::unique_ptr<Router>> shards) {
   shards_ = std::move(shards);
   partition_scratch_.resize(shards_.size());
-  while (lane_rings_.size() < shards_.size())
-    lane_rings_.push_back(
-        std::make_unique<SpscRing<net::Packet>>(PacketBatch::kMaxBurst));
-  lane_rings_.resize(shards_.size());
   // One worker per shard; a reshard to fewer (but still >1) shards
   // keeps the existing pool and its warmed-up threads, so shrinking
   // never pays thread teardown/spawn on what is supposed to be a
@@ -123,56 +119,28 @@ bool ShardedRouter::push_batch_to(const std::string& name, PacketBatch&& batch) 
   for (const auto& shard : shards_)
     if (!shard->find(name)) return false;
 
-  for (net::Packet& packet : batch)
-    partition_scratch_[shard_for(packet)].push_back(std::move(packet));
-  batch.clear();
-
-  pool_->run(shards_.size(), [&](std::size_t i) {
-    if (partition_scratch_[i].empty()) return;
-    shards_[i]->push_batch_to(name, std::move(partition_scratch_[i]));
-    partition_scratch_[i].clear();
-  });
-  return true;
-}
-
-bool ShardedRouter::push_batch_lanes(const std::string& name,
-                                     PacketBatch&& batch) {
-  if (shards_.size() == 1)
-    return shards_[0]->push_batch_to(name, std::move(batch));
-  for (const auto& shard : shards_)
-    if (!shard->find(name)) return false;
-
-  // Lane dispatch is the only serial work: hash the flow, push the
-  // packet into its lane's ring. Everything after runs lane-local.
-  for (auto& ring : lane_rings_) ring->reserve(batch.size());
+  // Dispatch is the only serial work: hash the flow, append the packet
+  // to its shard's sub-burst. Everything after runs shard-local.
   std::size_t busy = 0, last_busy = 0;
   for (net::Packet& packet : batch) {
-    std::size_t lane = shard_for(packet);
-    SpscRing<net::Packet>& ring = *lane_rings_[lane];
-    if (ring.empty()) {
+    std::size_t shard = shard_for(packet);
+    if (partition_scratch_[shard].empty()) {
       ++busy;
-      last_busy = lane;
+      last_busy = shard;
     }
-    ring.try_push(std::move(packet));
+    partition_scratch_[shard].push_back(std::move(packet));
   }
   batch.clear();
 
-  // Each busy lane drains its ring into its lane-local batch and runs
-  // the graph to completion with one batched push — no cross-lane
-  // barrier beyond the burst's own completion.
-  auto drain_lane = [&](std::size_t i) {
-    SpscRing<net::Packet>& ring = *lane_rings_[i];
-    if (ring.empty()) return;
-    PacketBatch& local = partition_scratch_[i];
-    net::Packet packet;
-    while (ring.try_pop(packet)) local.push_back(std::move(packet));
-    shards_[i]->push_batch_to(name, std::move(local));
-    local.clear();
+  auto run_shard = [&](std::size_t i) {
+    if (partition_scratch_[i].empty()) return;
+    shards_[i]->push_batch_to(name, std::move(partition_scratch_[i]));
+    partition_scratch_[i].clear();
   };
   if (busy == 1)
-    drain_lane(last_busy);
-  else
-    pool_->run(shards_.size(), drain_lane);
+    run_shard(last_busy);
+  else if (busy > 1)
+    pool_->run(shards_.size(), run_shard);
   return true;
 }
 

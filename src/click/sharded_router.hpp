@@ -9,9 +9,9 @@
 // exactly the property stateful middlebox scaling needs (NFOS-style
 // state partitioning). Bursts are partitioned into per-shard
 // sub-batches and run on a small worker-thread pool (one job per
-// non-empty shard; the calling thread participates); with one shard the
-// graph runs inline on the caller, so the single-shard path stays the
-// bit-identical baseline.
+// non-empty shard; the calling thread participates). When only one
+// shard has work — always the case with one shard, which is simply
+// N = 1 of the same path — it runs inline on the caller.
 //
 // Hot-swap keeps RouterManager's semantics per shard (same-name/
 // same-class take_state, shard i -> shard i). reshard(n) changes the
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "click/router.hpp"
-#include "click/spsc_ring.hpp"
 #include "net/packet.hpp"
 
 namespace endbox::click {
@@ -140,31 +139,13 @@ class ShardedRouter {
   /// element does not exist.
   bool push_to(const std::string& name, net::Packet&& packet);
 
-  /// Partitions the burst by flow and pushes each shard's sub-burst
-  /// into that shard's `name` element, running non-empty shards
-  /// concurrently on the worker pool. The batch is consumed. Returns
-  /// false when the entry element does not exist. This is the staged
-  /// reference path; the steady-state data plane uses
-  /// push_batch_lanes.
+  /// The batch entry: partitions the burst by flow into per-shard
+  /// sub-bursts and pushes each into that shard's `name` element. Busy
+  /// shards run concurrently on the worker pool; a single busy shard
+  /// runs inline on the calling thread. Per-flow order is preserved
+  /// (a flow lives in one shard); results surface per shard. The batch
+  /// is consumed. Returns false when the entry element does not exist.
   bool push_batch_to(const std::string& name, PacketBatch&& batch);
-
-  /// Run-to-completion lane entry: RSS-dispatches each packet into its
-  /// lane's SPSC ring, then every busy lane drains its own ring and
-  /// runs the graph to completion — no staging batch shared with the
-  /// caller and no cross-lane merge. One busy lane runs inline on the
-  /// calling thread. The batch is consumed. Returns false when the
-  /// entry element does not exist.
-  bool push_batch_lanes(const std::string& name, PacketBatch&& batch);
-
-  /// Producer-side high-water of lane `i`'s ring since the last
-  /// reset_lane_stats() — how deep that lane's backlog got, the
-  /// imbalance signal the reshard controller consumes.
-  std::uint64_t lane_ring_peak(std::size_t i) const {
-    return lane_rings_[i]->peak();
-  }
-  void reset_lane_stats() {
-    for (auto& ring : lane_rings_) ring->reset_peak();
-  }
 
   /// Hot-swaps every shard to a new configuration, transferring element
   /// state shard-for-shard via take_state (RouterManager semantics).
@@ -189,9 +170,6 @@ class ShardedRouter {
   std::string config_text_;
   std::vector<std::unique_ptr<Router>> shards_;
   std::vector<PacketBatch> partition_scratch_;  ///< per-shard sub-bursts
-  /// One SPSC ring per lane (unique_ptr: rings pin their cache-line
-  /// aligned counters, so they never move).
-  std::vector<std::unique_ptr<SpscRing<net::Packet>>> lane_rings_;
   std::unique_ptr<ShardWorkerPool> pool_;       ///< absent for 1 shard
   std::uint64_t reshard_count_ = 0;
 };

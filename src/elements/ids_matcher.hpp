@@ -17,9 +17,9 @@
 // evasion the per-packet path misses. A rule fires once per flow, on
 // the completing segment; in DROP mode the rest of a matched flow is
 // dropped (stream semantics: the connection is hostile, not one
-// packet). Packets without a context (non-TCP, CTX table full) keep
-// the per-packet reference path, which is also the equivalence
-// baseline for single-segment flows.
+// packet). Packets without a context (non-TCP, CTX table full) are
+// inspected per packet, which gives single-segment flows the same
+// verdicts as the stream path.
 #pragma once
 
 #include <memory>

@@ -156,9 +156,9 @@ sim::Time EndBoxClient::charge_data_path_batch(sim::Time now,
   // the critical path while *all* lanes' cycles count as busy time —
   // shard-count sweeps no longer get the work of N cores for the price
   // of one.
-  // Lane dispatch (RSS hash + SPSC ring push; no partition append, no
-  // merge) runs inside the batch ecall like the rest of the Click
-  // work, so it pays the EPC compute multiplier too.
+  // Lane dispatch (RSS hash + hand-off per packet) runs inside the
+  // batch ecall like the rest of the Click work, so it pays the EPC
+  // compute multiplier too.
   cycles += model_.enclave_click_packet_cycles * compute_multiplier;
   cycles += model_.lane_dispatch_cycles_per_frame * static_cast<double>(packets) *
             compute_multiplier;

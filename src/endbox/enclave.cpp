@@ -1,6 +1,7 @@
 #include "endbox/enclave.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "elements/ctx_manager.hpp"
 #include "elements/ids_matcher.hpp"
@@ -16,45 +17,33 @@ EndBoxEnclave::EndBoxEnclave(sgx::SgxPlatform& platform, sgx::SgxMode mode,
       options_(options),
       enclave_key_(crypto::rsa_generate(rng)),
       key_store_(tls::SessionKeyStore::Options{options.tls_key_capacity,
-                                               options.tls_key_idle_timeout}),
-      registry_(elements::make_endbox_registry(context_)),
-      routers_(registry_) {
-  context_.key_store = &key_store_;
-  context_.trusted_time = [this] {
-    // sgx_get_trusted_time is an ocall into the platform service.
-    count_ocall();
-    return this->platform().trusted_time();
-  };
-  context_.untrusted_time = [this] { return this->platform().trusted_time(); };
-  context_.to_device = [this](net::Packet&& packet, bool accepted) {
-    click_results_.push_back(ClickOutcome{accepted, std::move(packet)});
-  };
-  click_results_.reserve(click::PacketBatch::kMaxBurst);
+                                               options.tls_key_idle_timeout}) {
   if (options_.shards == 0) options_.shards = 1;
+  ensure_shard_rigs(1);  // lane 0 also holds the registered rule sets
 }
 
 void EndBoxEnclave::ensure_shard_rigs(std::size_t count) {
   while (shard_rigs_.size() < count) {
     auto rig = std::make_unique<ShardRig>();
     rig->context.key_store = &key_store_;
-    rig->context.rulesets = context_.rulesets;
-    // No count_ocall here: these lambdas run on shard worker threads,
-    // which must not touch the shared enclave statistics. Trusted-time
-    // reads tally into the per-shard context instead.
+    if (!shard_rigs_.empty()) rig->context.rulesets = shard_rigs_[0]->context.rulesets;
+    // sgx_get_trusted_time is an ocall into the platform service. Lane
+    // threads must not touch the shared enclave statistics, so the
+    // reads tally in context.trusted_time_calls and run_click_burst
+    // folds them into the ocall count on the ecall thread.
     rig->context.trusted_time = [this] { return this->platform().trusted_time(); };
     rig->context.untrusted_time = [this] { return this->platform().trusted_time(); };
     ShardRig* raw = rig.get();
     rig->context.to_device = [raw](net::Packet&& packet, bool accepted) {
-      // Accepted packets collect in the shard's result list (merged back
-      // into arrival order after the burst); rejected ones recycle their
-      // buffers into the shard-local pool, contention-free.
+      // Accepted packets collect in the lane's list; rejected ones
+      // recycle their buffers into the lane-local pool, contention-free.
       if (accepted) {
-        raw->results.push_back(ClickOutcome{true, std::move(packet)});
+        raw->accepted.push_back(std::move(packet));
       } else {
         raw->pool.release(std::move(packet));
       }
     };
-    rig->results.reserve(click::PacketBatch::kMaxBurst);
+    rig->accepted.reserve(click::PacketBatch::kMaxBurst);
     shard_rigs_.push_back(std::move(rig));
   }
 }
@@ -130,18 +119,15 @@ Status EndBoxEnclave::ecall_install_config(const config::ConfigBundle& bundle) {
   auto text = config::open_bundle(bundle, ca_public_key_, config_key_);
   if (!text.ok()) return err("install config: " + text.error());
 
-  Status status;
   if (sharded_) {
-    status = sharded_->hot_swap(*text);
-  } else if (options_.shards > 1) {
+    auto status = sharded_->hot_swap(*text);
+    if (!status.ok()) return err("install config: " + status.error());
+  } else {
     auto built =
         click::ShardedRouter::create(*text, options_.shards, shard_router_factory());
-    if (built.ok()) sharded_ = std::move(*built);
-    else status = err(built.error());
-  } else {
-    status = routers_.current() ? routers_.hot_swap(*text) : routers_.install(*text);
+    if (!built.ok()) return err("install config: " + built.error());
+    sharded_ = std::move(*built);
   }
-  if (!status.ok()) return err("install config: " + status.error());
   config_version_ = bundle.version;
   if (session_) session_->set_config_version(bundle.version);
 
@@ -163,24 +149,7 @@ click::ShardedRouter::RouterFactory EndBoxEnclave::shard_router_factory() {
 Status EndBoxEnclave::ecall_reshard(std::size_t shards) {
   EcallGuard guard(*this);
   if (shards == 0) return err("reshard: shard count must be positive");
-  if (sharded_) {
-    auto status = sharded_->reshard(shards);
-    if (!status.ok()) return err("reshard: " + status.error());
-    return {};
-  }
-  if (!routers_.current()) return err("reshard: no middlebox configuration installed");
-  if (shards == 1) return {};
-  // Promote the single-core router: clone the config into a one-shard
-  // set, adopt the live element state 1:1 (take_state, like a hot-swap
-  // to the same config), then let reshard redistribute it by flow.
-  auto built = click::ShardedRouter::create(routers_.current()->config_text(), 1,
-                                            shard_router_factory());
-  if (!built.ok()) return err("reshard: " + built.error());
-  for (click::Element* fresh : (*built)->shard(0).elements()) {
-    click::Element* old = routers_.current()->find(fresh->name());
-    if (old && old->class_name() == fresh->class_name()) fresh->take_state(*old);
-  }
-  sharded_ = std::move(*built);
+  if (!sharded_) return err("reshard: no middlebox configuration installed");
   auto status = sharded_->reshard(shards);
   if (!status.ok()) return err("reshard: " + status.error());
   return {};
@@ -189,8 +158,7 @@ Status EndBoxEnclave::ecall_reshard(std::size_t shards) {
 Result<Bytes> EndBoxEnclave::ecall_handshake_init(crypto::RsaPublicKey server_key) {
   EcallGuard guard(*this);
   if (!certificate_) return err("handshake: not provisioned (attestation required)");
-  if (!sharded_ && !routers_.current())
-    return err("handshake: no middlebox configuration installed");
+  if (!sharded_) return err("handshake: no middlebox configuration installed");
   vpn::VpnClientConfig vpn_config;
   vpn_config.min_version = options_.min_version;
   vpn_config.encrypt_data = options_.encrypt_data;
@@ -209,116 +177,35 @@ Status EndBoxEnclave::ecall_handshake_reply(ByteView wire) {
   return session_->process_handshake_reply(*msg);
 }
 
-EndBoxEnclave::ClickOutcome EndBoxEnclave::run_click(net::Packet&& packet) {
-  if (sharded_) {
-    // Route to the flow's shard and run its graph inline (the calling
-    // thread; per-packet ecalls never touch the worker pool).
-    ShardRig& rig = *shard_rigs_[sharded_->shard_for(packet)];
-    rig.results.clear();
-    bool routed = sharded_->push_to("from_device", std::move(packet));
-    // A rejected packet recycled into the shard-local pool; keep the
-    // main circulation whole on the per-packet path too.
-    pool_.adopt_from(rig.pool);
-    if (!routed) return ClickOutcome{false, {}};
-    if (rig.results.empty()) return ClickOutcome{false, {}};  // rejected/discarded
-    ClickOutcome outcome = std::move(rig.results.back());
-    rig.results.clear();
-    return outcome;
-  }
-  click_results_.clear();
-  if (!routers_.current() || !routers_.current()->push_to("from_device", std::move(packet)))
-    return ClickOutcome{false, {}};
-  if (click_results_.empty()) return ClickOutcome{false, {}};  // discarded mid-graph
-  // Elements may deliver a packet to ToDevice more than once (Tee); the
-  // last verdict wins, matching the pre-batching behaviour.
-  ClickOutcome outcome = std::move(click_results_.back());
-  click_results_.clear();
-  return outcome;
-}
-
-void EndBoxEnclave::merge_shard_results() {
-  std::size_t shards = sharded_->shard_count();
-  if (shards == 1) {
-    for (ClickOutcome& outcome : shard_rigs_[0]->results)
-      click_results_.push_back(std::move(outcome));
-    shard_rigs_[0]->results.clear();
-    return;
-  }
-  merge_heads_.assign(shards, 0);
-  while (true) {
-    std::size_t best = shards;
-    std::uint32_t best_tag = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto& results = shard_rigs_[s]->results;
-      if (merge_heads_[s] >= results.size()) continue;
-      std::uint32_t tag = results[merge_heads_[s]].packet.burst_tag;
-      if (best == shards || tag < best_tag) {
-        best = s;
-        best_tag = tag;
-      }
-    }
-    if (best == shards) break;
-    click_results_.push_back(
-        std::move(shard_rigs_[best]->results[merge_heads_[best]++]));
-  }
-  for (std::size_t s = 0; s < shards; ++s) shard_rigs_[s]->results.clear();
-}
-
-void EndBoxEnclave::collect_lane_results() {
-  for (std::size_t s = 0; s < sharded_->shard_count(); ++s) {
-    for (ClickOutcome& outcome : shard_rigs_[s]->results)
-      click_results_.push_back(std::move(outcome));
-    shard_rigs_[s]->results.clear();
-  }
-}
-
 bool EndBoxEnclave::run_click_burst(click::PacketBatch&& batch) {
-  click_results_.clear();
-  if (sharded_) {
-    // burst_tag still stamps the arrival index — the per-flow ordering
-    // witness consumers assert against (and the merge key of the
-    // reference path).
-    std::uint32_t tag = 0;
-    for (net::Packet& packet : batch) packet.burst_tag = tag++;
-    for (auto& rig : shard_rigs_) rig->results.clear();
-    if (options_.lane_pipeline) {
-      if (!sharded_->push_batch_lanes("from_device", std::move(batch)))
-        return false;
-      collect_lane_results();
-      for (auto& rig : shard_rigs_) pool_.adopt_from(rig->pool);
-      return true;
-    }
-    if (!sharded_->push_batch_to("from_device", std::move(batch))) return false;
-    merge_shard_results();
-    // Rejected packets recycled into the shard-local pools on the
-    // worker threads; adopt the buffers back into the main pool here
-    // (single-threaded again) so the ecall-boundary circulation that
-    // callers acquire from never starves.
-    for (auto& rig : shard_rigs_) pool_.adopt_from(rig->pool);
-    return true;
+  if (!sharded_) return false;
+  // burst_tag stamps the arrival index — the per-flow ordering witness
+  // consumers assert against.
+  std::uint32_t tag = 0;
+  for (net::Packet& packet : batch) packet.burst_tag = tag++;
+  bool routed = sharded_->push_batch_to("from_device", std::move(batch));
+  // Back on the ecall thread: rejected packets recycled into the
+  // lane-local pools, so adopt the buffers into the main pool (the
+  // ecall-boundary circulation callers acquire from never starves),
+  // and charge the lanes' trusted-time reads as ocalls.
+  for (auto& rig : shard_rigs_) {
+    pool_.adopt_from(rig->pool);
+    count_ocall(std::exchange(rig->context.trusted_time_calls, 0));
   }
-  return routers_.current() &&
-         routers_.current()->push_batch_to("from_device", std::move(batch));
+  return routed;
 }
 
 Result<EgressResult> EndBoxEnclave::ecall_process_egress(net::Packet packet) {
   EcallGuard guard(*this);
-  if (!connected()) return err("egress: tunnel not established");
-  // Interface hardening: reject obviously malformed metadata before it
-  // reaches element code (Iago-style attacks, section IV-B).
-  if (packet.payload.size() > 512 * 1024) return err("egress: oversized packet");
-
-  auto outcome = run_click(std::move(packet));
+  click::PacketBatch batch;
+  batch.push_back(std::move(packet));
+  EgressBatch out;
+  auto status = process_egress_burst(std::move(batch), out);
+  if (!status.ok()) return err(status.error());
   EgressResult result;
-  result.accepted = outcome.accepted;
-  if (!outcome.accepted) {
-    ++rejected_;
-    return result;
-  }
-  if (options_.c2c_flagging) outcome.packet.set_processed_flag();
-  outcome.packet.decrypted_payload.clear();  // never leaks out of the enclave
-  outcome.packet.serialize_into(egress_packet_scratch_);
-  session_->seal_packet_wire(egress_packet_scratch_, result.wire);
+  result.accepted = out.accepted > 0;
+  result.wire = std::move(out.frames);
+  result.wire.resize(out.frame_count);
   return result;
 }
 
@@ -335,31 +222,33 @@ void EndBoxEnclave::seal_egress_packet(net::Packet&& packet, EgressBatch& out) {
 Status EndBoxEnclave::ecall_process_egress_batch(click::PacketBatch&& batch,
                                                  EgressBatch& out) {
   EcallGuard guard(*this);
+  return process_egress_burst(std::move(batch), out);
+}
+
+Status EndBoxEnclave::process_egress_burst(click::PacketBatch&& batch,
+                                           EgressBatch& out) {
   out.accepted = out.rejected = 0;
   out.frame_count = 0;
   out.offered_bytes = 0;
   if (!connected()) return err("egress: tunnel not established");
+  // Interface hardening: reject obviously malformed metadata before it
+  // reaches element code (Iago-style attacks, section IV-B).
   for (const net::Packet& packet : batch) {
     if (packet.payload.size() > 512 * 1024) return err("egress: oversized packet");
     out.offered_bytes += packet.wire_size();
   }
 
   std::uint32_t offered = static_cast<std::uint32_t>(batch.size());
-  if (!run_click_burst(std::move(batch))) {
-    out.rejected = offered;
-    rejected_ += offered;
-    return {};
-  }
-  for (ClickOutcome& outcome : click_results_) {
-    if (!outcome.accepted) {
-      pool_.release(std::move(outcome.packet));
-      continue;
+  if (run_click_burst(std::move(batch))) {
+    // Lane order: per-flow order is exact (a flow lives in one lane).
+    for (std::size_t s = 0; s < sharded_->shard_count(); ++s) {
+      for (net::Packet& packet : shard_rigs_[s]->accepted)
+        seal_egress_packet(std::move(packet), out);
+      shard_rigs_[s]->accepted.clear();
     }
-    seal_egress_packet(std::move(outcome.packet), out);
   }
-  click_results_.clear();
   // Packets that never reached ToDevice (discarded mid-graph) count as
-  // rejected, like the per-packet path's empty-verdict case.
+  // rejected.
   out.rejected = offered > out.accepted ? offered - out.accepted : 0;
   rejected_ += out.rejected;
   return {};
@@ -367,44 +256,26 @@ Status EndBoxEnclave::ecall_process_egress_batch(click::PacketBatch&& batch,
 
 Result<IngressResult> EndBoxEnclave::ecall_process_ingress(ByteView wire) {
   EcallGuard guard(*this);
-  if (!connected()) return err("ingress: tunnel not established");
-  auto msg = vpn::WireMessage::parse(wire);
-  if (!msg.ok()) return err(msg.error());
-  if (msg->type == vpn::MsgType::Ping) return err("ingress: ping on data path");
-
-  auto opened = session_->open_data(*msg);
-  if (!opened.ok()) return err(opened.error());
+  Bytes frame(wire.begin(), wire.end());
+  IngressBatch out;
+  auto status = process_ingress_burst({&frame, 1}, out);
+  if (!status.ok()) return err(status.error());
   IngressResult result;
-  if (!opened->has_value()) return result;  // fragment pending
-  result.complete = true;
-
-  auto packet = net::Packet::parse(**opened);
-  if (!packet.ok()) return err("ingress: " + packet.error());
-
-  // Client-to-client optimisation (section IV-A): packets flagged as
-  // already processed by the sender's EndBox bypass Click here.
-  if (options_.c2c_flagging && packet->processed_flag()) {
-    ++c2c_bypassed_;
-    result.accepted = true;
-    result.click_bypassed = true;
-    result.packet = std::move(*packet);
-    result.packet.clear_processed_flag();
-    return result;
-  }
-
-  auto outcome = run_click(std::move(*packet));
-  result.accepted = outcome.accepted;
-  if (outcome.accepted) {
-    result.packet = std::move(outcome.packet);
-  } else {
-    ++rejected_;
-  }
+  result.complete = out.complete > 0;
+  result.accepted = out.accepted > 0;
+  result.click_bypassed = out.bypassed > 0;
+  if (!out.packets.empty()) result.packet = std::move(out.packets[0]);
   return result;
 }
 
 Status EndBoxEnclave::ecall_process_ingress_batch(std::span<const Bytes> wires,
                                                   IngressBatch& out) {
   EcallGuard guard(*this);
+  return process_ingress_burst(wires, out);
+}
+
+Status EndBoxEnclave::process_ingress_burst(std::span<const Bytes> wires,
+                                            IngressBatch& out) {
   out.complete = out.accepted = out.rejected = out.bypassed = 0;
   out.packets.clear();
   if (!connected()) return err("ingress: tunnel not established");
@@ -427,8 +298,8 @@ Status EndBoxEnclave::ecall_process_ingress_batch(std::span<const Bytes> wires,
     pool_.release_bytes(std::move(**opened));
     if (!parsed.ok()) return err("ingress: " + parsed.error());
 
-    // Client-to-client optimisation (section IV-A): flagged packets
-    // bypass Click here, exactly as on the per-packet path.
+    // Client-to-client optimisation (section IV-A): packets flagged as
+    // already processed by the sender's EndBox bypass Click here.
     if (options_.c2c_flagging && packet.processed_flag()) {
       ++c2c_bypassed_;
       ++out.bypassed;
@@ -442,35 +313,30 @@ Status EndBoxEnclave::ecall_process_ingress_batch(std::span<const Bytes> wires,
 
   // Stage 2: one batched Click traversal for everything that needs it.
   std::uint32_t to_click = static_cast<std::uint32_t>(ingress_stage_.size());
-  if (to_click > 0) {
-    if (!run_click_burst(std::move(ingress_stage_))) {
-      rejected_ += to_click;
-      out.rejected += to_click;
-      return {};
-    }
-    std::uint32_t accepted_by_click = 0;
-    for (ClickOutcome& outcome : click_results_) {
-      if (outcome.accepted) {
+  if (to_click == 0) return {};
+  std::uint32_t accepted_by_click = 0;
+  if (run_click_burst(std::move(ingress_stage_))) {
+    for (std::size_t s = 0; s < sharded_->shard_count(); ++s) {
+      std::vector<net::Packet>& accepted = shard_rigs_[s]->accepted;
+      for (net::Packet& packet : accepted) {
         // Only fan-out configs (a Tee whose branches both reach
         // ToDevice) can deliver more packets than came in; fail with
         // the Status contract instead of overflowing the batch.
         if (out.packets.full()) {
-          click_results_.clear();
+          for (auto& rig : shard_rigs_) rig->accepted.clear();
           return err("ingress: Click fan-out exceeded the batch capacity");
         }
         ++accepted_by_click;
-        out.packets.push_back(std::move(outcome.packet));
-      } else {
-        pool_.release(std::move(outcome.packet));
+        out.packets.push_back(std::move(packet));
       }
+      accepted.clear();
     }
-    click_results_.clear();
-    out.accepted += accepted_by_click;
-    std::uint32_t rejected =
-        to_click > accepted_by_click ? to_click - accepted_by_click : 0;
-    out.rejected += rejected;
-    rejected_ += rejected;
   }
+  out.accepted += accepted_by_click;
+  std::uint32_t rejected =
+      to_click > accepted_by_click ? to_click - accepted_by_click : 0;
+  out.rejected += rejected;
+  rejected_ += rejected;
   return {};
 }
 
@@ -513,10 +379,11 @@ std::size_t EndBoxEnclave::ecall_expire_tls_keys(sim::Time now) {
 void EndBoxEnclave::ecall_add_ruleset(const std::string& name,
                                       std::vector<idps::SnortRule> rules) {
   EcallGuard guard(*this);
-  // Shard rigs keep their own copy (their graphs must not share mutable
-  // state); rigs created later copy from context_ at creation.
-  for (auto& rig : shard_rigs_) rig->context.rulesets[name] = rules;
-  context_.rulesets[name] = std::move(rules);
+  // Every lane keeps its own copy (lane graphs share no mutable state);
+  // lanes created later copy lane 0's at creation.
+  for (std::size_t i = 1; i < shard_rigs_.size(); ++i)
+    shard_rigs_[i]->context.rulesets[name] = rules;
+  shard_rigs_[0]->context.rulesets[name] = std::move(rules);
 }
 
 EndBoxEnclave::StreamStatsSnapshot EndBoxEnclave::stream_stats() const {
@@ -545,12 +412,9 @@ EndBoxEnclave::StreamStatsSnapshot EndBoxEnclave::stream_stats() const {
       }
     }
   };
-  if (sharded_) {
+  if (sharded_)
     for (std::size_t i = 0; i < sharded_->shard_count(); ++i)
       scan_router(sharded_->shard(i));
-  } else if (const click::Router* router = routers_.current()) {
-    scan_router(*router);
-  }
   return snapshot;
 }
 

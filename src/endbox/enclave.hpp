@@ -6,15 +6,20 @@
 // store. Every entry point is an ecall guarded for lifecycle and
 // counted for the perf model; input validation on each ecall mirrors
 // the paper's hardened interface (section IV-B).
+//
+// The data path is one shape: the graph runs on a ShardedRouter of N
+// flow-hashed lanes (one lane by default — the case N = 1, not a
+// separate path), each burst ecall pushes through it once, and the
+// per-packet ecalls are batch-of-one wrappers over the burst bodies.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ca/authority.hpp"
 #include "click/packet_batch.hpp"
-#include "click/router.hpp"
 #include "click/sharded_router.hpp"
 #include "config/bundle.hpp"
 #include "elements/context.hpp"
@@ -46,10 +51,10 @@ struct IngressResult {
 /// Result of one egress batch ecall. The caller owns the struct and
 /// passes it back every burst: frame buffers keep their capacity, so
 /// the steady-state batch path writes sealed frames without allocating.
-/// Note: the batch path seals one frame set per ToDevice delivery, so a
-/// config whose Tee branches both reach ToDevice seals a packet once
-/// per delivery (the per-packet ecall keeps only the last verdict); no
-/// standard EndBox configuration wires such a graph.
+/// Note: the data path seals one frame set per accepted ToDevice
+/// delivery, so a config whose Tee branches both reach ToDevice seals a
+/// packet once per delivery; no standard EndBox configuration wires
+/// such a graph.
 struct EgressBatch {
   std::uint32_t accepted = 0;
   std::uint32_t rejected = 0;
@@ -79,18 +84,11 @@ struct EnclaveOptions {
   /// timeout are pruned by ecall_expire_tls_keys (0 = teardown-only).
   std::size_t tls_key_capacity = std::size_t{1} << 20;
   sim::Time tls_key_idle_timeout = 0;
-  /// Element-graph instances the middlebox functions run on (RSS flow
-  /// sharding, one worker thread per shard — SGX enclaves are
-  /// multi-threaded via multiple TCSs). 1 keeps the single-core batched
-  /// path, bit-identical to the pre-sharding enclave.
+  /// Element-graph lanes the middlebox functions run on (RSS flow
+  /// sharding, one worker thread per busy lane beyond the caller — SGX
+  /// enclaves are multi-threaded via multiple TCSs). One lane is the
+  /// single-core case of the same path: its burst runs inline.
   std::size_t shards = 1;
-  /// Steady-state burst path. true (default): run-to-completion lanes —
-  /// SPSC ring dispatch, lane-local drains, results surface in
-  /// lane-concatenation order (per-flow order exact, global order a
-  /// function of the lane count). false: the staged reference path with
-  /// the global burst_tag arrival-order merge, kept callable as the
-  /// bit-exact pre-lane baseline.
-  bool lane_pipeline = true;
 };
 
 class EndBoxEnclave : public sgx::Enclave {
@@ -120,8 +118,9 @@ class EndBoxEnclave : public sgx::Enclave {
   /// rollback (monotonic versions enforced inside the enclave).
   Status ecall_install_config(const config::ConfigBundle& bundle);
   std::uint32_t config_version() const { return config_version_; }
+  /// Lane 0's graph (nullptr before the first install).
   const click::Router* router() const {
-    return sharded_ ? &sharded_->shard(0) : routers_.current();
+    return sharded_ ? &sharded_->shard(0) : nullptr;
   }
 
   // ---- Sharding (multi-core scaling) ----------------------------------
@@ -139,10 +138,12 @@ class EndBoxEnclave : public sgx::Enclave {
 
   // ---- Data path (the 4 steps of Fig 3) -------------------------------
   /// One ecall: copy in 1, Click 2, verdict 3, seal 4. Returns the
-  /// sealed tunnel messages for the untrusted side to transmit.
+  /// sealed tunnel messages for the untrusted side to transmit. A
+  /// batch of one through the egress batch body.
   Result<EgressResult> ecall_process_egress(net::Packet packet);
   /// One ecall: open, Click (unless the peer's QoS flag says it was
-  /// already processed), deliver.
+  /// already processed), deliver. A batch of one through the ingress
+  /// batch body.
   Result<IngressResult> ecall_process_ingress(ByteView wire);
 
   // ---- Batched data path (one ecall per burst) -------------------------
@@ -210,7 +211,6 @@ class EndBoxEnclave : public sgx::Enclave {
   };
   StreamStatsSnapshot stream_stats() const;
 
-  const elements::ElementContext& element_context() const { return context_; }
   const vpn::VpnClientSession* session() const {
     return session_ ? &*session_ : nullptr;
   }
@@ -218,40 +218,30 @@ class EndBoxEnclave : public sgx::Enclave {
   std::uint64_t click_bypassed_ingress() const { return c2c_bypassed_; }
 
  private:
-  struct ClickOutcome {
-    bool accepted = false;
-    net::Packet packet;
-  };
-  /// Per-shard plumbing: each shard owns an ElementContext (its graphs
-  /// share no mutable state with other shards), a result sink its
-  /// ToDevice fills on the shard's worker thread, and a PacketPool that
-  /// recycles rejected packets' buffers without cross-shard contention.
-  /// Trusted-time ocalls of sharded graphs tally into the per-shard
-  /// ElementContext (not the global enclave stats, which worker threads
-  /// must not touch).
+  /// Per-lane plumbing: each lane owns an ElementContext (its graph
+  /// shares no mutable state with other lanes), a result sink its
+  /// ToDevice fills with accepted packets on the lane's thread, and a
+  /// PacketPool that recycles rejected packets' buffers without
+  /// cross-lane contention. Trusted-time reads tally in the lane's
+  /// context (lane threads must not touch the enclave statistics) and
+  /// fold into the ocall count after each burst.
   struct ShardRig {
     elements::ElementContext context;
     click::ElementRegistry registry;
-    std::vector<ClickOutcome> results;
+    std::vector<net::Packet> accepted;
     net::PacketPool pool;
     ShardRig() : registry(elements::make_endbox_registry(context)) {}
   };
-  /// Pushes a packet through the current router; collects the ToDevice
-  /// verdict synchronously.
-  ClickOutcome run_click(net::Packet&& packet);
-  /// Runs a whole burst through the graph(s) with one virtual call per
-  /// element (per shard) and fills click_results_ with the delivered
-  /// outcomes in arrival order. Returns false when no configuration is
-  /// installed or the entry element is missing.
+  /// The egress batch ecall's body (callers hold the EcallGuard).
+  Status process_egress_burst(click::PacketBatch&& batch, EgressBatch& out);
+  /// The ingress batch ecall's body (callers hold the EcallGuard).
+  Status process_ingress_burst(std::span<const Bytes> wires, IngressBatch& out);
+  /// Runs a whole burst through the lanes with one virtual call per
+  /// element per lane; accepted packets land in the rigs' `accepted`
+  /// lists (consume them in lane order), rejected buffers return to
+  /// the main pool. Returns false when no configuration is installed or
+  /// the entry element is missing.
   bool run_click_burst(click::PacketBatch&& batch);
-  /// K-way merge of the per-shard result lists back into arrival order
-  /// (each list is burst_tag-sorted because partitioning keeps order).
-  /// Reference path only (options_.lane_pipeline == false).
-  void merge_shard_results();
-  /// Lane-pipeline collection: concatenates the per-lane result lists
-  /// in lane order — per-flow order is exact (a flow lives in one
-  /// lane's FIFO), global order is deterministic per lane count.
-  void collect_lane_results();
   /// Creates shard rigs up to `count` (contexts wired to this enclave).
   void ensure_shard_rigs(std::size_t count);
   /// Factory building shard i's router from shard i's registry.
@@ -268,22 +258,15 @@ class EndBoxEnclave : public sgx::Enclave {
   std::uint64_t config_key_ = 0;
 
   tls::SessionKeyStore key_store_;
-  elements::ElementContext context_;
-  click::ElementRegistry registry_;
-  click::RouterManager routers_;
-  // Sharded mode (options_.shards > 1 or a runtime reshard): the graphs
-  // live in sharded_ and per-shard rigs instead of routers_.
+  // The graphs: one per lane in sharded_ (created by the first install),
+  // wired to the per-lane rigs (lane 0's rig exists from construction).
   std::vector<std::unique_ptr<ShardRig>> shard_rigs_;
   std::unique_ptr<click::ShardedRouter> sharded_;
-  std::vector<std::size_t> merge_heads_;  ///< merge scratch, reused
   std::uint32_t config_version_ = 0;
   std::size_t config_epc_bytes_ = 0;
 
   std::optional<vpn::VpnClientSession> session_;
 
-  // Scratch state collecting ToDevice verdicts of the current push (one
-  // entry per packet that exited the graph, in exit order).
-  std::vector<ClickOutcome> click_results_;
   click::PacketBatch ingress_stage_;  ///< pre-Click staging for ingress bursts
   net::PacketPool pool_;
   Bytes egress_packet_scratch_;  ///< reused for egress serialisation

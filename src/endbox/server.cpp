@@ -208,9 +208,9 @@ Result<EndBoxServer::BatchResult> EndBoxServer::handle_batch(
   // (one single thread at the default 1 shard — exactly what
   // open_batch's implementation is): each lane's sessions serialise
   // onto that lane's worker, so their cycles aggregate into one job
-  // per lane. The serial part shrank to lane dispatch (RSS hash + ring
-  // push per frame) — no partition append, no merge — then the lane
-  // jobs run in parallel on the server's cores; completion is the
+  // per lane. The serial part is lane dispatch (RSS hash + ring push
+  // per frame), then the lane jobs run in parallel on the server's
+  // cores; completion is the
   // burst's critical path, while every lane's cycles count as busy
   // time. The per-frame handle_wire path keeps the per-client OpenVPN
   // process model; this path models the one sharded server process.

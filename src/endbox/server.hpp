@@ -65,7 +65,7 @@ class EndBoxServer {
   /// per-frame cycle model as handle_wire, serialised per session
   /// process. With a session-sharded VPN server, each shard's sessions
   /// serialise onto that shard's core and the shards charge as
-  /// parallel jobs after a per-frame staging pass — the burst
+  /// parallel jobs after a per-frame lane dispatch pass — the burst
   /// completes at the critical path while every shard's cycles count
   /// as busy time (MultiCoreAccount::charge_parallel). WithClick mode
   /// additionally runs each completed packet through that client's

@@ -114,11 +114,9 @@ void AhoCorasick::build(bool prefilter_case_insensitive) {
   prefilter_.build(views, prefilter_case_insensitive);
   pattern_bytes_.clear();
   pattern_bytes_.shrink_to_fit();
+  nodes_.clear();
+  nodes_.shrink_to_fit();
   built_ = true;
-}
-
-std::int32_t AhoCorasick::step(std::int32_t state, std::uint8_t byte) const {
-  return nodes_[static_cast<std::size_t>(state)].next[byte];
 }
 
 std::size_t AhoCorasick::match(
@@ -186,77 +184,6 @@ std::size_t AhoCorasick::match_multi(
   return count;
 }
 
-std::size_t AhoCorasick::match_resume(
-    ByteView text, std::uint32_t* state,
-    const std::function<bool(const AcMatch&)>& on_match) const {
-  if (!built_) throw std::logic_error("AhoCorasick: match before build");
-  std::size_t count = 0;
-  std::size_t s = *state;
-  const std::int32_t* transitions = transitions_.data();
-  const std::uint32_t* out_start = out_start_.data();
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    s = static_cast<std::size_t>(transitions[(s << 8) | text[i]]);
-    std::uint32_t begin = out_start[s];
-    std::uint32_t end = out_start[s + 1];
-    for (; begin != end; ++begin) {
-      ++count;
-      if (!on_match({pattern_ids_[static_cast<std::size_t>(
-                         out_patterns_[begin])],
-                     i + 1})) {
-        *state = static_cast<std::uint32_t>(s);
-        return count;
-      }
-    }
-  }
-  *state = static_cast<std::uint32_t>(s);
-  return count;
-}
-
-std::size_t AhoCorasick::match_multi_resume(
-    std::span<const ByteView> texts, std::uint32_t* states,
-    const std::function<bool(std::size_t, const AcMatch&)>& on_match) const {
-  if (!built_) throw std::logic_error("AhoCorasick: match before build");
-  constexpr std::size_t kLanes = 16;
-  std::size_t count = 0;
-  const std::int32_t* transitions = transitions_.data();
-  const std::uint32_t* out_start = out_start_.data();
-  for (std::size_t base = 0; base < texts.size(); base += kLanes) {
-    std::size_t lanes = std::min(kLanes, texts.size() - base);
-    std::uint32_t state[kLanes];
-    const std::uint8_t* data[kLanes];
-    std::size_t len[kLanes];
-    std::size_t max_len = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      state[l] = states[base + l];
-      data[l] = texts[base + l].data();
-      len[l] = texts[base + l].size();
-      max_len = std::max(max_len, len[l]);
-    }
-    for (std::size_t i = 0; i < max_len; ++i) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        if (i >= len[l]) continue;
-        std::uint32_t next = static_cast<std::uint32_t>(
-            transitions[(static_cast<std::size_t>(state[l]) << 8) | data[l][i]]);
-        state[l] = next;
-        std::uint32_t begin = out_start[next];
-        std::uint32_t end = out_start[next + 1];
-        for (; begin != end; ++begin) {
-          ++count;
-          if (!on_match(base + l,
-                        {pattern_ids_[static_cast<std::size_t>(
-                             out_patterns_[begin])],
-                         i + 1})) {
-            for (std::size_t k = 0; k < lanes; ++k) states[base + k] = state[k];
-            return count;
-          }
-        }
-      }
-    }
-    for (std::size_t l = 0; l < lanes; ++l) states[base + l] = state[l];
-  }
-  return count;
-}
-
 std::vector<AcMatch> AhoCorasick::match(ByteView text) const {
   if (!built_) throw std::logic_error("AhoCorasick: match before build");
   std::vector<AcMatch> matches;
@@ -282,38 +209,6 @@ bool AhoCorasick::contains_any(ByteView text) const {
     if (out_start[state] != out_start[state + 1]) return true;
   }
   return false;
-}
-
-std::size_t AhoCorasick::match_reference(
-    ByteView text, const std::function<bool(const AcMatch&)>& on_match) const {
-  if (!built_) throw std::logic_error("AhoCorasick: match before build");
-  std::size_t count = 0;
-  std::int32_t state = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    state = step(state, text[i]);
-    for (std::int32_t s = state; s >= 0;
-         s = nodes_[static_cast<std::size_t>(s)].output_link) {
-      for (std::int32_t index : nodes_[static_cast<std::size_t>(s)].outputs) {
-        ++count;
-        if (!on_match(
-                {pattern_ids_[static_cast<std::size_t>(index)], i + 1}))
-          return count;
-      }
-      if (nodes_[static_cast<std::size_t>(s)].outputs.empty() &&
-          nodes_[static_cast<std::size_t>(s)].output_link < 0)
-        break;
-    }
-  }
-  return count;
-}
-
-std::vector<AcMatch> AhoCorasick::match_reference(ByteView text) const {
-  std::vector<AcMatch> matches;
-  match_reference(text, [&](const AcMatch& m) {
-    matches.push_back(m);
-    return true;
-  });
-  return matches;
 }
 
 }  // namespace endbox::idps

@@ -6,9 +6,8 @@
 // state-major transition table (goto links already resolved through
 // failure links) with pattern outputs in a parallel CSR array, so the
 // scan loop is one contiguous table lookup plus one CSR-range check per
-// byte instead of chasing a vector<Node> of ~1KB nodes. The original
-// node-chasing matcher stays callable as match_reference() so benches
-// and property tests can compare against the pre-flattening behaviour.
+// byte instead of chasing a vector<Node> of ~1KB nodes. The node list
+// exists only between add_pattern() and build().
 #pragma once
 
 #include <array>
@@ -60,39 +59,13 @@ class AhoCorasick {
       std::span<const ByteView> texts,
       const std::function<bool(std::size_t, const AcMatch&)>& on_match) const;
 
-  /// Resumable walk for stream scanning: starts from `*state` (0 = the
-  /// root, i.e. the start of a fresh stream) and leaves the final
-  /// automaton state in `*state`, so the next chunk of the same stream
-  /// continues exactly where this one stopped — a pattern straddling
-  /// the chunk boundary is reported as if the chunks were one buffer.
-  /// Match end_offsets are relative to this chunk's start (an offset
-  /// smaller than the pattern length means the match began in an
-  /// earlier chunk). Matches and their order over the concatenation of
-  /// all chunks are identical to one match() over the whole stream.
-  std::size_t match_resume(
-      ByteView text, std::uint32_t* state,
-      const std::function<bool(const AcMatch&)>& on_match) const;
-
-  /// Interleaved resumable walks: the stream-scan analogue of
-  /// match_multi. Walks up to 16 *distinct* streams' pending chunks in
-  /// lockstep (states[i] is stream i's in/out resume state), so the
-  /// dependent transition loads of many flows overlap in the memory
-  /// system. Per-stream matches equal match_resume on each chunk.
-  std::size_t match_multi_resume(
-      std::span<const ByteView> texts, std::uint32_t* states,
-      const std::function<bool(std::size_t, const AcMatch&)>& on_match) const;
-
   /// True when any pattern occurs (early exit on first hit).
   bool contains_any(ByteView text) const;
 
-  /// Pre-flattening matcher over the retained node list (identical
-  /// output order to match()); baseline for benches/equivalence tests.
-  std::vector<AcMatch> match_reference(ByteView text) const;
-  std::size_t match_reference(
-      ByteView text, const std::function<bool(const AcMatch&)>& on_match) const;
-
   std::size_t pattern_count() const { return pattern_lengths_.size(); }
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const {
+    return built_ ? out_start_.size() - 1 : nodes_.size();
+  }
   bool built() const { return built_; }
   std::size_t max_pattern_length() const { return max_pattern_length_; }
   /// The literal prefilter compiled by build(). usable() is false when
@@ -111,8 +84,8 @@ class AhoCorasick {
     Node() { next.fill(-1); }
   };
 
-  std::int32_t step(std::int32_t state, std::uint8_t byte) const;
-
+  /// Trie under construction; compiled into the flat table and freed
+  /// by build().
   std::vector<Node> nodes_{1};
   std::vector<int> pattern_ids_;
   std::vector<std::size_t> pattern_lengths_;

@@ -108,6 +108,47 @@ IdpsVerdict IdpsEngine::evaluate_hits(const net::Packet& packet,
   return verdict;
 }
 
+void IdpsEngine::count_scan(std::size_t bytes) {
+  if (prefilter_enabled_)
+    prefilter_stats_.prefiltered_bytes += bytes;
+  else
+    ++prefilter_stats_.fallback_scans;
+}
+
+void IdpsEngine::find_runs(const AhoCorasick& automaton, ByteView text,
+                           std::vector<CandidateRun>& runs) {
+  runs.clear();
+  if (automaton.pattern_count() == 0) return;
+  if (!prefilter_enabled_) {
+    // Fallback: the whole buffer is one candidate run.
+    if (!text.empty())
+      runs.push_back({0, static_cast<std::uint32_t>(text.size())});
+    return;
+  }
+  automaton.prefilter().find_runs(text, runs);
+  prefilter_stats_.confirmed_windows += runs.size();
+}
+
+void IdpsEngine::confirm_runs(ByteView text, InspectScratch& scratch,
+                              const std::function<bool(const AcMatch&)>& record,
+                              std::size_t* bias) {
+  // Each run contains every match it witnesses whole, so it is walked
+  // from the root — no cross-run automaton state is needed.
+  find_runs(cs_automaton_, text, scratch.runs);
+  for (const CandidateRun& run : scratch.runs) {
+    if (bias) *bias = run.begin;
+    cs_automaton_.match(text.subspan(run.begin, run.end - run.begin), record);
+  }
+  // The nocase prefilter screened the raw text; only its runs are
+  // lowered for the confirm walk.
+  find_runs(ci_automaton_, text, scratch.runs);
+  for (const CandidateRun& run : scratch.runs) {
+    if (bias) *bias = run.begin;
+    to_lower_into(text.subspan(run.begin, run.end - run.begin), scratch.lowered);
+    ci_automaton_.match(scratch.lowered, record);
+  }
+}
+
 IdpsVerdict IdpsEngine::inspect(const net::Packet& packet) {
   InspectScratch scratch;
   return inspect(packet, packet.payload, scratch);
@@ -115,67 +156,21 @@ IdpsVerdict IdpsEngine::inspect(const net::Packet& packet) {
 
 IdpsVerdict IdpsEngine::inspect(const net::Packet& packet, ByteView payload,
                                 InspectScratch& scratch) {
-  if (!prefilter_enabled_) {
-    ++prefilter_stats_.fallback_scans;
-    return inspect_reference(packet, payload, scratch);
-  }
   ++packets_inspected_;
-  prefilter_stats_.prefiltered_bytes += payload.size();
+  count_scan(payload.size());
   reset_hits(scratch);
   // Single-pointer capture keeps the callback inside std::function's
-  // small-object buffer — no allocation per scan.
+  // small-object buffer — no allocation per scan. Rule evaluation only
+  // consumes the hit set, so slice-relative offsets need no rebasing.
   struct RecordCtx {
     InspectScratch* scratch;
     bool any_hit = false;
   } ctx{&scratch};
-  auto record = [&ctx](const AcMatch& m) {
+  confirm_runs(payload, scratch, [&ctx](const AcMatch& m) {
     record_hit(*ctx.scratch, m.pattern_id);
     ctx.any_hit = true;
     return true;
-  };
-  // Tier 1 screens the payload; tier 2 confirms only candidate runs,
-  // each walked from the root (a run contains every match it
-  // witnesses whole, so no cross-run automaton state is needed). Rule
-  // evaluation only consumes the hit set, so slice-relative offsets
-  // need no rebasing here.
-  scratch.runs.clear();
-  cs_automaton_.prefilter().find_runs(payload, scratch.runs);
-  prefilter_stats_.confirmed_windows += scratch.runs.size();
-  for (const CandidateRun& run : scratch.runs)
-    cs_automaton_.match(payload.subspan(run.begin, run.end - run.begin),
-                        record);
-  if (ci_automaton_.pattern_count() > 0) {
-    scratch.runs.clear();
-    ci_automaton_.prefilter().find_runs(payload, scratch.runs);
-    prefilter_stats_.confirmed_windows += scratch.runs.size();
-    for (const CandidateRun& run : scratch.runs) {
-      to_lower_into(payload.subspan(run.begin, run.end - run.begin),
-                    scratch.lowered);
-      ci_automaton_.match(scratch.lowered, record);
-    }
-  }
-  return evaluate_hits(packet, scratch, ctx.any_hit);
-}
-
-IdpsVerdict IdpsEngine::inspect_reference(const net::Packet& packet,
-                                          ByteView payload,
-                                          InspectScratch& scratch) {
-  ++packets_inspected_;
-  reset_hits(scratch);
-  struct RecordCtx {
-    InspectScratch* scratch;
-    bool any_hit = false;
-  } ctx{&scratch};
-  auto record = [&ctx](const AcMatch& m) {
-    record_hit(*ctx.scratch, m.pattern_id);
-    ctx.any_hit = true;
-    return true;
-  };
-  cs_automaton_.match(payload, record);
-  if (ci_automaton_.pattern_count() > 0) {
-    to_lower_into(payload, scratch.lowered);
-    ci_automaton_.match(scratch.lowered, record);
-  }
+  });
   return evaluate_hits(packet, scratch, ctx.any_hit);
 }
 
@@ -183,14 +178,12 @@ void IdpsEngine::inspect_batch(std::span<const net::Packet* const> packets,
                                std::span<const ByteView> payloads,
                                BatchScratch& scratch, IdpsVerdict* verdicts) {
   std::size_t n = packets.size();
-  if (!prefilter_enabled_) {
-    prefilter_stats_.fallback_scans += n;
-    inspect_batch_reference(packets, payloads, scratch, verdicts);
-    return;
-  }
   packets_inspected_ += n;
   if (scratch.matches.size() < n) scratch.matches.resize(n);
-  for (std::size_t i = 0; i < n; ++i) scratch.matches[i].clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    count_scan(payloads[i].size());
+    scratch.matches[i].clear();
+  }
 
   // Tier 1 screens each payload sequentially (the prefilter kernel is
   // data-parallel within one buffer, not latency-bound like the
@@ -204,78 +197,27 @@ void IdpsEngine::inspect_batch(std::span<const net::Packet* const> packets,
     ctx.scratch->matches[ctx.scratch->owner[stream]].push_back(m);
     return true;
   };
-  scratch.views.clear();
-  scratch.owner.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    prefilter_stats_.prefiltered_bytes += payloads[i].size();
-    scratch.rules.runs.clear();
-    cs_automaton_.prefilter().find_runs(payloads[i], scratch.rules.runs);
-    prefilter_stats_.confirmed_windows += scratch.rules.runs.size();
-    for (const CandidateRun& run : scratch.rules.runs) {
-      scratch.views.push_back(
-          payloads[i].subspan(run.begin, run.end - run.begin));
-      scratch.owner.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  cs_automaton_.match_multi({scratch.views.data(), scratch.views.size()},
-                            record);
-
-  if (ci_automaton_.pattern_count() > 0) {
+  auto confirm = [&](const AhoCorasick& automaton, bool lower) {
     scratch.views.clear();
     scratch.owner.clear();
     std::size_t slice = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      scratch.rules.runs.clear();
-      ci_automaton_.prefilter().find_runs(payloads[i], scratch.rules.runs);
-      prefilter_stats_.confirmed_windows += scratch.rules.runs.size();
+      find_runs(automaton, payloads[i], scratch.rules.runs);
       for (const CandidateRun& run : scratch.rules.runs) {
-        if (scratch.lowered.size() <= slice) scratch.lowered.resize(slice + 1);
-        to_lower_into(payloads[i].subspan(run.begin, run.end - run.begin),
-                      scratch.lowered[slice]);
-        scratch.views.push_back(scratch.lowered[slice]);
+        ByteView view = payloads[i].subspan(run.begin, run.end - run.begin);
+        if (lower) {
+          if (scratch.lowered.size() <= slice) scratch.lowered.resize(slice + 1);
+          to_lower_into(view, scratch.lowered[slice]);
+          view = scratch.lowered[slice++];
+        }
+        scratch.views.push_back(view);
         scratch.owner.push_back(static_cast<std::uint32_t>(i));
-        ++slice;
       }
     }
-    ci_automaton_.match_multi({scratch.views.data(), scratch.views.size()},
-                              record);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    reset_hits(scratch.rules);
-    for (const AcMatch& m : scratch.matches[i])
-      record_hit(scratch.rules, m.pattern_id);
-    verdicts[i] =
-        evaluate_hits(*packets[i], scratch.rules, !scratch.matches[i].empty());
-  }
-}
-
-void IdpsEngine::inspect_batch_reference(
-    std::span<const net::Packet* const> packets,
-    std::span<const ByteView> payloads, BatchScratch& scratch,
-    IdpsVerdict* verdicts) {
-  std::size_t n = packets.size();
-  packets_inspected_ += n;
-  if (scratch.matches.size() < n) scratch.matches.resize(n);
-  for (std::size_t i = 0; i < n; ++i) scratch.matches[i].clear();
-
-  struct RecordCtx {
-    BatchScratch* scratch;
-  } ctx{&scratch};
-  auto record = [&ctx](std::size_t stream, const AcMatch& m) {
-    ctx.scratch->matches[stream].push_back(m);
-    return true;
+    automaton.match_multi({scratch.views.data(), scratch.views.size()}, record);
   };
-  cs_automaton_.match_multi(payloads, record);
-  if (ci_automaton_.pattern_count() > 0) {
-    if (scratch.lowered.size() < n) scratch.lowered.resize(n);
-    if (scratch.views.size() < n) scratch.views.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      to_lower_into(payloads[i], scratch.lowered[i]);
-      scratch.views[i] = scratch.lowered[i];
-    }
-    ci_automaton_.match_multi({scratch.views.data(), n}, record);
-  }
+  confirm(cs_automaton_, false);
+  confirm(ci_automaton_, true);
 
   // Rule evaluation is per packet and cheap (content hits are rare);
   // replaying the recorded matches into the sparse hit table makes the
@@ -348,12 +290,8 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
                                        StreamMatchState& state,
                                        InspectScratch& scratch,
                                        std::span<std::uint8_t> mask) {
-  if (!prefilter_enabled_) {
-    ++prefilter_stats_.fallback_scans;
-    return inspect_stream_reference(packet, chunk, state, scratch, mask);
-  }
   ++packets_inspected_;
-  prefilter_stats_.prefiltered_bytes += chunk.size();
+  count_scan(chunk.size());
   reset_hits(scratch);
   load_stream_hits(state, scratch);
 
@@ -362,12 +300,13 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
   // than maxlen-1 bytes before the chunk — lies wholly inside the
   // combined buffer, boundary-straddling literals included. Matches
   // ending inside the tail (combined end <= tail_len) were reported by
-  // the chunk that delivered those bytes and are suppressed.
+  // the chunk that delivered those bytes and are suppressed. The
+  // combined copy also keeps the scanned bytes unmasked while `mask`
+  // rewrites the payload.
   const std::size_t tail_len = state.prefilter_tail.size();
   scratch.combined.assign(state.prefilter_tail.begin(),
                           state.prefilter_tail.end());
   scratch.combined.insert(scratch.combined.end(), chunk.begin(), chunk.end());
-  ByteView combined = scratch.combined;
 
   struct RecordCtx {
     IdpsEngine* self;
@@ -379,42 +318,26 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
     std::size_t bias = 0;  ///< current run's offset within `combined`
     bool new_hit = false;
   } ctx{this, &scratch, &state, mask.data(), mask.size(), tail_len};
-  auto record = [&ctx](const AcMatch& m) {
-    std::size_t combined_end = m.end_offset + ctx.bias;
-    if (combined_end <= ctx.tail_len) return true;  // earlier chunk's match
-    std::size_t end = combined_end - ctx.tail_len;  // chunk-relative
-    record_hit(*ctx.scratch, m.pattern_id);
-    ctx.new_hit = true;
-    std::size_t plen = ctx.self->content_length(m.pattern_id);
-    // An end offset inside the pattern means the match began in an
-    // earlier segment — the split delivery per-packet scanning misses.
-    if (end < plen) ++ctx.state->cross_segment_matches;
-    if (ctx.mask_size != 0) {
-      std::size_t start = end > plen ? end - plen : 0;
-      for (std::size_t j = start; j < end; ++j) ctx.mask_data[j] = 'X';
-      ctx.state->bytes_masked += end - start;
-    }
-    return true;
-  };
-  scratch.runs.clear();
-  cs_automaton_.prefilter().find_runs(combined, scratch.runs);
-  prefilter_stats_.confirmed_windows += scratch.runs.size();
-  for (const CandidateRun& run : scratch.runs) {
-    ctx.bias = run.begin;
-    cs_automaton_.match(combined.subspan(run.begin, run.end - run.begin),
-                        record);
-  }
-  if (ci_automaton_.pattern_count() > 0) {
-    scratch.runs.clear();
-    ci_automaton_.prefilter().find_runs(combined, scratch.runs);
-    prefilter_stats_.confirmed_windows += scratch.runs.size();
-    for (const CandidateRun& run : scratch.runs) {
-      ctx.bias = run.begin;
-      to_lower_into(combined.subspan(run.begin, run.end - run.begin),
-                    scratch.lowered);
-      ci_automaton_.match(scratch.lowered, record);
-    }
-  }
+  confirm_runs(
+      scratch.combined, scratch,
+      [&ctx](const AcMatch& m) {
+        std::size_t combined_end = m.end_offset + ctx.bias;
+        if (combined_end <= ctx.tail_len) return true;  // earlier chunk's match
+        std::size_t end = combined_end - ctx.tail_len;  // chunk-relative
+        record_hit(*ctx.scratch, m.pattern_id);
+        ctx.new_hit = true;
+        std::size_t plen = ctx.self->content_length(m.pattern_id);
+        // An end offset inside the pattern means the match began in an
+        // earlier segment — the split delivery per-packet scanning misses.
+        if (end < plen) ++ctx.state->cross_segment_matches;
+        if (ctx.mask_size != 0) {
+          std::size_t start = end > plen ? end - plen : 0;
+          for (std::size_t j = start; j < end; ++j) ctx.mask_data[j] = 'X';
+          ctx.state->bytes_masked += end - start;
+        }
+        return true;
+      },
+      &ctx.bias);
   state.bytes_scanned += chunk.size();
   std::size_t keep = std::min(scratch.combined.size(), stream_tail_len_);
   state.prefilter_tail.assign(scratch.combined.end() -
@@ -426,177 +349,15 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
   return verdict;
 }
 
-IdpsVerdict IdpsEngine::inspect_stream_reference(const net::Packet& packet,
-                                                 ByteView chunk,
-                                                 StreamMatchState& state,
-                                                 InspectScratch& scratch,
-                                                 std::span<std::uint8_t> mask) {
-  ++packets_inspected_;
-  reset_hits(scratch);
-  load_stream_hits(state, scratch);
-
-  bool run_ci = ci_automaton_.pattern_count() > 0;
-  // Lower before any masking mutates the payload, so the nocase scan
-  // sees the same bytes the case-sensitive scan saw (the per-packet
-  // path scans both automatons over one unmodified input).
-  if (run_ci) to_lower_into(chunk, scratch.lowered);
-
-  // Single-pointer capture keeps the callback inside std::function's
-  // small-object buffer — no allocation per scan.
-  struct RecordCtx {
-    IdpsEngine* self;
-    InspectScratch* scratch;
-    StreamMatchState* state;
-    std::uint8_t* mask_data;
-    std::size_t mask_size;
-    bool new_hit = false;
-  } ctx{this, &scratch, &state, mask.data(), mask.size()};
-  auto record = [&ctx](const AcMatch& m) {
-    record_hit(*ctx.scratch, m.pattern_id);
-    ctx.new_hit = true;
-    std::size_t plen = ctx.self->content_length(m.pattern_id);
-    // An end offset inside the pattern means the match began in an
-    // earlier segment — the split delivery per-packet scanning misses.
-    if (m.end_offset < plen) ++ctx.state->cross_segment_matches;
-    if (ctx.mask_size != 0) {
-      std::size_t end = m.end_offset;
-      std::size_t start = end > plen ? end - plen : 0;
-      for (std::size_t j = start; j < end; ++j) ctx.mask_data[j] = 'X';
-      ctx.state->bytes_masked += end - start;
-    }
-    return true;
-  };
-  cs_automaton_.match_resume(chunk, &state.cs_state, record);
-  if (run_ci) ci_automaton_.match_resume(scratch.lowered, &state.ci_state, record);
-  state.bytes_scanned += chunk.size();
-
-  IdpsVerdict verdict = evaluate_stream(packet, state, scratch, ctx.new_hit);
-  persist_stream_hits(state, scratch);
-  return verdict;
-}
-
 void IdpsEngine::inspect_stream_batch(
     std::span<const net::Packet* const> packets, std::span<const ByteView> chunks,
     std::span<StreamMatchState* const> states, BatchScratch& scratch,
     IdpsVerdict* verdicts, std::span<const std::span<std::uint8_t>> masks) {
-  if (!prefilter_enabled_) {
-    prefilter_stats_.fallback_scans += packets.size();
-    inspect_stream_batch_reference(packets, chunks, states, scratch, verdicts,
-                                   masks);
-    return;
-  }
-  // Prefilter mode runs the burst sequentially in arrival order: each
-  // chunk's combined buffer needs the tail its same-flow predecessor
-  // leaves behind, and clean chunks (the common case) do no automaton
-  // work, so there is no transition-load latency left for the
-  // interleaved walk to hide. Verdicts trivially equal per-packet
-  // inspect_stream in burst order.
   for (std::size_t i = 0; i < packets.size(); ++i)
     verdicts[i] = inspect_stream(*packets[i], chunks[i], *states[i],
                                  scratch.rules,
                                  masks.empty() ? std::span<std::uint8_t>{}
                                                : masks[i]);
-}
-
-void IdpsEngine::inspect_stream_batch_reference(
-    std::span<const net::Packet* const> packets, std::span<const ByteView> chunks,
-    std::span<StreamMatchState* const> states, BatchScratch& scratch,
-    IdpsVerdict* verdicts, std::span<const std::span<std::uint8_t>> masks) {
-  std::size_t n = packets.size();
-  packets_inspected_ += n;
-  if (scratch.matches.size() < n) scratch.matches.resize(n);
-  for (std::size_t i = 0; i < n; ++i) scratch.matches[i].clear();
-
-  bool run_ci = ci_automaton_.pattern_count() > 0;
-  if (run_ci) {
-    // All lowered copies up front, before masking mutates any payload.
-    if (scratch.lowered.size() < n) scratch.lowered.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      to_lower_into(chunks[i], scratch.lowered[i]);
-  }
-
-  // Two chunks of the same flow must not walk in the same interleave
-  // round — the second continues from the state the first produces. So
-  // packets are grouped into rounds: round k holds every flow's
-  // (k+1)-th chunk of the burst; within a round all streams are
-  // distinct and the 16-lane resumable walk applies. Bursts are small
-  // (<= 64), so the quadratic grouping scan is noise.
-  if (scratch.rounds.size() < n) scratch.rounds.resize(n);
-  std::uint32_t max_round = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t r = 0;
-    for (std::size_t j = 0; j < i; ++j)
-      if (states[j] == states[i]) ++r;
-    scratch.rounds[i] = r;
-    max_round = std::max(max_round, r);
-  }
-
-  struct RecordCtx {
-    IdpsEngine* self;
-    BatchScratch* scratch;
-    StreamMatchState* const* states;
-    const std::span<std::uint8_t>* masks;
-  } ctx{this, &scratch, states.data(), masks.empty() ? nullptr : masks.data()};
-  auto record = [&ctx](std::size_t stream, const AcMatch& m) {
-    std::size_t i = ctx.scratch->order[stream];
-    ctx.scratch->matches[i].push_back(m);
-    std::size_t plen = ctx.self->content_length(m.pattern_id);
-    StreamMatchState& st = *ctx.states[i];
-    if (m.end_offset < plen) ++st.cross_segment_matches;
-    if (ctx.masks != nullptr && !ctx.masks[i].empty()) {
-      std::span<std::uint8_t> mask = ctx.masks[i];
-      std::size_t end = m.end_offset;
-      std::size_t start = end > plen ? end - plen : 0;
-      for (std::size_t j = start; j < end; ++j) mask[j] = 'X';
-      st.bytes_masked += end - start;
-    }
-    return true;
-  };
-
-  for (std::uint32_t round = 0; round <= max_round; ++round) {
-    scratch.order.clear();
-    for (std::size_t i = 0; i < n; ++i)
-      if (scratch.rounds[i] == round)
-        scratch.order.push_back(static_cast<std::uint32_t>(i));
-    std::size_t m = scratch.order.size();
-    if (scratch.views.size() < m) scratch.views.resize(m);
-    if (scratch.ac_states.size() < m) scratch.ac_states.resize(m);
-
-    for (std::size_t k = 0; k < m; ++k) {
-      scratch.views[k] = chunks[scratch.order[k]];
-      scratch.ac_states[k] = states[scratch.order[k]]->cs_state;
-    }
-    cs_automaton_.match_multi_resume({scratch.views.data(), m},
-                                     scratch.ac_states.data(), record);
-    for (std::size_t k = 0; k < m; ++k)
-      states[scratch.order[k]]->cs_state = scratch.ac_states[k];
-
-    if (run_ci) {
-      for (std::size_t k = 0; k < m; ++k) {
-        scratch.views[k] = scratch.lowered[scratch.order[k]];
-        scratch.ac_states[k] = states[scratch.order[k]]->ci_state;
-      }
-      ci_automaton_.match_multi_resume({scratch.views.data(), m},
-                                       scratch.ac_states.data(), record);
-      for (std::size_t k = 0; k < m; ++k)
-        states[scratch.order[k]]->ci_state = scratch.ac_states[k];
-    }
-  }
-
-  // Evaluation replays per packet in burst order, so persisted hits
-  // from an earlier same-flow packet are visible to the later one —
-  // verdicts equal sequential inspect_stream calls.
-  for (std::size_t i = 0; i < n; ++i) {
-    StreamMatchState& st = *states[i];
-    st.bytes_scanned += chunks[i].size();
-    reset_hits(scratch.rules);
-    load_stream_hits(st, scratch.rules);
-    for (const AcMatch& m : scratch.matches[i])
-      record_hit(scratch.rules, m.pattern_id);
-    verdicts[i] = evaluate_stream(*packets[i], st, scratch.rules,
-                                  !scratch.matches[i].empty());
-    persist_stream_hits(st, scratch.rules);
-  }
 }
 
 }  // namespace endbox::idps

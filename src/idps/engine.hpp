@@ -10,15 +10,14 @@
 // rewound by maxlen-W and extended by maxlen so any real match lies
 // wholly inside — and the flat automaton walks only those merged
 // slices from its root. Clean payloads (the common case) never enter
-// the automaton. The prefilter is sound (no false negatives), so
-// verdicts, offsets, MASK bytes and once-per-flow firing are
-// bit-identical to the full walk, which stays callable as the
-// inspect*_reference family. Rule sets containing a content literal
-// shorter than the fragment width (1-byte contents) disable the
-// prefilter engine-wide and every scan takes the full walk.
+// the automaton. Rule sets containing a content literal shorter than
+// the fragment width (1-byte contents) make the prefilter unusable;
+// the engine then hands the automaton one candidate run covering the
+// whole buffer, so the fallback runs through the same two-tier code.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -35,20 +34,17 @@ struct IdpsVerdict {
 };
 
 /// Persistent per-flow stream inspection state (lives in the flow's
-/// CTX context, lane-local): the resume states of both Aho-Corasick
-/// automatons, the content-hit bits accumulated over the life of the
-/// flow (sparse — hits are rare), and the rules that already fired so
-/// a completed rule alerts once per flow, not once per subsequent
-/// segment. Cheap when idle: two ints and two empty vectors.
+/// CTX context, lane-local): the carried stream tail, the content-hit
+/// bits accumulated over the life of the flow (sparse — hits are
+/// rare), and the rules that already fired so a completed rule alerts
+/// once per flow, not once per subsequent segment. Cheap when idle:
+/// three empty vectors.
 struct StreamMatchState {
-  std::uint32_t cs_state = 0;  ///< case-sensitive automaton resume state
-  std::uint32_t ci_state = 0;  ///< nocase automaton resume state
-  /// Prefilter tail carry: the last maxlen-1 stream bytes, prepended
-  /// to the next chunk so a literal straddling the chunk boundary
-  /// still lands inside one scanned buffer. Only the prefilter path
-  /// maintains it (the reference path resumes cs_state/ci_state
-  /// instead); matches ending inside the tail were already reported by
-  /// the chunk that delivered them and are suppressed.
+  /// Tail carry: the last maxlen-1 stream bytes, prepended to the next
+  /// chunk so a literal straddling the chunk boundary still lands
+  /// inside one scanned buffer; matches ending inside the tail were
+  /// already reported by the chunk that delivered them and are
+  /// suppressed.
   Bytes prefilter_tail;
   bool drop_flow = false;      ///< a drop verdict fired; rest of flow dies
   std::uint64_t bytes_scanned = 0;
@@ -64,12 +60,12 @@ struct StreamMatchState {
 
 /// Two-tier scanning statistics: how much traffic the prefilter
 /// cleared without automaton work, how many candidate windows needed
-/// confirming, and how many scans fell back to the full walk (rule
-/// sets with sub-fragment-width literals).
+/// confirming, and how many scans fell back to one whole-buffer run
+/// (rule sets with sub-fragment-width literals).
 struct PrefilterStats {
   std::uint64_t prefiltered_bytes = 0;   ///< bytes screened by tier 1
   std::uint64_t confirmed_windows = 0;   ///< candidate runs walked by tier 2
-  std::uint64_t fallback_scans = 0;      ///< full walks (prefilter unusable)
+  std::uint64_t fallback_scans = 0;      ///< whole-buffer runs (prefilter unusable)
 };
 
 class IdpsEngine {
@@ -96,13 +92,8 @@ class IdpsEngine {
     std::vector<std::vector<AcMatch>> matches;  ///< per stream
     std::vector<Bytes> lowered;                 ///< per stream (nocase scan)
     std::vector<ByteView> views;                ///< span storage for lowered
-    std::vector<std::uint32_t> owner;  ///< prefilter: slice -> packet index
+    std::vector<std::uint32_t> owner;  ///< candidate slice -> packet index
     InspectScratch rules;
-    // inspect_stream_batch round scheduling (two chunks of one flow
-    // must walk sequentially, not in the same interleave round).
-    std::vector<std::uint32_t> rounds;     ///< per packet: interleave round
-    std::vector<std::uint32_t> order;      ///< packet ids of the current round
-    std::vector<std::uint32_t> ac_states;  ///< gathered resume states
   };
 
   /// Evaluates one packet; also tallies alert/drop statistics.
@@ -112,83 +103,49 @@ class IdpsEngine {
   /// scanned from `payload` (the decrypted payload when TLSDecrypt ran
   /// upstream), so callers need neither a probe copy nor fresh buffers.
   /// Two-tier: the prefilter screens the payload and only candidate
-  /// windows reach the automaton; verdict-identical to
-  /// inspect_reference.
+  /// windows reach the automaton.
   IdpsVerdict inspect(const net::Packet& packet, ByteView payload,
                       InspectScratch& scratch);
 
-  /// The full-walk path (both automatons over every byte), kept
-  /// callable as the equivalence baseline for the prefiltered inspect
-  /// and for benches pricing the tier-1 skip rate.
-  IdpsVerdict inspect_reference(const net::Packet& packet, ByteView payload,
-                                InspectScratch& scratch);
-
-  /// Burst variant: scans all payloads with the interleaved multi-
-  /// stream Aho-Corasick walk (independent transition chains overlap in
-  /// the memory system, hiding the table-walk latency a single scan is
-  /// bound by), then evaluates each packet's rules exactly as
-  /// inspect(). `verdicts[i]` corresponds to `packets[i]`; verdicts and
-  /// statistics are identical to per-packet inspection.
+  /// Burst variant: screens every payload, then confirms the burst's
+  /// candidate slices with the interleaved multi-stream Aho-Corasick
+  /// walk (independent transition chains overlap in the memory
+  /// system, hiding the table-walk latency a single scan is bound by)
+  /// and evaluates each packet's rules exactly as inspect().
+  /// `verdicts[i]` corresponds to `packets[i]`; verdicts and statistics
+  /// are identical to per-packet inspection.
   void inspect_batch(std::span<const net::Packet* const> packets,
                      std::span<const ByteView> payloads, BatchScratch& scratch,
                      IdpsVerdict* verdicts);
 
-  /// Full-walk burst baseline (pre-prefilter inspect_batch).
-  void inspect_batch_reference(std::span<const net::Packet* const> packets,
-                               std::span<const ByteView> payloads,
-                               BatchScratch& scratch, IdpsVerdict* verdicts);
-
-  /// Stream-resume inspection: scans `chunk` (the flow's next run of
+  /// Stream inspection: scans `chunk` (the flow's next run of
   /// in-order stream bytes) continuing from `state`, so content split
   /// across TCP segments matches exactly as if delivered in one
-  /// segment. Multi-content rules complete across segments (hit bits
-  /// persist in `state`); a rule fires once per flow, on the packet
-  /// whose chunk completes it, with the same verdict/sid the
-  /// single-segment per-packet path produces. When `mask` is non-empty
-  /// it must alias the chunk's bytes in the packet payload: every
-  /// content occurrence is overwritten with 'X' (best effort — the
-  /// part of a straddling match already forwarded in an earlier
-  /// segment cannot be rewritten).
-  /// Two-tier stream path: the prefilter scans the flow's carried tail
-  /// (last maxlen-1 stream bytes) + chunk so boundary-straddling
-  /// literals are caught without resuming automaton state; matches
-  /// ending inside the tail were reported by an earlier chunk and are
-  /// suppressed. Verdicts, cross-segment counts and MASK bytes are
-  /// identical to inspect_stream_reference.
+  /// segment. The flow's carried tail (last maxlen-1 stream bytes) is
+  /// prepended to the chunk, so boundary-straddling literals land
+  /// inside one scanned buffer; matches ending inside the tail were
+  /// reported by an earlier chunk and are suppressed. Multi-content
+  /// rules complete across segments (hit bits persist in `state`); a
+  /// rule fires once per flow, on the packet whose chunk completes it,
+  /// with the same verdict/sid the single-segment per-packet path
+  /// produces. When `mask` is non-empty it must alias the chunk's
+  /// bytes in the packet payload: every content occurrence is
+  /// overwritten with 'X' (best effort — the part of a straddling
+  /// match already forwarded in an earlier segment cannot be
+  /// rewritten).
   IdpsVerdict inspect_stream(const net::Packet& packet, ByteView chunk,
                              StreamMatchState& state, InspectScratch& scratch,
                              std::span<std::uint8_t> mask = {});
 
-  /// Full-walk stream baseline: resumes cs_state/ci_state across
-  /// chunks (the pre-prefilter inspect_stream). A flow must stay on
-  /// one path for its lifetime — the two paths persist different
-  /// resume state.
-  IdpsVerdict inspect_stream_reference(const net::Packet& packet,
-                                       ByteView chunk, StreamMatchState& state,
-                                       InspectScratch& scratch,
-                                       std::span<std::uint8_t> mask = {});
-
-  /// Burst variant of inspect_stream: verdict-identical to calling
-  /// inspect_stream per packet in burst order. In prefilter mode the
-  /// burst runs sequentially — each chunk's scan needs the tail its
-  /// same-flow predecessor produces, and clean chunks have no
-  /// automaton walk left to interleave; the fallback path keeps the
-  /// interleaved round-scheduled resumable walk. `masks` is either
-  /// empty or one (possibly empty) span per packet.
+  /// Burst variant of inspect_stream, run sequentially in burst order:
+  /// each chunk's scan needs the tail its same-flow predecessor leaves
+  /// behind, and clean chunks have no automaton walk to interleave.
+  /// `masks` is either empty or one (possibly empty) span per packet.
   void inspect_stream_batch(std::span<const net::Packet* const> packets,
                             std::span<const ByteView> chunks,
                             std::span<StreamMatchState* const> states,
                             BatchScratch& scratch, IdpsVerdict* verdicts,
                             std::span<const std::span<std::uint8_t>> masks = {});
-
-  /// Full-walk burst stream baseline (round-scheduled interleaved
-  /// resumable walk; the pre-prefilter inspect_stream_batch).
-  void inspect_stream_batch_reference(
-      std::span<const net::Packet* const> packets,
-      std::span<const ByteView> chunks,
-      std::span<StreamMatchState* const> states, BatchScratch& scratch,
-      IdpsVerdict* verdicts,
-      std::span<const std::span<std::uint8_t>> masks = {});
 
   std::size_t rule_count() const { return rules_.size(); }
   std::uint64_t packets_inspected() const { return packets_inspected_; }
@@ -206,6 +163,19 @@ class IdpsEngine {
 
  private:
   bool header_matches(const SnortRule& rule, const net::Packet& packet) const;
+  /// Tallies one scan of `bytes` in the two-tier statistics.
+  void count_scan(std::size_t bytes);
+  /// Tier 1 for `automaton` over `text`: the prefilter's candidate runs,
+  /// or one run covering all of `text` when the prefilter is unusable.
+  void find_runs(const AhoCorasick& automaton, ByteView text,
+                 std::vector<CandidateRun>& runs);
+  /// Tier 2 over `text`: walks both automatons' candidate runs from the
+  /// root (nocase runs lowered first) and reports every match to
+  /// `record`. `*bias` (when given) is set to each run's offset in
+  /// `text` before the run is walked.
+  void confirm_runs(ByteView text, InspectScratch& scratch,
+                    const std::function<bool(const AcMatch&)>& record,
+                    std::size_t* bias = nullptr);
   /// Sparse hit-table reset: zero only the rules touched last time.
   void reset_hits(InspectScratch& scratch) const;
   /// Sets the content bit for one pattern hit (tracks touched rules).

@@ -62,9 +62,8 @@ struct Packet {
   // --- Metadata (not serialised; used by elements and the simulator) ---
   bool dropped = false;             ///< marked for discard by an element
   std::uint32_t flow_hint = 0;      ///< LB flow assignment annotation
-  std::uint32_t burst_tag = 0;      ///< arrival index within a burst; the
-                                    ///< sharded router merges per-shard
-                                    ///< results back into arrival order by it
+  std::uint32_t burst_tag = 0;      ///< arrival index within a burst: the
+                                    ///< per-flow order witness across lanes
   Bytes decrypted_payload;          ///< plaintext attached by TLSDecrypt for
                                     ///< downstream inspection (never sent)
   /// Per-flow stream context, set by CTXManager for classified TCP

@@ -97,7 +97,7 @@ class Enclave {
     Enclave& enclave_;
   };
 
-  void count_ocall() { ++stats_.ocalls; }
+  void count_ocall(std::uint64_t n = 1) { stats_.ocalls += n; }
   void allocate_epc(std::size_t bytes) { epc_used_ += bytes; }
   void free_epc(std::size_t bytes) { epc_used_ -= std::min(bytes, epc_used_); }
 

@@ -9,14 +9,14 @@
 //  - charge(): one serial work item lands on the least-loaded core — a
 //    processor-sharing approximation that reproduces saturation
 //    behaviour without simulating an OS scheduler.
-//  - charge_parallel(): one staging phase (the single-threaded part of
-//    a sharded burst: header parse, partition, merge) followed by
+//  - charge_parallel(): one serial phase (the single-threaded part of
+//    a sharded burst: tunnel crypto, lane dispatch) followed by
 //    per-shard work items that run concurrently on distinct cores. The
 //    burst completes at the critical path — the slowest shard — while
 //    *every* shard's cycles count as busy core time, so sweeping shard
 //    counts never under-reports the work actually done. When there are
 //    more shards than cores the greedy per-core placement queues the
-//    excess, which is exactly the contention between the staging
+//    excess, which is exactly the contention between the dispatching
 //    thread and the shard workers the honest model needs.
 #pragma once
 

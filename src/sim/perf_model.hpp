@@ -87,14 +87,9 @@ struct PerfModel {
   double ddos_cycles_per_byte = 6.0;        // matching + rate accounting
 
   // ---- Sharded data planes (client enclave and VPN server) ------------
-  // Single-threaded staging a sharded burst pays per frame before the
-  // shard workers start: wire-header parse, shard lookup, partition
-  // append, and the k-way merge's share afterwards. Reference
-  // (stage-and-barrier) path only.
-  double shard_staging_cycles_per_frame = 120;
   // Run-to-completion lane dispatch: the only serial work per frame is
-  // the RSS hash and an SPSC ring push — no partition append, no merge
-  // share. Everything else charges on the lane that runs the frame.
+  // the RSS hash and the hand-off to its lane. Everything else charges
+  // on the lane that runs the frame.
   double lane_dispatch_cycles_per_frame = 40;
 
   // ---- Server-side chaining (OpenVPN+Click set-up) --------------------

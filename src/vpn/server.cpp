@@ -8,6 +8,14 @@
 
 namespace endbox::vpn {
 
+namespace {
+void clear_results(VpnServer::OpenBatch& batch) {
+  batch.complete = batch.pending = batch.rejected = 0;
+  batch.packet_count = 0;
+  batch.opened_sessions.clear();
+}
+}  // namespace
+
 VpnServer::VpnServer(Rng& rng, crypto::RsaPublicKey ca_key, VpnServerConfig config)
     : rng_(rng), ca_key_(ca_key), config_(config), key_(crypto::rsa_generate(rng)) {
   std::size_t shards = config_.session_shards == 0 ? 1 : config_.session_shards;
@@ -366,10 +374,9 @@ void VpnServer::open_frame_on_shard(SessionShard& shard, const Bytes& wire,
   OpenBatch& out = shard.scratch;
   auto type = static_cast<MsgType>(wire[0]);
   std::uint32_t session_id = get_u32(wire.data() + 1);
-  // On the lane path dispatch never looked the session up — the lane
-  // owns the table, so the unknown-session reject lives here. (The
-  // staged path stages known sessions only; sessions never leave
-  // mid-burst because expiry runs on the caller before dispatch.)
+  // Dispatch never looked the session up — the lane owns the table,
+  // so the unknown-session reject lives here. (Sessions never leave
+  // mid-burst: expiry runs on the caller before dispatch.)
   SessionTable::Entry* found = shard.sessions.find(session_id);
   if (!found) {
     ++out.rejected;
@@ -432,12 +439,6 @@ void VpnServer::open_frame_on_shard(SessionShard& shard, const Bytes& wire,
   slot.ip_packet = std::move(*whole);
 }
 
-void VpnServer::open_shard_frames(SessionShard& shard,
-                                  std::span<const Bytes> wires, sim::Time now) {
-  for (std::uint32_t idx : shard.frame_idx)
-    open_frame_on_shard(shard, wires[idx], idx, now);
-}
-
 void VpnServer::open_lane_frames(SessionShard& shard,
                                  std::span<const Bytes> wires, sim::Time now) {
   std::uint32_t idx = 0;
@@ -447,55 +448,25 @@ void VpnServer::open_lane_frames(SessionShard& shard,
   }
 }
 
-void VpnServer::merge_opened(OpenBatch& out) {
-  std::size_t shards = shards_.size();
-  merge_heads_.assign(shards, 0);
-  while (true) {
-    std::size_t best = shards;
-    std::uint32_t best_tag = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const OpenBatch& scratch = shards_[s]->scratch;
-      if (merge_heads_[s] >= scratch.packet_count) continue;
-      std::uint32_t tag = scratch.packets[merge_heads_[s]].burst_tag;
-      if (best == shards || tag < best_tag) {
-        best = s;
-        best_tag = tag;
-      }
-    }
-    if (best == shards) break;
-    BatchPacket& src = shards_[best]->scratch.packets[merge_heads_[best]++];
+void VpnServer::collect_lane(SessionShard& shard, OpenBatch& out) {
+  OpenBatch& scratch = shard.scratch;
+  out.complete += scratch.complete;
+  out.pending += scratch.pending;
+  out.rejected += scratch.rejected;
+  out.opened_sessions.insert(out.opened_sessions.end(),
+                             scratch.opened_sessions.begin(),
+                             scratch.opened_sessions.end());
+  for (std::size_t k = 0; k < scratch.packet_count; ++k) {
+    BatchPacket& src = scratch.packets[k];
     if (out.packets.size() <= out.packet_count) out.packets.emplace_back();
     BatchPacket& dst = out.packets[out.packet_count++];
     // Swap, not move: the caller slot's previous buffer parks in the
-    // shard scratch slot, where the shard's next burst recycles it into
+    // lane scratch slot, where the lane's next burst recycles it into
     // its pool — the whole circulation stays allocation-free.
     std::swap(dst.ip_packet, src.ip_packet);
     dst.session_id = src.session_id;
     dst.burst_tag = src.burst_tag;
     dst.was_encrypted = src.was_encrypted;
-  }
-}
-
-void VpnServer::collect_lanes(OpenBatch& out) {
-  for (const auto& shard : shards_) {
-    out.complete += shard->scratch.complete;
-    out.pending += shard->scratch.pending;
-    out.rejected += shard->scratch.rejected;
-    out.opened_sessions.insert(out.opened_sessions.end(),
-                               shard->scratch.opened_sessions.begin(),
-                               shard->scratch.opened_sessions.end());
-    for (std::size_t k = 0; k < shard->scratch.packet_count; ++k) {
-      BatchPacket& src = shard->scratch.packets[k];
-      if (out.packets.size() <= out.packet_count) out.packets.emplace_back();
-      BatchPacket& dst = out.packets[out.packet_count++];
-      // Swap, not move: the caller slot's previous buffer parks in the
-      // lane scratch slot, where the lane's next burst recycles it into
-      // its pool — the whole circulation stays allocation-free.
-      std::swap(dst.ip_packet, src.ip_packet);
-      dst.session_id = src.session_id;
-      dst.burst_tag = src.burst_tag;
-      dst.was_encrypted = src.was_encrypted;
-    }
   }
 }
 
@@ -522,15 +493,11 @@ void VpnServer::rebalance_lane_pools() {
 void VpnServer::open_batch(std::span<const Bytes> wires, sim::Time now,
                            OpenBatch& out) {
   expire_idle_sessions(now);  // on the caller, before dispatch pins lanes
-  out.complete = out.pending = out.rejected = 0;
-  out.packet_count = 0;
-  out.opened_sessions.clear();
+  clear_results(out);
   for (auto& shard : shards_) {
     shard->ring.clear();
     shard->ring.reserve(wires.size());
-    shard->scratch.complete = shard->scratch.pending = shard->scratch.rejected = 0;
-    shard->scratch.packet_count = 0;
-    shard->scratch.opened_sessions.clear();
+    clear_results(shard->scratch);
   }
 
   // Lane dispatch — the pipeline's only serial section: size/type
@@ -572,201 +539,17 @@ void VpnServer::open_batch(std::span<const Bytes> wires, sim::Time now,
   // Collect in lane order — no cross-lane merge barrier. Per-session
   // order is exact (one FIFO lane per session); global order is not
   // part of the contract.
-  collect_lanes(out);
+  for (auto& shard : shards_) collect_lane(*shard, out);
   rebalance_lane_pools();
-}
-
-void VpnServer::open_batch_staged(std::span<const Bytes> wires, sim::Time now,
-                                  OpenBatch& out) {
-  expire_idle_sessions(now);  // on the caller, before staging pins sessions
-  out.complete = out.pending = out.rejected = 0;
-  out.packet_count = 0;
-  out.opened_sessions.clear();
-  for (auto& shard : shards_) {
-    shard->frame_idx.clear();
-    shard->scratch.complete = shard->scratch.pending = shard->scratch.rejected = 0;
-    shard->scratch.packet_count = 0;
-    shard->scratch.opened_sessions.clear();
-  }
-
-  // Stage on the caller: header parse, session-shard lookup, partition.
-  // Frames no shard could own — malformed, non-data, unknown session —
-  // reject here, exactly as the pre-sharding loop did.
-  std::size_t staged_shards = 0;
-  std::size_t last_staged = 0;
-  for (std::size_t i = 0; i < wires.size(); ++i) {
-    const Bytes& wire = wires[i];
-    if (wire.size() < kWireHeaderSize) {
-      ++out.rejected;
-      continue;
-    }
-    auto type = static_cast<MsgType>(wire[0]);
-    if (type != MsgType::Data && type != MsgType::DataIntegrityOnly) {
-      ++out.rejected;
-      continue;
-    }
-    std::uint32_t session_id = get_u32(wire.data() + 1);
-    std::size_t s = shard_of_session(session_id);
-    if (!shards_[s]->sessions.contains(session_id)) {
-      ++out.rejected;
-      continue;
-    }
-    if (shards_[s]->frame_idx.empty()) {
-      ++staged_shards;
-      last_staged = s;
-    }
-    shards_[s]->frame_idx.push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Run the shards: concurrently when more than one has work (caller
-  // participates via the pool), inline otherwise — a single-shard
-  // server never touches a lock.
-  if (staged_shards == 1) {
-    open_shard_frames(*shards_[last_staged], wires, now);
-  } else if (staged_shards > 1) {
-    pool_->run(shards_.size(), [&](std::size_t s) {
-      if (!shards_[s]->frame_idx.empty())
-        open_shard_frames(*shards_[s], wires, now);
-    });
-  }
-
-  for (const auto& shard : shards_) {
-    out.complete += shard->scratch.complete;
-    out.pending += shard->scratch.pending;
-    out.rejected += shard->scratch.rejected;
-    out.opened_sessions.insert(out.opened_sessions.end(),
-                               shard->scratch.opened_sessions.begin(),
-                               shard->scratch.opened_sessions.end());
-  }
-  merge_opened(out);
-}
-
-void VpnServer::open_batch_reference(std::span<const Bytes> wires, sim::Time now,
-                                     OpenBatch& out) {
-  // The pre-sharding single-threaded loop, byte for byte (modulo the
-  // session table now living behind shard_of): the honest baseline the
-  // staged path is benchmarked and property-tested against.
-  expire_idle_sessions(now);
-  out.complete = out.pending = out.rejected = 0;
-  out.packet_count = 0;
-  out.opened_sessions.clear();
-  std::uint32_t tag = 0;
-  for (const Bytes& wire : wires) {
-    std::uint32_t idx = tag++;
-    if (wire.size() < kWireHeaderSize) {
-      ++out.rejected;
-      continue;
-    }
-    auto type = static_cast<MsgType>(wire[0]);
-    if (type != MsgType::Data && type != MsgType::DataIntegrityOnly) {
-      ++out.rejected;
-      continue;
-    }
-    std::uint32_t session_id = get_u32(wire.data() + 1);
-    SessionTable::Entry* entry = find_session_entry(session_id);
-    if (!entry) {
-      ++out.rejected;
-      continue;
-    }
-    Session* session = &entry->value;
-    SessionShard& shard = shard_of(session_id);
-    bool encrypted = type == MsgType::Data;
-    if (!encrypted && !config_.allow_integrity_only) {
-      ++shard.auth_failures;
-      ++out.rejected;
-      continue;
-    }
-    if (session->config_version < config_version_ && grace_active_ &&
-        now >= grace_deadline_) {
-      ++shard.stale_config_drops;
-      ++out.rejected;
-      continue;
-    }
-    Bytes body = shard.pool.acquire_bytes();
-    body.assign(wire.begin() + kWireHeaderSize, wire.end());
-    auto opened = encrypted ? open_data_body(session->keys, std::move(body))
-                            : open_integrity_body(session->keys, std::move(body));
-    if (!opened.ok()) {
-      shard.pool.release_bytes(std::move(body));
-      ++shard.auth_failures;
-      ++out.rejected;
-      continue;
-    }
-    if (!session->replay.accept(opened->frag.packet_id)) {
-      shard.pool.release_bytes(std::move(opened->payload));
-      ++shard.replays_rejected;
-      ++out.rejected;
-      continue;
-    }
-    shard.sessions.touch(*entry, now);
-    shard.sessions.unpin(*entry);
-    out.opened_sessions.push_back(session_id);
-    auto whole =
-        session->reassembler.add(opened->frag, std::move(opened->payload), now);
-    if (!whole) {
-      ++out.pending;
-      continue;
-    }
-    ++out.complete;
-    if (out.packets.size() <= out.packet_count) out.packets.emplace_back();
-    BatchPacket& slot = out.packets[out.packet_count++];
-    slot.session_id = session_id;
-    slot.burst_tag = idx;
-    slot.was_encrypted = encrypted;
-    shard.pool.release_bytes(std::move(slot.ip_packet));
-    slot.ip_packet = std::move(*whole);
-  }
-}
-
-void VpnServer::open_batch_shard(std::size_t shard, std::span<const Bytes> wires,
-                                 sim::Time now, OpenBatch& out) {
-  out.complete = out.pending = out.rejected = 0;
-  out.packet_count = 0;
-  out.opened_sessions.clear();
-  SessionShard& target = *shards_.at(shard);
-  target.frame_idx.clear();
-  target.scratch.complete = target.scratch.pending = target.scratch.rejected = 0;
-  target.scratch.packet_count = 0;
-  target.scratch.opened_sessions.clear();
-  // Frames not pinned to `shard` — including frames no shard could own —
-  // are skipped silently: this hook times one shard's slice of a burst.
-  for (std::size_t i = 0; i < wires.size(); ++i) {
-    const Bytes& wire = wires[i];
-    if (wire.size() < kWireHeaderSize) continue;
-    auto type = static_cast<MsgType>(wire[0]);
-    if (type != MsgType::Data && type != MsgType::DataIntegrityOnly) continue;
-    std::uint32_t session_id = get_u32(wire.data() + 1);
-    if (shard_of_session(session_id) != shard) continue;
-    if (!target.sessions.contains(session_id)) continue;
-    target.frame_idx.push_back(static_cast<std::uint32_t>(i));
-  }
-  open_shard_frames(target, wires, now);
-  out.complete = target.scratch.complete;
-  out.pending = target.scratch.pending;
-  out.rejected = target.scratch.rejected;
-  out.opened_sessions = target.scratch.opened_sessions;
-  for (std::size_t k = 0; k < target.scratch.packet_count; ++k) {
-    BatchPacket& src = target.scratch.packets[k];
-    if (out.packets.size() <= out.packet_count) out.packets.emplace_back();
-    BatchPacket& dst = out.packets[out.packet_count++];
-    std::swap(dst.ip_packet, src.ip_packet);
-    dst.session_id = src.session_id;
-    dst.burst_tag = src.burst_tag;
-    dst.was_encrypted = src.was_encrypted;
-  }
 }
 
 void VpnServer::open_batch_lane(std::size_t lane, std::span<const Bytes> wires,
                                 sim::Time now, OpenBatch& out) {
-  out.complete = out.pending = out.rejected = 0;
-  out.packet_count = 0;
-  out.opened_sessions.clear();
+  clear_results(out);
   SessionShard& target = *shards_.at(lane);
   target.ring.clear();
   target.ring.reserve(wires.size());
-  target.scratch.complete = target.scratch.pending = target.scratch.rejected = 0;
-  target.scratch.packet_count = 0;
-  target.scratch.opened_sessions.clear();
+  clear_results(target.scratch);
   // The full lane dispatch runs (every frame is size-checked and
   // hashed — that cost is real and serial), but only this lane's
   // frames are pushed; timing this per lane and taking the max is the
@@ -780,19 +563,7 @@ void VpnServer::open_batch_lane(std::size_t lane, std::span<const Bytes> wires,
     target.ring.try_push(static_cast<std::uint32_t>(i));  // reserved above
   }
   open_lane_frames(target, wires, now);
-  out.complete = target.scratch.complete;
-  out.pending = target.scratch.pending;
-  out.rejected = target.scratch.rejected;
-  out.opened_sessions = target.scratch.opened_sessions;
-  for (std::size_t k = 0; k < target.scratch.packet_count; ++k) {
-    BatchPacket& src = target.scratch.packets[k];
-    if (out.packets.size() <= out.packet_count) out.packets.emplace_back();
-    BatchPacket& dst = out.packets[out.packet_count++];
-    std::swap(dst.ip_packet, src.ip_packet);
-    dst.session_id = src.session_id;
-    dst.burst_tag = src.burst_tag;
-    dst.was_encrypted = src.was_encrypted;
-  }
+  collect_lane(target, out);
 }
 
 void VpnServer::reset_replay_windows() {
@@ -832,20 +603,22 @@ std::size_t VpnServer::stage_seal_jobs(std::span<const SealJob> jobs,
   return total;
 }
 
+void VpnServer::seal_lane_jobs(SessionShard& shard, std::span<const SealJob> jobs,
+                               std::vector<Bytes>& frames) {
+  std::uint32_t j = 0;
+  while (shard.ring.try_pop(j)) {
+    Session& session = shard.sessions.find(jobs[j].session_id)->value;
+    seal_fragments(jobs[j].session_id, session, jobs[j].ip_packet, frames,
+                   seal_bases_[j], /*may_grow=*/false);
+  }
+}
+
 std::size_t VpnServer::seal_jobs(std::span<const SealJob> jobs,
                                  std::vector<Bytes>& frames) {
   std::size_t total = stage_seal_jobs(jobs, frames);
   // Each lane drains its ring run-to-completion; output slots are
   // disjoint and precomputed, so the frames are byte-identical at any
   // lane count.
-  auto seal_lane = [&](SessionShard& shard) {
-    std::uint32_t j = 0;
-    while (shard.ring.try_pop(j)) {
-      Session& session = shard.sessions.find(jobs[j].session_id)->value;
-      seal_fragments(jobs[j].session_id, session, jobs[j].ip_packet, frames,
-                     seal_bases_[j], /*may_grow=*/false);
-    }
-  };
   std::size_t busy_lanes = 0;
   std::size_t last_busy = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -854,26 +627,20 @@ std::size_t VpnServer::seal_jobs(std::span<const SealJob> jobs,
     last_busy = s;
   }
   if (busy_lanes == 1) {
-    seal_lane(*shards_[last_busy]);
+    seal_lane_jobs(*shards_[last_busy], jobs, frames);
   } else if (busy_lanes > 1) {
     pool_->run(shards_.size(), [&](std::size_t s) {
-      if (!shards_[s]->ring.empty()) seal_lane(*shards_[s]);
+      if (!shards_[s]->ring.empty()) seal_lane_jobs(*shards_[s], jobs, frames);
     });
   }
   return total;
 }
 
-std::size_t VpnServer::seal_jobs_shard(std::size_t shard,
-                                       std::span<const SealJob> jobs,
-                                       std::vector<Bytes>& frames) {
+std::size_t VpnServer::seal_jobs_lane(std::size_t lane,
+                                      std::span<const SealJob> jobs,
+                                      std::vector<Bytes>& frames) {
   std::size_t total = stage_seal_jobs(jobs, frames);
-  SessionShard& target = *shards_.at(shard);
-  std::uint32_t j = 0;
-  while (target.ring.try_pop(j)) {
-    Session& session = target.sessions.find(jobs[j].session_id)->value;
-    seal_fragments(jobs[j].session_id, session, jobs[j].ip_packet, frames,
-                   seal_bases_[j], /*may_grow=*/false);
-  }
+  seal_lane_jobs(*shards_.at(lane), jobs, frames);
   return total;
 }
 

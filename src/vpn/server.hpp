@@ -14,16 +14,14 @@
 // only serial work is lane dispatch (size/type check, RSS hash, ring
 // push); the lane itself looks the session up, decrypts, checks
 // replay, reassembles and emits — and results concatenate in lane
-// order with NO cross-lane merge. Ordering is therefore guaranteed
-// per session only (each session lives on exactly one FIFO lane), not
-// across the burst — the run-to-completion contract. The pre-PR
-// staged path (caller-side staging loop + k-way arrival-order merge
-// by burst_tag) stays callable as open_batch_staged, the reference
-// baseline. No mutable state is shared between lanes, so per-session
-// order needs no locks. reshard_sessions() changes the lane count at
-// runtime without losing replay windows or pending fragment groups —
-// the hook an adaptive load controller drives (fed per-lane ring
-// depth and busy imbalance so it can split a hot lane).
+// order. Ordering is therefore guaranteed per session only (each
+// session lives on exactly one FIFO lane), not across the burst — the
+// run-to-completion contract; one lane is the N = 1 case and keeps
+// exact arrival order. No mutable state is shared between lanes, so
+// per-session order needs no locks. reshard_sessions() changes the
+// lane count at runtime without losing replay windows or pending
+// fragment groups — the hook an adaptive load controller drives (fed
+// per-lane ring depth and busy imbalance so it can split a hot lane).
 #pragma once
 
 #include <cstdint>
@@ -171,35 +169,11 @@ class VpnServer {
   /// (each session lives on one FIFO lane); the order ACROSS sessions
   /// depends on the lane count — that is the per-flow ordering
   /// contract. burst_tag still carries each packet's arrival index,
-  /// so callers needing the global order can sort (or call
-  /// open_batch_staged). Frames may belong to different sessions. A
-  /// bad frame rejects that frame only — a shared server keeps
-  /// serving its other clients. Non-data frames (ping/handshake) are
-  /// rejected here; they belong on handle().
+  /// so callers needing the global order can sort. Frames may belong
+  /// to different sessions. A bad frame rejects that frame only — a
+  /// shared server keeps serving its other clients. Non-data frames
+  /// (ping/handshake) are rejected here; they belong on handle().
   void open_batch(std::span<const Bytes> wires, sim::Time now, OpenBatch& out);
-
-  /// The pre-PR stage-and-barrier path, kept callable as the
-  /// reference/baseline: the caller stages the burst (header parse,
-  /// session-shard lookup, partition), the shards open their staged
-  /// frames on the worker pool, and the per-shard results k-way merge
-  /// back into global arrival order by burst_tag — exactly what
-  /// open_batch did before the lane pipeline.
-  void open_batch_staged(std::span<const Bytes> wires, sim::Time now,
-                         OpenBatch& out);
-
-  /// The pre-sharding open_batch loop, kept callable so benches and
-  /// equivalence tests compare the staged/sharded path against the
-  /// exact code it replaced (same contract as open_batch; always runs
-  /// single-threaded on the caller, whatever the shard count).
-  void open_batch_reference(std::span<const Bytes> wires, sim::Time now,
-                            OpenBatch& out);
-
-  /// Bench/test hook: stages `wires` and opens only the frames pinned
-  /// to `shard`, inline on the calling thread — the exact per-shard
-  /// body open_batch_staged runs on the worker pool, so per-shard
-  /// serial timing measures the real work (results in arrival order).
-  void open_batch_shard(std::size_t shard, std::span<const Bytes> wires,
-                        sim::Time now, OpenBatch& out);
 
   /// Bench/test hook for the lane pipeline: runs the full lane
   /// dispatch over `wires` but pushes (and then drains,
@@ -240,12 +214,13 @@ class VpnServer {
   /// starts, as the disjoint-slot computation requires).
   std::size_t seal_jobs(std::span<const SealJob> jobs, std::vector<Bytes>& frames);
 
-  /// Bench/test hook: seals only the jobs pinned to `shard`, inline on
-  /// the caller, into their precomputed slots of `frames` (which is
-  /// sized for the whole burst). Returns the total frame count of the
-  /// burst, like seal_jobs.
-  std::size_t seal_jobs_shard(std::size_t shard, std::span<const SealJob> jobs,
-                              std::vector<Bytes>& frames);
+  /// Bench/test hook, the seal half of open_batch_lane: seals only the
+  /// jobs pinned to `lane`, inline on the caller, into their
+  /// precomputed slots of `frames` (which is sized for the whole
+  /// burst). Returns the total frame count of the burst, like
+  /// seal_jobs.
+  std::size_t seal_jobs_lane(std::size_t lane, std::span<const SealJob> jobs,
+                             std::vector<Bytes>& frames);
 
   // ---- Session sharding ----------------------------------------------
   std::size_t session_shard_count() const { return shards_.size(); }
@@ -334,8 +309,8 @@ class VpnServer {
   // ---- Session lifecycle ----------------------------------------------
   /// Expires sessions idle past session_idle_timeout as of `now`
   /// (per-shard timer wheels, amortised O(1) per tick). Runs
-  /// automatically at the top of handle(), open_batch() and
-  /// open_batch_reference(); exposed for explicit sweeps. Only
+  /// automatically at the top of handle() and open_batch(); exposed
+  /// for explicit sweeps. Only
   /// authenticated traffic (MAC-verified, replay-fresh) counts as
   /// activity — a garbage flood cannot keep a session alive. Returns
   /// the number expired (close hook fires per session).
@@ -423,7 +398,6 @@ class VpnServer {
     std::uint64_t auth_failures = 0;
     std::uint64_t replays_rejected = 0;
     std::uint64_t stale_config_drops = 0;
-    std::vector<std::uint32_t> frame_idx;  ///< staged arrival indices
     click::SpscRing<std::uint32_t> ring{64};  ///< lane hand-off: frame/job indices
     std::uint64_t lane_frames = 0;  ///< frames opened run-to-completion
     std::uint64_t starved_mark = 0;  ///< pool.starved() at last rebalance
@@ -458,27 +432,21 @@ class VpnServer {
   /// (Re)creates the worker pool for the current shard count, reusing
   /// it when the count shrank (ShardWorkerPool hand-off protocol).
   void ensure_worker_pool();
-  /// Opens wires[idx] on its lane, end to end: session lookup, policy,
-  /// decrypt, replay, reassembly, emit. The run-to-completion body
-  /// shared by the lane worker (unknown sessions reject here — lane
-  /// dispatch no longer looks them up) and the staged worker (which
-  /// staged only known sessions, so the reject arm never fires there).
+  /// Opens wires[idx] on its lane, end to end: session lookup (unknown
+  /// sessions reject here — lane dispatch never looks them up), policy,
+  /// decrypt, replay, reassembly, emit.
   void open_frame_on_shard(SessionShard& shard, const Bytes& wire,
                            std::uint32_t idx, sim::Time now);
-  /// Opens the staged frames of `shard` in arrival order (the worker
-  /// body of open_batch_staged; also run inline for one-shard bursts).
-  void open_shard_frames(SessionShard& shard, std::span<const Bytes> wires,
-                         sim::Time now);
   /// Drains `shard`'s ring run-to-completion (the lane worker body of
   /// open_batch).
   void open_lane_frames(SessionShard& shard, std::span<const Bytes> wires,
                         sim::Time now);
-  /// K-way merges the shards' opened packets into `out` by burst_tag
-  /// (the staged path's global arrival-order barrier).
-  void merge_opened(OpenBatch& out);
-  /// Appends the lanes' opened packets to `out` in lane order — no
-  /// merge, per-session order only (the lane path's collect step).
-  void collect_lanes(OpenBatch& out);
+  /// Appends `shard`'s opened results to `out` (swapping packet
+  /// buffers, so the circulation stays allocation-free).
+  static void collect_lane(SessionShard& shard, OpenBatch& out);
+  /// Seals the jobs queued on `shard`'s ring into their slots.
+  void seal_lane_jobs(SessionShard& shard, std::span<const SealJob> jobs,
+                      std::vector<Bytes>& frames);
   /// Tops up lanes that starved this burst from the richest sibling
   /// pool, so a hot lane adopts circulating buffers instead of
   /// allocating silently forever (runs single-threaded between bursts).
@@ -489,9 +457,9 @@ class VpnServer {
   std::size_t seal_fragments(std::uint32_t session_id, Session& session,
                              ByteView ip_packet, std::vector<Bytes>& frames,
                              std::size_t at, bool may_grow);
-  /// Stages `jobs` (validating sessions, computing slot ranges and the
-  /// per-shard partition) and returns the total frame count; `bases`
-  /// receives each job's first output slot.
+  /// Dispatches `jobs` (validating sessions, computing slot ranges and
+  /// pushing each job onto its lane's ring) and returns the total frame
+  /// count; seal_bases_ receives each job's first output slot.
   std::size_t stage_seal_jobs(std::span<const SealJob> jobs,
                               std::vector<Bytes>& frames);
 
@@ -511,7 +479,6 @@ class VpnServer {
   std::vector<std::unique_ptr<SessionShard>> shards_;
   std::optional<HandshakeCache> handshake_cache_;
   std::unique_ptr<click::ShardWorkerPool> pool_;  ///< absent for 1 shard
-  std::vector<std::size_t> merge_heads_;          ///< merge scratch, reused
   std::vector<std::size_t> seal_bases_;           ///< seal_jobs slot bases
   std::uint32_t next_session_id_ = 1;
   std::uint64_t reshard_count_ = 0;

@@ -141,13 +141,21 @@ TEST_F(EnclaveFixture, DecryptedPayloadNeverLeavesEnclave) {
 }
 
 TEST_F(EnclaveFixture, TrustedTimeOcallsAreCounted) {
-  // The DDoS config's TrustedSplitter reads trusted time via an ocall.
-  World ddos_world;
-  auto ddos_bundle = ddos_world.publish(UseCase::Ddos);
-  auto& client = ddos_world.add_client(ddos_bundle);
-  auto ocalls_before = client.enclave().transitions().ocalls;
-  ASSERT_TRUE(ddos_world.send_through(client, ddos_world.benign_packet()).ok());
-  EXPECT_GT(client.enclave().transitions().ocalls, ocalls_before);
+  // The DDoS config's TrustedSplitter reads trusted time via an ocall —
+  // at every lane count: lane threads tally the reads, the ecall
+  // thread folds them into the enclave's ocall count after the burst.
+  for (std::size_t lanes : {1u, 2u, 4u}) {
+    World ddos_world;
+    auto ddos_bundle = ddos_world.publish(UseCase::Ddos);
+    EndBoxClientOptions options;
+    options.shards = lanes;
+    auto& client = ddos_world.add_client(ddos_bundle, options);
+    ASSERT_EQ(client.enclave().shard_count(), lanes);
+    auto ocalls_before = client.enclave().transitions().ocalls;
+    ASSERT_TRUE(ddos_world.send_through(client, ddos_world.benign_packet()).ok());
+    EXPECT_GT(client.enclave().transitions().ocalls, ocalls_before)
+        << lanes << " lanes";
+  }
 }
 
 TEST_F(EnclaveFixture, RulesetRegistrationIsEcall) {

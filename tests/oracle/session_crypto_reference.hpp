@@ -1,22 +1,28 @@
-// The seal/open baseline below reproduces the PR-1 data path verbatim,
-// including its cost model: one Bytes allocation per field, a full body
-// copy inside the MAC, per-call HMAC key processing, and — crucially —
-// the pre-T-table byte-wise AES (SubBytes/ShiftRows/MixColumns on a
-// byte array, key schedule re-expanded every call). The optimised path
-// replaced all of that; keeping the originals callable is what lets the
-// benches report a truthful before/after ratio.
-#include "vpn/session_crypto_reference.hpp"
+// Test oracle: the pre-optimisation data-channel seal/open (the first
+// implementation, verbatim): one Bytes allocation per field plus a full
+// body copy inside the MAC, per-call HMAC key processing, and the
+// byte-wise AES (SubBytes/ShiftRows/MixColumns on a byte array, key
+// schedule re-expanded every call). Header-only and outside the production
+// library: property tests assert wire-format equivalence against it
+// and bench_micro prices the optimised fast path against it.
+#pragma once
 
+#include <array>
 #include <cstring>
+#include <string_view>
 
+#include "common/bytes.hpp"
+#include "common/result.hpp"
+#include "common/rng.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
+#include "vpn/session_crypto.hpp"
 
 namespace endbox::vpn::reference {
 
-namespace {
+namespace detail {
 
-// ---- Pre-PR byte-wise AES-128 (copied from the PR-1 crypto layer) ----
+// ---- Byte-wise AES-128 (the original crypto layer) ----
 
 constexpr std::array<std::uint8_t, 256> make_sbox() {
   std::array<std::uint8_t, 256> sbox{};
@@ -42,7 +48,7 @@ constexpr std::array<std::uint8_t, 256> make_sbox() {
   return sbox;
 }
 
-constexpr std::array<std::uint8_t, 256> kSbox = make_sbox();
+inline constexpr std::array<std::uint8_t, 256> kSbox = make_sbox();
 
 constexpr std::array<std::uint8_t, 256> make_inv_sbox() {
   std::array<std::uint8_t, 256> inv{};
@@ -51,7 +57,7 @@ constexpr std::array<std::uint8_t, 256> make_inv_sbox() {
   return inv;
 }
 
-constexpr std::array<std::uint8_t, 256> kInvSbox = make_inv_sbox();
+inline constexpr std::array<std::uint8_t, 256> kInvSbox = make_inv_sbox();
 
 inline std::uint8_t xtime(std::uint8_t a) {
   return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0));
@@ -71,10 +77,10 @@ constexpr std::array<std::uint8_t, 256> make_gmul_table() {
   }
   return table;
 }
-constexpr auto kMul9 = make_gmul_table<9>();
-constexpr auto kMul11 = make_gmul_table<11>();
-constexpr auto kMul13 = make_gmul_table<13>();
-constexpr auto kMul14 = make_gmul_table<14>();
+inline constexpr auto kMul9 = make_gmul_table<9>();
+inline constexpr auto kMul11 = make_gmul_table<11>();
+inline constexpr auto kMul13 = make_gmul_table<13>();
+inline constexpr auto kMul14 = make_gmul_table<14>();
 
 class RefAes128 {
  public:
@@ -157,8 +163,8 @@ class RefAes128 {
   std::array<std::uint8_t, 176> round_keys_;
 };
 
-Bytes ref_cbc_encrypt(const crypto::AesKey& key, ByteView iv, ByteView plaintext) {
-  RefAes128 aes(key);  // key schedule re-expanded per call, as in PR 1
+inline Bytes ref_cbc_encrypt(const crypto::AesKey& key, ByteView iv, ByteView plaintext) {
+  RefAes128 aes(key);  // key schedule re-expanded per call, as originally
   std::size_t pad = crypto::kAesBlockSize - plaintext.size() % crypto::kAesBlockSize;
   Bytes padded(plaintext.begin(), plaintext.end());
   padded.insert(padded.end(), pad, static_cast<std::uint8_t>(pad));
@@ -176,7 +182,7 @@ Bytes ref_cbc_encrypt(const crypto::AesKey& key, ByteView iv, ByteView plaintext
   return out;
 }
 
-Result<Bytes> ref_cbc_decrypt(const crypto::AesKey& key, ByteView iv,
+inline Result<Bytes> ref_cbc_decrypt(const crypto::AesKey& key, ByteView iv,
                               ByteView ciphertext) {
   if (ciphertext.empty() || ciphertext.size() % crypto::kAesBlockSize != 0)
     return err("CBC ciphertext must be a positive multiple of 16 bytes");
@@ -200,9 +206,9 @@ Result<Bytes> ref_cbc_decrypt(const crypto::AesKey& key, ByteView iv,
   return out;
 }
 
-// ---- Pre-PR seal/open wire logic ----
+// ---- Original seal/open wire logic ----
 
-Bytes frag_bytes(const FragmentHeader& frag) {
+inline Bytes frag_bytes(const FragmentHeader& frag) {
   Bytes out;
   put_u64(out, frag.packet_id);
   put_u32(out, frag.frag_id);
@@ -211,7 +217,7 @@ Bytes frag_bytes(const FragmentHeader& frag) {
   return out;
 }
 
-FragmentHeader read_frag(ByteReader& r) {
+inline FragmentHeader read_frag(ByteReader& r) {
   FragmentHeader frag;
   frag.packet_id = r.u64();
   frag.frag_id = r.u32();
@@ -220,61 +226,61 @@ FragmentHeader read_frag(ByteReader& r) {
   return frag;
 }
 
-Bytes mac_over(const SessionKeys& keys, std::string_view label, ByteView data) {
+inline Bytes mac_over(const SessionKeys& keys, std::string_view label, ByteView data) {
   Bytes input = to_bytes(label);
   append(input, data);
   return crypto::hmac_sha256(keys.mac_key, input);
 }
 
-}  // namespace
+}  // namespace detail
 
-Bytes seal_data_body(const SessionKeys& keys, const FragmentHeader& frag,
+inline Bytes seal_data_body(const SessionKeys& keys, const FragmentHeader& frag,
                      ByteView payload, Rng& rng) {
-  Bytes body = frag_bytes(frag);
+  Bytes body = detail::frag_bytes(frag);
   Bytes iv = rng.bytes(16);
   append(body, iv);
-  append(body, ref_cbc_encrypt(crypto::make_aes_key(keys.enc_key), iv, payload));
-  append(body, mac_over(keys, "data", body));
+  append(body, detail::ref_cbc_encrypt(crypto::make_aes_key(keys.enc_key), iv, payload));
+  append(body, detail::mac_over(keys, "data", body));
   return body;
 }
 
-Bytes seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
+inline Bytes seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
                           ByteView payload) {
-  Bytes body = frag_bytes(frag);
+  Bytes body = detail::frag_bytes(frag);
   append(body, payload);
-  append(body, mac_over(keys, "integ", body));
+  append(body, detail::mac_over(keys, "integ", body));
   return body;
 }
 
-Result<OpenedBody> open_data_body(const SessionKeys& keys, ByteView body) {
+inline Result<OpenedBody> open_data_body(const SessionKeys& keys, ByteView body) {
   if (body.size() < kFragHeaderSize + 16 + kMacSize)
     return err("data body: too short");
   std::size_t authed_len = body.size() - kMacSize;
-  if (!ct_equal(mac_over(keys, "data", body.subspan(0, authed_len)),
+  if (!ct_equal(detail::mac_over(keys, "data", body.subspan(0, authed_len)),
                 body.subspan(authed_len)))
     return err("data body: MAC verification failed");
 
   ByteReader r(body.subspan(0, authed_len));
   OpenedBody opened;
-  opened.frag = read_frag(r);
+  opened.frag = detail::read_frag(r);
   Bytes iv = r.take(16);
   auto plaintext =
-      ref_cbc_decrypt(crypto::make_aes_key(keys.enc_key), iv, r.rest());
+      detail::ref_cbc_decrypt(crypto::make_aes_key(keys.enc_key), iv, r.rest());
   if (!plaintext.ok()) return err("data body: " + plaintext.error());
   opened.payload = std::move(*plaintext);
   return opened;
 }
 
-Result<OpenedBody> open_integrity_body(const SessionKeys& keys, ByteView body) {
+inline Result<OpenedBody> open_integrity_body(const SessionKeys& keys, ByteView body) {
   if (body.size() < kFragHeaderSize + kMacSize)
     return err("integrity body: too short");
   std::size_t authed_len = body.size() - kMacSize;
-  if (!ct_equal(mac_over(keys, "integ", body.subspan(0, authed_len)),
+  if (!ct_equal(detail::mac_over(keys, "integ", body.subspan(0, authed_len)),
                 body.subspan(authed_len)))
     return err("integrity body: MAC verification failed");
   ByteReader r(body.subspan(0, authed_len));
   OpenedBody opened;
-  opened.frag = read_frag(r);
+  opened.frag = detail::read_frag(r);
   opened.payload = r.rest();
   return opened;
 }

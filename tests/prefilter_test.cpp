@@ -5,15 +5,17 @@
 // bugs, false positives only cost confirm cycles), and the prefiltered
 // inspect / inspect_batch / inspect_stream{,_batch} paths must be
 // verdict-identical (match set, offsets, MASK bytes, once-per-flow
-// firing) to the full-walk inspect*_reference family over randomized
-// payloads, rule subsets and segmentations — including literals
+// firing) to a fallback engine — the same rules plus one 1-byte
+// content, so the prefilter is off and every scan is one whole-buffer
+// run — and to the naive std::search oracle (tests/oracle/) over
+// randomized payloads, rule subsets and segmentations: literals
 // straddling chunk boundaries, nocase literals in raw (unlowered)
-// text, the ENDBOX_FORCE_SCALAR dispatch override both ways, and the
-// 1-byte-content fallback that disables the prefilter entirely.
+// text, and the ENDBOX_FORCE_SCALAR dispatch override both ways.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "idps/engine.hpp"
 #include "idps/literal_prefilter.hpp"
 #include "idps/snort_rules.hpp"
+#include "oracle/naive_scanner.hpp"
 
 namespace endbox::idps {
 namespace {
@@ -87,6 +90,22 @@ void plant_rules(const std::vector<SnortRule>& rules, Bytes& payload,
     }
   }
 }
+
+/// The fallback engine's rule set: `rules` plus one rule with a 1-byte
+/// content, which makes the prefilter unusable engine-wide. The extra
+/// rule can never fire: its header wants TCP (the probes are UDP) and
+/// its contents are built from byte 0xff, which scrub() removes from
+/// every fuzz payload — so it adds no hits and no MASK bytes either.
+std::vector<SnortRule> with_sub_width_content(std::vector<SnortRule> rules) {
+  auto extra = parse_snort_rule(
+      "alert tcp any any -> any 1 (content:\"|ff|\"; "
+      "content:\"|ff fe ff fe|\"; sid:999999;)");
+  if (!extra.ok()) throw std::runtime_error(extra.error());
+  rules.push_back(*extra);
+  return rules;
+}
+
+void scrub(Bytes& payload) { std::replace(payload.begin(), payload.end(), 0xff, 0xfe); }
 
 void expect_verdict_eq(const IdpsVerdict& got, const IdpsVerdict& want,
                        const std::string& where) {
@@ -243,23 +262,32 @@ TEST(PrefilterEngine, InspectEqualsReferenceOnCommunityFuzz) {
   Rng rng(11);
   auto rules = generate_community_ruleset(150, rng);
   IdpsEngine engine(rules);
-  IdpsEngine reference(rules);
+  IdpsEngine fallback(with_sub_width_content(rules));
+  oracle::NaiveScanner naive(rules);
   ASSERT_TRUE(engine.prefilter_enabled());
-  IdpsEngine::InspectScratch scratch, ref_scratch;
+  ASSERT_FALSE(fallback.prefilter_enabled());
+  IdpsEngine::InspectScratch scratch, fallback_scratch;
   Packet probe = probe_packet();
   for (int round = 0; round < 150; ++round) {
     Bytes payload = rng.bytes(rng.uniform(0, 1600));
     if (round % 2 == 0) plant_rules(rules, payload, rng);
-    auto got = engine.inspect(probe, payload, scratch);
-    auto want = reference.inspect_reference(probe, payload, ref_scratch);
-    expect_verdict_eq(got, want, "round " + std::to_string(round));
+    scrub(payload);
+    auto want = naive.inspect(probe, payload);
+    std::string where = "round " + std::to_string(round);
+    expect_verdict_eq(engine.inspect(probe, payload, scratch), want, where);
+    expect_verdict_eq(fallback.inspect(probe, payload, fallback_scratch), want,
+                      "fallback " + where);
   }
-  EXPECT_EQ(engine.alerts(), reference.alerts());
-  EXPECT_EQ(engine.drops(), reference.drops());
+  EXPECT_EQ(engine.alerts(), naive.alerts());
+  EXPECT_EQ(engine.drops(), naive.drops());
+  EXPECT_EQ(fallback.alerts(), naive.alerts());
+  EXPECT_EQ(fallback.drops(), naive.drops());
   // Clean rounds never entered the automaton, so the prefilter did
-  // real screening work.
+  // real screening work; the fallback engine ran one run per scan.
   EXPECT_GT(engine.prefilter_stats().prefiltered_bytes, 0u);
   EXPECT_EQ(engine.prefilter_stats().fallback_scans, 0u);
+  EXPECT_EQ(fallback.prefilter_stats().fallback_scans, 150u);
+  EXPECT_EQ(fallback.prefilter_stats().prefiltered_bytes, 0u);
 }
 
 TEST(PrefilterEngine, OneByteContentForcesFullWalkFallback) {
@@ -287,7 +315,7 @@ TEST(PrefilterEngine, OneByteContentForcesFullWalkFallback) {
   EXPECT_TRUE(verdict.matched);
 
   // Stream path falls back too (and must still catch straddles via
-  // the resumable walk).
+  // the carried tail).
   StreamMatchState state;
   auto v1 = engine.inspect_stream(probe, to_bytes("tail is longe"), state,
                                   scratch);
@@ -303,8 +331,9 @@ TEST(PrefilterEngine, BatchEqualsPerPacketAndReference) {
   auto rules = generate_community_ruleset(120, rng);
   IdpsEngine batch_engine(rules);
   IdpsEngine single_engine(rules);
-  IdpsEngine ref_engine(rules);
-  IdpsEngine::BatchScratch batch_scratch, ref_scratch;
+  IdpsEngine fallback(with_sub_width_content(rules));
+  oracle::NaiveScanner naive(rules);
+  IdpsEngine::BatchScratch batch_scratch, fallback_scratch;
   IdpsEngine::InspectScratch single_scratch;
   Packet probe = probe_packet();
 
@@ -316,94 +345,113 @@ TEST(PrefilterEngine, BatchEqualsPerPacketAndReference) {
     for (std::size_t i = 0; i < n; ++i) {
       storage[i] = rng.bytes(rng.uniform(0, 600));
       if (i % 3 == 0) plant_rules(rules, storage[i], rng);
+      scrub(storage[i]);
       payloads[i] = storage[i];
     }
-    std::vector<IdpsVerdict> got(n), ref(n);
+    std::vector<IdpsVerdict> got(n), fallback_got(n);
     batch_engine.inspect_batch({packets.data(), n}, {payloads.data(), n},
                                batch_scratch, got.data());
-    ref_engine.inspect_batch_reference({packets.data(), n},
-                                       {payloads.data(), n}, ref_scratch,
-                                       ref.data());
+    fallback.inspect_batch({packets.data(), n}, {payloads.data(), n},
+                           fallback_scratch, fallback_got.data());
     for (std::size_t i = 0; i < n; ++i) {
-      auto want = single_engine.inspect(probe, payloads[i], single_scratch);
-      expect_verdict_eq(got[i], want, "round " + std::to_string(round) +
-                                          " packet " + std::to_string(i));
-      expect_verdict_eq(got[i], ref[i], "vs reference, round " +
-                                            std::to_string(round) + " packet " +
-                                            std::to_string(i));
+      std::string where =
+          "round " + std::to_string(round) + " packet " + std::to_string(i);
+      auto want = naive.inspect(probe, payloads[i]);
+      expect_verdict_eq(got[i], want, where);
+      expect_verdict_eq(fallback_got[i], want, "fallback " + where);
+      expect_verdict_eq(single_engine.inspect(probe, payloads[i], single_scratch),
+                        want, "single " + where);
     }
   }
-  EXPECT_EQ(batch_engine.alerts(), single_engine.alerts());
-  EXPECT_EQ(batch_engine.drops(), ref_engine.drops());
+  EXPECT_EQ(batch_engine.alerts(), naive.alerts());
+  EXPECT_EQ(single_engine.alerts(), naive.alerts());
+  EXPECT_EQ(fallback.alerts(), naive.alerts());
+  EXPECT_EQ(batch_engine.drops(), naive.drops());
+  EXPECT_EQ(fallback.drops(), naive.drops());
 }
 
 TEST(PrefilterEngine, StreamEqualsReferenceOverRandomSegmentations) {
-  // The tail-carry stream path vs the resumable-state reference path,
-  // over random payloads with planted contents and random chunk
-  // boundaries — cuts deliberately land mid-pattern so the carried
-  // tail is what catches the straddle. Verdicts, cross-segment
-  // counts, MASK bytes and once-per-flow firing must all agree.
+  // The tail-carry stream path with and without the prefilter vs the
+  // naive whole-stream oracle, over random payloads with planted
+  // contents and random chunk boundaries — cuts deliberately land
+  // mid-pattern so the carried tail is what catches the straddle.
+  // Verdicts, cross-segment counts, MASK bytes and once-per-flow
+  // firing must all agree.
   Rng rng(31);
   auto rules = generate_community_ruleset(100, rng);
   IdpsEngine engine(rules);
-  IdpsEngine reference(rules);
+  IdpsEngine fallback(with_sub_width_content(rules));
+  oracle::NaiveScanner naive(rules);
   ASSERT_TRUE(engine.prefilter_enabled());
-  IdpsEngine::InspectScratch scratch, ref_scratch;
+  ASSERT_FALSE(fallback.prefilter_enabled());
+  IdpsEngine::InspectScratch scratch, fallback_scratch;
   Packet probe = probe_packet();
 
   for (int round = 0; round < 60; ++round) {
     Bytes stream = rng.bytes(100 + rng.uniform(0, 700));
     plant_rules(rules, stream, rng);
-    Bytes masked = stream;      // prefiltered path masks this copy
-    Bytes ref_masked = stream;  // reference path masks this one
+    scrub(stream);
+    // Each engine masks its own copy. As in production, each mask
+    // aliases the scanned chunk — the carried tail must hold the
+    // unmasked original bytes or a straddling literal masked mid-way
+    // would be lost.
+    Bytes masked = stream, fallback_masked = stream, naive_masked = stream;
 
-    StreamMatchState state, ref_state;
+    StreamMatchState state, fallback_state;
+    oracle::NaiveScanner::Flow flow;
     std::size_t pos = 0;
     while (pos < stream.size()) {
       std::size_t len = std::min<std::size_t>(stream.size() - pos,
                                               1 + rng.uniform(0, 48));
-      // As in production, each mask aliases the scanned chunk — the
-      // carried tail must hold the unmasked original bytes or a
-      // straddling literal masked mid-way would be lost.
-      auto got = engine.inspect_stream(
-          probe, ByteView(masked.data() + pos, len), state, scratch,
-          {masked.data() + pos, len});
-      auto want = reference.inspect_stream_reference(
-          probe, ByteView(ref_masked.data() + pos, len), ref_state, ref_scratch,
-          {ref_masked.data() + pos, len});
-      expect_verdict_eq(got, want, "round " + std::to_string(round) +
-                                       " pos " + std::to_string(pos));
+      std::string where = "round " + std::to_string(round) + " pos " + std::to_string(pos);
+      auto want = naive.inspect_stream(probe, ByteView(stream.data() + pos, len),
+                                       flow, {naive_masked.data() + pos, len});
+      expect_verdict_eq(engine.inspect_stream(probe, ByteView(masked.data() + pos, len),
+                                              state, scratch, {masked.data() + pos, len}),
+                        want, where);
+      expect_verdict_eq(
+          fallback.inspect_stream(probe, ByteView(fallback_masked.data() + pos, len),
+                                  fallback_state, fallback_scratch,
+                                  {fallback_masked.data() + pos, len}),
+          want, "fallback " + where);
       pos += len;
     }
-    EXPECT_EQ(state.cross_segment_matches, ref_state.cross_segment_matches)
-        << "round " << round;
-    EXPECT_EQ(state.bytes_masked, ref_state.bytes_masked) << "round " << round;
-    EXPECT_EQ(state.bytes_scanned, ref_state.bytes_scanned);
-    EXPECT_EQ(masked, ref_masked) << "round " << round;
-    // Once-per-flow firing: the completed rule sets must coincide.
-    auto completed = state.completed;
-    auto ref_completed = ref_state.completed;
-    std::sort(completed.begin(), completed.end());
-    std::sort(ref_completed.begin(), ref_completed.end());
-    EXPECT_EQ(completed, ref_completed) << "round " << round;
+    for (const StreamMatchState* st : {&state, &fallback_state}) {
+      EXPECT_EQ(st->cross_segment_matches, flow.cross_segment_matches)
+          << "round " << round;
+      EXPECT_EQ(st->bytes_masked, flow.bytes_masked) << "round " << round;
+      EXPECT_EQ(st->bytes_scanned, stream.size());
+      // Once-per-flow firing: the completed rule sets must coincide.
+      auto completed = st->completed;
+      auto want_completed = flow.completed;
+      std::sort(completed.begin(), completed.end());
+      std::sort(want_completed.begin(), want_completed.end());
+      EXPECT_EQ(completed, want_completed) << "round " << round;
+    }
+    EXPECT_EQ(masked, naive_masked) << "round " << round;
+    EXPECT_EQ(fallback_masked, naive_masked) << "round " << round;
   }
-  EXPECT_EQ(engine.alerts(), reference.alerts());
-  EXPECT_EQ(engine.drops(), reference.drops());
+  EXPECT_EQ(engine.alerts(), naive.alerts());
+  EXPECT_EQ(engine.drops(), naive.drops());
+  EXPECT_EQ(fallback.alerts(), naive.alerts());
+  EXPECT_EQ(fallback.drops(), naive.drops());
 }
 
 TEST(PrefilterEngine, StreamBatchMatchesSequentialAtManyFlowCounts) {
-  // inspect_stream_batch must equal per-chunk inspect_stream_reference
-  // in burst order for 1/2/4/8 interleaved flows, including several
-  // chunks of one flow inside one burst.
+  // inspect_stream_batch (prefilter on, and the fallback engine) must
+  // equal the oracle's per-chunk verdicts in burst order for 1/2/4/8
+  // interleaved flows, including several chunks of one flow inside one
+  // burst.
   Rng rng(47);
   auto rules = generate_community_ruleset(80, rng);
   Packet probe = probe_packet();
   for (std::size_t flows : {1u, 2u, 4u, 8u}) {
     IdpsEngine batched(rules);
-    IdpsEngine sequential(rules);
-    IdpsEngine::BatchScratch batch_scratch;
-    IdpsEngine::InspectScratch seq_scratch;
-    std::vector<StreamMatchState> batch_states(flows), seq_states(flows);
+    IdpsEngine fallback(with_sub_width_content(rules));
+    oracle::NaiveScanner naive(rules);
+    IdpsEngine::BatchScratch batch_scratch, fallback_scratch;
+    std::vector<StreamMatchState> batch_states(flows), fallback_states(flows);
+    std::vector<oracle::NaiveScanner::Flow> naive_flows(flows);
 
     // Each flow is one payload with planted contents, cut into chunks;
     // bursts interleave the flows' next chunks round-robin-ish.
@@ -412,6 +460,7 @@ TEST(PrefilterEngine, StreamBatchMatchesSequentialAtManyFlowCounts) {
     for (std::size_t f = 0; f < flows; ++f) {
       streams[f] = rng.bytes(150 + rng.uniform(0, 300));
       plant_rules(rules, streams[f], rng);
+      scrub(streams[f]);
       std::size_t pos = 0;
       while (pos < streams[f].size()) {
         std::size_t len = std::min<std::size_t>(streams[f].size() - pos,
@@ -437,37 +486,45 @@ TEST(PrefilterEngine, StreamBatchMatchesSequentialAtManyFlowCounts) {
 
     std::vector<IdpsVerdict> expected;
     for (const auto& [f, chunk] : order)
-      expected.push_back(sequential.inspect_stream_reference(
-          probe, chunk, seq_states[f], seq_scratch));
+      expected.push_back(naive.inspect_stream(probe, chunk, naive_flows[f]));
 
     // Deliver in bursts of up to 16.
     std::size_t done = 0;
-    std::vector<IdpsVerdict> got(order.size());
+    std::vector<IdpsVerdict> got(order.size()), fallback_got(order.size());
     while (done < order.size()) {
       std::size_t n = std::min<std::size_t>(16, order.size() - done);
       std::vector<const Packet*> packets(n, &probe);
       std::vector<ByteView> chunks(n);
-      std::vector<StreamMatchState*> states(n);
+      std::vector<StreamMatchState*> states(n), fb_states(n);
       for (std::size_t i = 0; i < n; ++i) {
         chunks[i] = order[done + i].second;
         states[i] = &batch_states[order[done + i].first];
+        fb_states[i] = &fallback_states[order[done + i].first];
       }
       batched.inspect_stream_batch({packets.data(), n}, {chunks.data(), n},
                                    {states.data(), n}, batch_scratch,
                                    got.data() + done);
+      fallback.inspect_stream_batch({packets.data(), n}, {chunks.data(), n},
+                                    {fb_states.data(), n}, fallback_scratch,
+                                    fallback_got.data() + done);
       done += n;
     }
-    for (std::size_t i = 0; i < order.size(); ++i)
-      expect_verdict_eq(got[i], expected[i],
-                        std::to_string(flows) + " flows, chunk " +
-                            std::to_string(i));
-    EXPECT_EQ(batched.alerts(), sequential.alerts()) << flows << " flows";
-    EXPECT_EQ(batched.drops(), sequential.drops()) << flows << " flows";
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      std::string where = std::to_string(flows) + " flows, chunk " + std::to_string(i);
+      expect_verdict_eq(got[i], expected[i], where);
+      expect_verdict_eq(fallback_got[i], expected[i], "fallback " + where);
+    }
+    EXPECT_EQ(batched.alerts(), naive.alerts()) << flows << " flows";
+    EXPECT_EQ(batched.drops(), naive.drops()) << flows << " flows";
+    EXPECT_EQ(fallback.alerts(), naive.alerts()) << flows << " flows";
     for (std::size_t f = 0; f < flows; ++f) {
       EXPECT_EQ(batch_states[f].cross_segment_matches,
-                seq_states[f].cross_segment_matches)
+                naive_flows[f].cross_segment_matches)
           << flows << " flows, flow " << f;
-      EXPECT_EQ(batch_states[f].bytes_scanned, seq_states[f].bytes_scanned);
+      EXPECT_EQ(fallback_states[f].cross_segment_matches,
+                naive_flows[f].cross_segment_matches)
+          << flows << " flows, flow " << f;
+      EXPECT_EQ(batch_states[f].bytes_scanned, streams[f].size());
     }
   }
 }

@@ -2,13 +2,19 @@
 // input ranges — packet sizes, use cases, SGX modes, key material.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
 #include "elements/device.hpp"
 #include "endbox_world.hpp"
 #include "idps/aho_corasick.hpp"
+#include "oracle/naive_scanner.hpp"
+#include "oracle/session_crypto_reference.hpp"
 #include "vpn/session_crypto.hpp"
-#include "vpn/session_crypto_reference.hpp"
 
 namespace endbox {
 namespace {
@@ -99,15 +105,21 @@ INSTANTIATE_TEST_SUITE_P(Cases, UseCaseSweep,
 
 // ---- VPN body crypto invariants -----------------------------------------------
 
+// gtest names each case by dumping the parameter's bytes, so the struct
+// carries no padding: `name_tag` fills what would otherwise be
+// uninitialised bytes, keeping every case's name identical across builds.
 struct BodyParam {
   std::size_t payload;
   bool encrypted;
+  std::uint8_t name_tag[7];
 };
+static_assert(sizeof(BodyParam) == 16, "BodyParam must have no padding");
 
 class VpnBodySweep : public ::testing::TestWithParam<BodyParam> {};
 
 TEST_P(VpnBodySweep, SealOpenRoundTripAndTamperDetection) {
-  auto [size, encrypted] = GetParam();
+  const std::size_t size = GetParam().payload;
+  const bool encrypted = GetParam().encrypted;
   Rng rng(size + encrypted);
   auto keys = vpn::derive_vpn_keys(rng.next_u64(), rng.bytes(16), rng.bytes(16));
   Bytes payload = rng.bytes(size);
@@ -132,12 +144,14 @@ TEST_P(VpnBodySweep, SealOpenRoundTripAndTamperDetection) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Bodies, VpnBodySweep,
-                         ::testing::Values(BodyParam{0, true}, BodyParam{1, true},
-                                           BodyParam{1500, true},
-                                           BodyParam{9000, true},
-                                           BodyParam{0, false}, BodyParam{1, false},
-                                           BodyParam{1500, false},
-                                           BodyParam{9000, false}));
+                         ::testing::Values(BodyParam{0, true, {0x20}},
+                                           BodyParam{1, true, {0x20}},
+                                           BodyParam{1500, true, {0x20}},
+                                           BodyParam{9000, true, {0xF0}},
+                                           BodyParam{0, false, {0x20}},
+                                           BodyParam{1, false, {0xF0}},
+                                           BodyParam{1500, false, {0xB0}},
+                                           BodyParam{9000, false, {0x10}}));
 
 // ---- AES mode properties across many keys ---------------------------------------
 
@@ -268,7 +282,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, ModeSweep,
                                                                        : "Simulation";
                          });
 
-// ---- Flattened Aho-Corasick vs node-chasing reference -----------------------
+// ---- Flattened Aho-Corasick vs the naive search oracle ----------------------
 
 class AcSeedSweep : public ::testing::TestWithParam<int> {};
 
@@ -279,12 +293,14 @@ TEST_P(AcSeedSweep, FlatAutomatonReportsByteIdenticalMatches) {
   // transitions and nested-suffix outputs (the hard cases for the
   // flattened output lists). Duplicate patterns are allowed.
   std::size_t n_patterns = 1 + rng.uniform(0, 30);
+  std::vector<Bytes> patterns;
   for (std::size_t p = 0; p < n_patterns; ++p) {
     std::size_t len = 1 + rng.uniform(0, 7);
     Bytes pattern(len);
     for (auto& b : pattern)
       b = static_cast<std::uint8_t>('a' + rng.uniform(0, 3));
     automaton.add_pattern(pattern, static_cast<int>(p));
+    patterns.push_back(std::move(pattern));
   }
   automaton.build();
 
@@ -298,7 +314,15 @@ TEST_P(AcSeedSweep, FlatAutomatonReportsByteIdenticalMatches) {
               : static_cast<std::uint8_t>('a' + rng.uniform(0, 3));
     }
     auto flat = automaton.match(text);
-    auto ref = automaton.match_reference(text);
+    auto ref = oracle::naive_matches(patterns, text);
+    // The walk reports matches in end-offset order; within one offset
+    // the order follows the output links, so compare those as a set.
+    EXPECT_TRUE(std::is_sorted(flat.begin(), flat.end(), [](const auto& a, const auto& b) {
+      return a.end_offset < b.end_offset;
+    })) << "round " << round;
+    std::sort(flat.begin(), flat.end(), [](const auto& a, const auto& b) {
+      return std::pair(a.end_offset, a.pattern_id) < std::pair(b.end_offset, b.pattern_id);
+    });
     ASSERT_EQ(flat.size(), ref.size()) << "round " << round;
     for (std::size_t i = 0; i < flat.size(); ++i) {
       EXPECT_EQ(flat[i].pattern_id, ref[i].pattern_id) << "match " << i;

@@ -1,6 +1,7 @@
 // Server data-plane sharding suite: twin-server equivalence properties
-// (N-shard open_batch / seal_jobs byte- and order-identical to 1-shard
-// and to the pre-sharding reference loop), lossless reshard under load
+// (N-lane open_batch / seal_jobs byte-identical to per-frame handle()
+// and to sequential seals, tests/oracle/gateway.hpp), the per-lane
+// bench hooks, lossless reshard under load
 // (replay windows and pending fragment groups migrate intact), worker
 // pool reuse across reshards, the EndBoxServer ledger rule, and the
 // AdaptiveReshardController's hysteresis behaviour.
@@ -16,6 +17,7 @@
 #include "ca/authority.hpp"
 #include "common/rng.hpp"
 #include "endbox/reshard_controller.hpp"
+#include "oracle/gateway.hpp"
 #include "sgx/enclave.hpp"
 #include "sgx/platform.hpp"
 #include "vpn/client.hpp"
@@ -187,13 +189,12 @@ TEST(ServerShard, SessionsPinToShardsAndBalance) {
   }
 }
 
-// The tentpole property: a mixed-session burst (in-order data, MTU
+// The gateway property: a mixed-session burst (in-order data, MTU
 // fragmentation, corrupt frames, replays, garbage, unknown sessions)
-// opens byte-identically at 1 lane, at 4 lanes, through the staged
-// reference path, and through the pre-sharding reference loop. One
-// lane and the staged path preserve exact arrival order; four lanes
-// surface the same packets in lane-concatenation order with per-session
-// order intact (the run-to-completion contract).
+// opens byte-identically at 1 lane, at 4 lanes, and frame by frame
+// through handle() on a twin server. One lane preserves exact arrival
+// order; four lanes surface the same packets in lane-concatenation
+// order with per-session order intact (the run-to-completion contract).
 TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
   Pki pki;
   VpnServerConfig config;
@@ -201,20 +202,17 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
   constexpr std::size_t kSessions = 12;
   ServerRig one(pki, 1, kSessions, 0xabc123, config);
   ServerRig four(pki, 4, kSessions, 0xabc123, config);
-  ServerRig staged(pki, 4, kSessions, 0xabc123, config);
-  ServerRig ref(pki, 1, kSessions, 0xabc123, config);
+  ServerRig twin(pki, 1, kSessions, 0xabc123, config);
 
   Rng gen(0x900df00d);
-  VpnServer::OpenBatch out_one, out_four, out_staged, out_ref;
-  std::vector<Bytes> frames_one, frames_four, frames_staged, frames_ref;
-  Bytes replay_frame_one, replay_frame_four, replay_frame_staged,
-      replay_frame_ref;
+  VpnServer::OpenBatch out_one, out_four, out_twin;
+  std::vector<Bytes> frames_one, frames_four, frames_twin;
+  Bytes replay_frame_one, replay_frame_four, replay_frame_twin;
 
   for (int round = 0; round < 12; ++round) {
     frames_one.clear();
     frames_four.clear();
-    frames_staged.clear();
-    frames_ref.clear();
+    frames_twin.clear();
     std::size_t packets = 3 + gen.uniform(0, 8);
     for (std::size_t p = 0; p < packets; ++p) {
       std::size_t k = gen.uniform(0, kSessions - 1);
@@ -223,18 +221,14 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
           payload, frames_one, frames_one.size());
       std::size_t n4 = four.clients[k].seal_packet_wire_at(
           payload, frames_four, frames_four.size());
-      std::size_t ns = staged.clients[k].seal_packet_wire_at(
-          payload, frames_staged, frames_staged.size());
-      std::size_t nr = ref.clients[k].seal_packet_wire_at(
-          payload, frames_ref, frames_ref.size());
+      std::size_t nt = twin.clients[k].seal_packet_wire_at(
+          payload, frames_twin, frames_twin.size());
       ASSERT_EQ(n1, n4);
-      ASSERT_EQ(n1, ns);
-      ASSERT_EQ(n1, nr);
+      ASSERT_EQ(n1, nt);
       // Twin clients must produce byte-identical wire frames — the
       // precondition for comparing the servers at all.
       ASSERT_EQ(frames_one.back(), frames_four.back());
-      ASSERT_EQ(frames_one.back(), frames_staged.back());
-      ASSERT_EQ(frames_one.back(), frames_ref.back());
+      ASSERT_EQ(frames_one.back(), frames_twin.back());
     }
     // Adversarial frames: corrupt a MAC, replay an old frame, inject
     // garbage and an unknown session id at random positions.
@@ -242,46 +236,36 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
       std::size_t corrupt = gen.uniform(0, frames_one.size() - 1);
       frames_one[corrupt].back() ^= 0x01;
       frames_four[corrupt].back() ^= 0x01;
-      frames_staged[corrupt].back() ^= 0x01;
-      frames_ref[corrupt].back() ^= 0x01;
+      frames_twin[corrupt].back() ^= 0x01;
       frames_one.push_back(replay_frame_one);
       frames_four.push_back(replay_frame_four);
-      frames_staged.push_back(replay_frame_staged);
-      frames_ref.push_back(replay_frame_ref);
+      frames_twin.push_back(replay_frame_twin);
       Bytes junk = gen.bytes(gen.uniform(0, 40));
       frames_one.push_back(junk);
       frames_four.push_back(junk);
-      frames_staged.push_back(junk);
-      frames_ref.push_back(junk);
+      frames_twin.push_back(junk);
       Bytes unknown = frames_one[0];
       put_u32(unknown.data() + 1, 0xdeadbeef);
       frames_one.push_back(unknown);
       frames_four.push_back(unknown);
-      frames_staged.push_back(unknown);
-      frames_ref.push_back(unknown);
+      frames_twin.push_back(unknown);
     }
     replay_frame_one = frames_one[0];
     replay_frame_four = frames_four[0];
-    replay_frame_staged = frames_staged[0];
-    replay_frame_ref = frames_ref[0];
+    replay_frame_twin = frames_twin[0];
 
     one.server.open_batch(frames_one, 0, out_one);
     four.server.open_batch(frames_four, 0, out_four);
-    staged.server.open_batch_staged(frames_staged, 0, out_staged);
-    ref.server.open_batch_reference(frames_ref, 0, out_ref);
-    // One lane = one FIFO ring: exact arrival order, identical to the
-    // pre-sharding reference loop.
-    expect_batches_equal(out_one, out_ref, "1-lane vs reference");
-    // The staged path still merges by burst_tag, so even at 4 shards it
-    // reproduces exact arrival order.
-    expect_batches_equal(out_staged, out_ref, "staged-4 vs reference");
+    oracle::open_by_handle(twin.server, frames_twin, 0, out_twin);
+    // One lane = one FIFO ring: exact arrival order.
+    expect_batches_equal(out_one, out_twin, "1-lane vs handle()");
     // Four lanes: same packets, lane-concatenation order, per-session
     // order intact.
-    expect_batches_equivalent(out_one, out_four, "1-lane vs 4-lane");
-    EXPECT_EQ(one.server.auth_failures(), four.server.auth_failures());
-    EXPECT_EQ(one.server.replays_rejected(), four.server.replays_rejected());
-    EXPECT_EQ(one.server.auth_failures(), ref.server.auth_failures());
-    EXPECT_EQ(one.server.auth_failures(), staged.server.auth_failures());
+    expect_batches_equivalent(out_four, out_twin, "4-lane vs handle()");
+    EXPECT_EQ(one.server.auth_failures(), twin.server.auth_failures());
+    EXPECT_EQ(four.server.auth_failures(), twin.server.auth_failures());
+    EXPECT_EQ(one.server.replays_rejected(), twin.server.replays_rejected());
+    EXPECT_EQ(four.server.replays_rejected(), twin.server.replays_rejected());
   }
   EXPECT_GT(one.server.replays_rejected(), 0u);
   EXPECT_GT(one.server.auth_failures(), 0u);
@@ -472,30 +456,31 @@ TEST(ServerShard, OpenBatchShardHookCoversTheWholeBurst) {
   ServerRig rig(pki, 4, kSessions, 0x7007);
   ServerRig twin(pki, 4, kSessions, 0x7007);
 
-  std::vector<Bytes> frames;
-  for (int p = 0; p < 24; ++p)
-    rig.clients[static_cast<std::size_t>(p) % kSessions].seal_packet_wire_at(
-        to_bytes("hook-2"), frames, frames.size());
+  std::vector<Bytes> frames, twin_frames;
+  std::vector<VpnServer::SealJob> jobs;
+  Bytes payload = to_bytes("hook-2");
+  for (int p = 0; p < 24; ++p) {
+    std::size_t k = static_cast<std::size_t>(p) % kSessions;
+    rig.clients[k].seal_packet_wire_at(payload, frames, frames.size());
+    twin.clients[k].seal_packet_wire_at(payload, twin_frames, twin_frames.size());
+    jobs.push_back({rig.clients[k].session_id(), payload});
+  }
 
-  // Opening shard by shard through the bench hook covers every frame
-  // exactly once, and the union of per-shard results equals one
+  // Opening lane by lane through the bench hook covers every frame
+  // exactly once, and the union of per-lane results equals one
   // open_batch on the twin.
-  VpnServer::OpenBatch shard_out, twin_out;
+  VpnServer::OpenBatch lane_out, twin_out;
   std::size_t complete = 0;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> tagged;  // tag, session
-  for (std::size_t s = 0; s < rig.server.session_shard_count(); ++s) {
-    rig.server.open_batch_shard(s, frames, 0, shard_out);
-    complete += shard_out.complete;
-    for (std::size_t i = 0; i < shard_out.packet_count; ++i)
-      tagged.emplace_back(shard_out.packets[i].burst_tag,
-                          shard_out.packets[i].session_id);
+  for (std::size_t l = 0; l < rig.server.session_shard_count(); ++l) {
+    rig.server.open_batch_lane(l, frames, 0, lane_out);
+    complete += lane_out.complete;
+    for (std::size_t i = 0; i < lane_out.packet_count; ++i)
+      tagged.emplace_back(lane_out.packets[i].burst_tag,
+                          lane_out.packets[i].session_id);
   }
   EXPECT_EQ(complete, 24u);
   std::sort(tagged.begin(), tagged.end());
-  std::vector<Bytes> twin_frames;
-  for (int p = 0; p < 24; ++p)
-    twin.clients[static_cast<std::size_t>(p) % kSessions].seal_packet_wire_at(
-        to_bytes("hook-2"), twin_frames, twin_frames.size());
   twin.server.open_batch(twin_frames, 0, twin_out);
   ASSERT_EQ(twin_out.packet_count, tagged.size());
   // The lane pipeline surfaces packets in lane-concatenation order, so
@@ -507,7 +492,18 @@ TEST(ServerShard, OpenBatchShardHookCoversTheWholeBurst) {
                              twin_out.packets[i].session_id);
   std::sort(twin_tagged.begin(), twin_tagged.end());
   EXPECT_EQ(tagged, twin_tagged);
-  expect_per_session_order(twin_out, "shard-hook twin");
+  expect_per_session_order(twin_out, "lane-hook twin");
+
+  // The seal half: each lane fills exactly its jobs' precomputed slots,
+  // so sealing lane by lane into one frame vector reproduces seal_jobs
+  // byte for byte.
+  std::vector<Bytes> lane_frames, twin_sealed;
+  std::size_t total = 0;
+  for (std::size_t l = 0; l < rig.server.session_shard_count(); ++l)
+    total = rig.server.seal_jobs_lane(l, jobs, lane_frames);
+  ASSERT_EQ(total, twin.server.seal_jobs(jobs, twin_sealed));
+  for (std::size_t f = 0; f < total; ++f)
+    EXPECT_EQ(lane_frames[f], twin_sealed[f]) << "frame " << f;
 
   // reset_replay_windows makes the identical burst fresh again — the
   // contract the bench relies on for repeatable timing.

@@ -512,11 +512,6 @@ TEST_F(ShardedWorldFixture, EnclaveReshardMigratesLiveState) {
 
   auto counter_sum = [&]() -> std::uint64_t {
     const auto* sharded = enclave.sharded_router();
-    if (!sharded) {
-      auto* counter =
-          const_cast<click::Router*>(enclave.router())->find_as<click::Counter>("cnt");
-      return counter ? counter->packets() : 0;
-    }
     std::uint64_t total = 0;
     for (std::size_t s = 0; s < sharded->shard_count(); ++s) {
       auto* counter = const_cast<click::Router&>(sharded->shard(s))

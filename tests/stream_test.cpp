@@ -1,5 +1,5 @@
 // Stream-aware inspection tests: the CTX chain (CTXManager -> TCPIn ->
-// IDSMatcher -> TCPOut), the resumable Aho-Corasick walk, split-payload
+// IDSMatcher -> TCPOut), the tail-carry stream scan, split-payload
 // evasion coverage (the regression the per-packet matcher misses),
 // property equivalence against a concatenate-then-rescan model, stream
 // state bounds under hostile flows, reshard migration of live stream
@@ -22,7 +22,6 @@
 #include "elements/ids_matcher.hpp"
 #include "elements/tcp_stream.hpp"
 #include "endbox_world.hpp"
-#include "idps/aho_corasick.hpp"
 #include "idps/engine.hpp"
 #include "idps/snort_rules.hpp"
 
@@ -256,7 +255,7 @@ TEST_F(StreamFixture, SingleSegmentFlowsMatchPerPacketReference) {
   EXPECT_EQ(s->stream_evasions(), 0u);  // nothing straddled
 }
 
-// ---- Randomized reassembly + resumable-scan properties -------------------
+// ---- Randomized reassembly + stream-scan properties ----------------------
 
 /// A segment plan: (offset, length) pairs covering [0, n) in order,
 /// with random overlaps between consecutive segments.
@@ -377,8 +376,8 @@ TEST_F(StreamFixture, ResumableScanEqualsConcatenateThenRescan) {
 }
 
 TEST_F(StreamFixture, StreamBatchEqualsSequentialStreamCalls) {
-  // inspect_stream_batch (interleaved, round-scheduled) must be
-  // verdict-identical to per-chunk inspect_stream in burst order, even
+  // inspect_stream_batch must be verdict-identical to per-chunk
+  // inspect_stream in burst order, even
   // when one flow contributes several chunks to the same burst.
   const auto& rules = context.rulesets["strict"];
   Packet probe = seg(0, "");
@@ -433,80 +432,9 @@ TEST_F(StreamFixture, StreamBatchEqualsSequentialStreamCalls) {
     EXPECT_EQ(batched.alerts(), sequential.alerts());
     EXPECT_EQ(batched.drops(), sequential.drops());
     for (std::size_t f = 0; f < 3; ++f) {
-      EXPECT_EQ(batch_states[f].cs_state, seq_states[f].cs_state);
-      EXPECT_EQ(batch_states[f].ci_state, seq_states[f].ci_state);
+      EXPECT_EQ(batch_states[f].prefilter_tail, seq_states[f].prefilter_tail);
       EXPECT_EQ(batch_states[f].cross_segment_matches,
                 seq_states[f].cross_segment_matches);
-    }
-  }
-}
-
-TEST_F(StreamFixture, AhoCorasickResumeEquivalence) {
-  // match_resume over arbitrary chunkings reports exactly the matches
-  // of one match() over the whole text (offsets rebased per chunk);
-  // match_multi_resume equals match_resume per stream.
-  for (int round = 0; round < 25; ++round) {
-    idps::AhoCorasick ac;
-    std::size_t n_patterns = 1 + rng.uniform(0, 7);
-    for (std::size_t p = 0; p < n_patterns; ++p) {
-      Bytes pattern(1 + rng.uniform(0, 5), 0);
-      for (auto& b : pattern) b = static_cast<std::uint8_t>('a' + rng.uniform(0, 2));
-      ac.add_pattern(pattern, static_cast<int>(p));
-    }
-    ac.build();
-    Bytes text(80 + rng.uniform(0, 400), 0);
-    for (auto& b : text) b = static_cast<std::uint8_t>('a' + rng.uniform(0, 2));
-
-    auto whole = ac.match(text);
-
-    std::vector<idps::AcMatch> resumed;
-    std::uint32_t state = 0;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      std::size_t len =
-          std::min<std::size_t>(text.size() - pos, 1 + rng.uniform(0, 16));
-      ac.match_resume(ByteView(text.data() + pos, len), &state,
-                      [&](const idps::AcMatch& m) {
-                        resumed.push_back(
-                            {m.pattern_id, m.end_offset + pos});  // rebase
-                        return true;
-                      });
-      pos += len;
-    }
-    ASSERT_EQ(resumed.size(), whole.size()) << "round " << round;
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-      EXPECT_EQ(resumed[i].pattern_id, whole[i].pattern_id);
-      EXPECT_EQ(resumed[i].end_offset, whole[i].end_offset);
-    }
-
-    // Multi-stream: 5 chunked streams walked in lockstep.
-    std::vector<Bytes> streams;
-    std::vector<ByteView> views;
-    std::vector<std::uint32_t> states(5);
-    for (int s = 0; s < 5; ++s) {
-      Bytes t(10 + rng.uniform(0, 60), 0);
-      for (auto& b : t) b = static_cast<std::uint8_t>('a' + rng.uniform(0, 2));
-      streams.push_back(std::move(t));
-    }
-    for (const auto& s : streams) views.push_back(s);
-    std::vector<std::vector<idps::AcMatch>> multi(5);
-    ac.match_multi_resume({views.data(), views.size()}, states.data(),
-                          [&](std::size_t stream, const idps::AcMatch& m) {
-                            multi[stream].push_back(m);
-                            return true;
-                          });
-    for (int s = 0; s < 5; ++s) {
-      auto expect = ac.match(streams[s]);
-      ASSERT_EQ(multi[s].size(), expect.size());
-      for (std::size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(multi[s][i].pattern_id, expect[i].pattern_id);
-        EXPECT_EQ(multi[s][i].end_offset, expect[i].end_offset);
-      }
-      // And the final state resumes correctly: a second chunk continues
-      // the stream.
-      std::uint32_t resume = states[s];
-      ac.match_resume(streams[s], &resume,
-                      [](const idps::AcMatch&) { return true; });
     }
   }
 }
