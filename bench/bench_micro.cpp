@@ -9,10 +9,9 @@
 // the batched element graph against packet-at-a-time pushes, N-shard
 // and N-lane critical paths against one shard/lane, the timer-wheel
 // session table against a periodic full-scan map, the control plane
-// and LRU admission against their raw counterparts, the SPSC hand-off
-// against a mutex-protected deque, and the two-tier scanner against a
-// fallback engine whose rule set disables the prefilter (one
-// whole-buffer run per scan).
+// and LRU admission against their raw counterparts, and the two-tier
+// scanner against a fallback engine whose rule set disables the
+// prefilter (one whole-buffer run per scan).
 // Running with `--json [path]` skips google-benchmark and instead
 // writes the summary (default BENCH_pr12.json) that CI diffs against
 // the one checked-in baseline, BENCH_pr12.json; re-record it when a
@@ -22,21 +21,16 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <iterator>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "ca/authority.hpp"
 #include "click/packet_batch.hpp"
-#include "click/spsc_ring.hpp"
 #include "common/hash.hpp"
 #include "common/lifecycle_table.hpp"
 #include "click/router.hpp"
@@ -336,57 +330,6 @@ struct LaneChainBench {
   }
 };
 
-// PR-8: the lane hand-off primitive itself. One op is a full round
-// trip — a token crosses a caller→lane ring and a lane→caller ring —
-// with one thread playing both ends, so the row times the primitive's
-// four ring operations (two release-publishes, two acquire-consumes)
-// deterministically instead of the scheduler's cross-core latency (a
-// two-thread spin ping-pong on a preempting 1-2 core CI box measures
-// time slices, not the ring; the two-thread path is exercised under
-// TSan in lane_test). The reference swaps the rings for the
-// mutex-protected deques the lanes would otherwise hand off through.
-struct SpscPingPongBench {
-  click::SpscRing<std::uint64_t> to_lane{64};
-  click::SpscRing<std::uint64_t> from_lane{64};
-
-  void round_trip() {
-    std::uint64_t token = 1;
-    to_lane.try_push(std::move(token));  // never full: one in flight
-    to_lane.try_pop(token);              // the lane's end
-    from_lane.try_push(std::move(token));
-    from_lane.try_pop(token);  // the caller's end
-    benchmark::DoNotOptimize(token);
-  }
-};
-
-struct MutexPingPongBench {
-  std::mutex to_mu, from_mu;
-  std::deque<std::uint64_t> to_lane, from_lane;
-
-  void round_trip() {
-    {
-      std::lock_guard<std::mutex> lock(to_mu);
-      to_lane.push_back(1);
-    }
-    std::uint64_t token;
-    {
-      std::lock_guard<std::mutex> lock(to_mu);
-      token = to_lane.front();
-      to_lane.pop_front();
-    }
-    {
-      std::lock_guard<std::mutex> lock(from_mu);
-      from_lane.push_back(token);
-    }
-    {
-      std::lock_guard<std::mutex> lock(from_mu);
-      token = from_lane.front();
-      from_lane.pop_front();
-    }
-    benchmark::DoNotOptimize(token);
-  }
-};
-
 }  // namespace
 
 // Args: payload bytes, IDS rule count (12 = compact set, 377 = the
@@ -495,13 +438,21 @@ static void BM_ClickHotSwap(benchmark::State& state) {
   Rng rng(5);
   context.rulesets["community"] = idps::generate_community_ruleset(377, rng);
   auto registry = elements::make_endbox_registry(context);
-  click::RouterManager manager(registry);
   std::string a = use_case_config(UseCase::Nop);
   std::string b = use_case_config(UseCase::Fw);
-  if (!manager.install(a).ok()) state.SkipWithError("install failed");
+  // The data planes' hot-swap at one lane: build the new graph, pair
+  // same-name elements, take_state.
+  auto router = click::ShardedRouter::create(
+      a, 1, [&registry](std::size_t, const std::string& text) {
+        return click::Router::from_config(text, registry);
+      });
+  if (!router.ok()) {
+    state.SkipWithError("install failed");
+    return;
+  }
   bool flip = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(manager.hot_swap(flip ? a : b).ok());
+    benchmark::DoNotOptimize((*router)->hot_swap(flip ? a : b).ok());
     flip = !flip;
   }
 }
@@ -1030,8 +981,7 @@ int run_json_mode(const std::string& path) {
   // PR-8: the run-to-completion lane pipeline. Each lane's slice of
   // the balanced 64-frame open+seal burst — serial dispatch included —
   // is timed inline; the burst is costed at the slowest lane (one core
-  // per lane). The ping-pong row times the SPSC hand-off primitive
-  // against a mutex-protected deque, one round trip per op.
+  // per lane).
   auto lane_burst_ns = [&](std::size_t lanes) {
     LaneChainBench bench(lanes);
     double critical = 0;
@@ -1047,15 +997,6 @@ int run_json_mode(const std::string& path) {
   double lane2 = lane_burst_ns(2);
   double lane4 = lane_burst_ns(4);
   double lane8 = lane_burst_ns(8);
-  double spsc_pp_ns = 0, mutex_pp_ns = 0;
-  {
-    SpscPingPongBench ping;
-    spsc_pp_ns = time_ns_per_op([&] { ping.round_trip(); });
-  }
-  {
-    MutexPingPongBench ping;
-    mutex_pp_ns = time_ns_per_op([&] { ping.round_trip(); });
-  }
 
   Rng stream_rng(4);
   auto stream_rules = idps::generate_community_ruleset(377, stream_rng);
@@ -1163,10 +1104,6 @@ int run_json_mode(const std::string& path) {
       {"lane_chain_open_seal_2lanes", lane2 / kLaneBurst, lane1 / kLaneBurst},
       {"lane_chain_open_seal_4lanes", lane4 / kLaneBurst, lane1 / kLaneBurst},
       {"lane_chain_open_seal_8lanes", lane8 / kLaneBurst, lane1 / kLaneBurst},
-      // new = one SPSC-ring round trip (four ring ops, one thread
-      // playing both ends), ref = the same hand-off through
-      // mutex-protected deques.
-      {"spsc_ring_ping_pong", spsc_pp_ns, mutex_pp_ns},
       // new = two-tier prefiltered inspect, ref = the fallback engine's
       // whole-buffer walk. Clean payloads never enter the automaton;
       // the dirty row confirms planted candidate windows.
@@ -1205,10 +1142,7 @@ int run_json_mode(const std::string& path) {
                "pipeline's 64-frame open+seal burst over 16 sessions (each "
                "lane timed serially, dispatch included, burst costed at the "
                "slowest lane, sessions balanced across residue classes); "
-               "spsc_ring_ping_pong is one round trip through a pair of SPSC "
-               "rings vs mutex-protected deques, one thread playing both ends "
-               "so the row times the primitive, not the scheduler (mb_per_s "
-               "is meaningless for that row); prefilter rows scan one payload "
+               "prefilter rows scan one payload "
                "against the 377-rule community set, two-tier SIMD literal "
                "prefilter + candidate-window confirm vs a fallback engine "
                "whose extra 1-byte content disables the prefilter (clean = "

@@ -40,9 +40,10 @@ int main() {
     auto outcome = bed.endbox_client(static_cast<std::size_t>(i))
                        .handle_server_ping(ping, &bed.server().file_server(),
                                            bed.clock().now());
-    auto confirm =
-        bed.endbox_client(static_cast<std::size_t>(i)).create_ping(bed.clock().now());
-    bed.server().handle_wire(*confirm, bed.clock().now());
+    Bytes confirm;
+    bed.endbox_client(static_cast<std::size_t>(i))
+        .create_ping_wire(confirm, bed.clock().now());
+    bed.server().handle_wire(confirm, bed.clock().now());
     std::printf("[c%d]     updated to v3 (%.2f ms incl. fetch+decrypt+swap)\n", i + 1,
                 sim::to_millis(outcome->done - bed.clock().now()));
   }
@@ -61,8 +62,9 @@ int main() {
   Bytes ping = bed.server().create_ping(5);
   bed.endbox_client(4).handle_server_ping(ping, &bed.server().file_server(),
                                           bed.clock().now());
-  auto confirm = bed.endbox_client(4).create_ping(bed.clock().now());
-  bed.server().handle_wire(*confirm, bed.clock().now());
+  Bytes confirm;
+  bed.endbox_client(4).create_ping_wire(confirm, bed.clock().now());
+  bed.server().handle_wire(confirm, bed.clock().now());
   std::printf("[t=15s]  c5 updates late -> %s\n", offer_traffic(4).c_str());
   return 0;
 }

@@ -98,8 +98,9 @@ int main() {
   if (outcome->update_started)
     std::printf("[client] ping announced v3: fetched, decrypted and hot-swapped "
                 "in %.2f ms\n", sim::to_millis(outcome->done - clock.now()));
-  auto confirm = client.create_ping(clock.now());
-  server.handle_wire(*confirm, clock.now());
+  Bytes confirm;
+  client.create_ping_wire(confirm, clock.now());
+  server.handle_wire(confirm, clock.now());
   std::printf("[server] client now attests config v%u\n",
               server.vpn().session_config_version(done.session_id));
   return 0;

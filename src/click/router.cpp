@@ -64,28 +64,4 @@ bool Router::push_batch_to(const std::string& name, PacketBatch&& batch) {
   return true;
 }
 
-Status RouterManager::install(const std::string& config_text) {
-  auto router = Router::from_config(config_text, registry_);
-  if (!router.ok()) return err(router.error());
-  current_ = std::move(*router);
-  return {};
-}
-
-Status RouterManager::hot_swap(const std::string& config_text) {
-  auto next = Router::from_config(config_text, registry_);
-  if (!next.ok()) return err(next.error());
-
-  if (current_) {
-    // Pair same-name elements of the same class and transfer state
-    // (counters, flow tables, rate-limiter buckets survive the swap).
-    for (Element* fresh : (*next)->elements()) {
-      Element* old = current_->find(fresh->name());
-      if (old && old->class_name() == fresh->class_name()) fresh->take_state(*old);
-    }
-  }
-  current_ = std::move(*next);
-  ++swap_count_;
-  return {};
-}
-
 }  // namespace endbox::click

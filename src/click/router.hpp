@@ -1,5 +1,7 @@
-// Router: an instantiated, wired element graph, plus the hot-swap
-// manager EndBox uses for runtime configuration updates.
+// Router: an instantiated, wired element graph. Runtime configuration
+// updates (hot-swap with state transfer) live one level up, in
+// ShardedRouter::hot_swap, which every data plane runs — one shard is
+// the single-router case.
 #pragma once
 
 #include <memory>
@@ -54,31 +56,6 @@ class Router {
   std::vector<Element*> element_order_;
   std::unordered_map<std::string, Element*> by_name_;
   std::size_t connection_count_ = 0;
-};
-
-/// Holds the live router and swaps in new configurations atomically,
-/// transferring element state across same-name/same-class pairs
-/// (Click's hot-swapping, adapted to in-memory configs per the paper's
-/// change (iii) in section IV).
-class RouterManager {
- public:
-  explicit RouterManager(const ElementRegistry& registry) : registry_(registry) {}
-
-  /// Installs the initial configuration.
-  Status install(const std::string& config_text);
-
-  /// Hot-swaps to a new configuration. On parse/instantiation failure
-  /// the old router keeps running (atomicity).
-  Status hot_swap(const std::string& config_text);
-
-  Router* current() { return current_.get(); }
-  const Router* current() const { return current_.get(); }
-  std::uint64_t swap_count() const { return swap_count_; }
-
- private:
-  const ElementRegistry& registry_;
-  std::unique_ptr<Router> current_;
-  std::uint64_t swap_count_ = 0;
 };
 
 }  // namespace endbox::click

@@ -121,26 +121,17 @@ bool ShardedRouter::push_batch_to(const std::string& name, PacketBatch&& batch) 
 
   // Dispatch is the only serial work: hash the flow, append the packet
   // to its shard's sub-burst. Everything after runs shard-local.
-  std::size_t busy = 0, last_busy = 0;
-  for (net::Packet& packet : batch) {
-    std::size_t shard = shard_for(packet);
-    if (partition_scratch_[shard].empty()) {
-      ++busy;
-      last_busy = shard;
-    }
-    partition_scratch_[shard].push_back(std::move(packet));
-  }
+  for (net::Packet& packet : batch)
+    partition_scratch_[shard_for(packet)].push_back(std::move(packet));
   batch.clear();
 
-  auto run_shard = [&](std::size_t i) {
-    if (partition_scratch_[i].empty()) return;
-    shards_[i]->push_batch_to(name, std::move(partition_scratch_[i]));
-    partition_scratch_[i].clear();
-  };
-  if (busy == 1)
-    run_shard(last_busy);
-  else if (busy > 1)
-    pool_->run(shards_.size(), run_shard);
+  ShardWorkerPool::run_busy(
+      pool_.get(), shards_.size(),
+      [&](std::size_t i) { return !partition_scratch_[i].empty(); },
+      [&](std::size_t i) {
+        shards_[i]->push_batch_to(name, std::move(partition_scratch_[i]));
+        partition_scratch_[i].clear();
+      });
   return true;
 }
 

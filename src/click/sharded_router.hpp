@@ -13,9 +13,12 @@
 // shard has work — always the case with one shard, which is simply
 // N = 1 of the same path — it runs inline on the caller.
 //
-// Hot-swap keeps RouterManager's semantics per shard (same-name/
-// same-class take_state, shard i -> shard i). reshard(n) changes the
-// shard count at runtime: queued packets are drained and re-hashed to
+// hot_swap() is Click's hot-swapping, adapted to in-memory configs
+// (the paper's change (iii), section IV): a new graph set is built,
+// each element takes the state of its same-name/same-class
+// predecessor (shard i -> shard i), and on failure the old graphs keep
+// running — one shard is the single-router case. reshard(n) changes
+// the shard count at runtime: queued packets are drained and re-hashed to
 // the shard their flow now maps to, and every other element's state is
 // folded into the new shard set with Element::absorb_state (old shard o
 // merges into new shard o % n), so Counter totals, flow tables and IDPS
@@ -88,6 +91,27 @@ class ShardWorkerPool {
       pool = std::make_unique<ShardWorkerPool>(shards);
   }
 
+  /// The one per-burst run policy of every sharded data plane: calls
+  /// `run(lane)` for each lane in [0, lanes) where `busy(lane)` holds.
+  /// A single busy lane runs inline on the caller (no lock, no
+  /// std::function); two or more run concurrently on `pool`, which
+  /// ensure() built for `lanes` > 1.
+  template <typename Busy, typename Run>
+  static void run_busy(ShardWorkerPool* pool, std::size_t lanes, Busy busy, Run run) {
+    std::size_t count = 0, last = 0;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      if (!busy(lane)) continue;
+      ++count;
+      last = lane;
+    }
+    if (count == 1)
+      run(last);
+    else if (count > 1)
+      pool->run(lanes, [&](std::size_t lane) {
+        if (busy(lane)) run(lane);
+      });
+  }
+
  private:
   void worker_loop();
   void execute_job(std::unique_lock<std::mutex>& lock, std::size_t job);
@@ -148,8 +172,8 @@ class ShardedRouter {
   bool push_batch_to(const std::string& name, PacketBatch&& batch);
 
   /// Hot-swaps every shard to a new configuration, transferring element
-  /// state shard-for-shard via take_state (RouterManager semantics).
-  /// On failure the old shards keep running.
+  /// state shard-for-shard via take_state (same name, same class). On
+  /// failure the old shards keep running.
   Status hot_swap(const std::string& config_text);
 
   /// Changes the shard count at runtime: rebuilds the graphs, re-hashes

@@ -249,14 +249,6 @@ Result<EndBoxClient::BatchRecvResult> EndBoxClient::receive_batch(
   return result;
 }
 
-Result<Bytes> EndBoxClient::create_ping(sim::Time now, sim::Time* done) {
-  auto ping = enclave_->ecall_create_ping();
-  if (!ping.ok()) return err(ping.error());
-  sim::Time completed = cpu_.charge(now, model_.vpn_control_msg_cycles);
-  if (done) *done = completed;
-  return ping;
-}
-
 Status EndBoxClient::create_ping_wire(Bytes& frame, sim::Time now,
                                       sim::Time* done) {
   auto status = enclave_->ecall_create_ping_wire(frame);

@@ -135,9 +135,8 @@ class EndBoxClient {
                                         IngressBatch& out, sim::Time now);
 
   // ---- Control channel ------------------------------------------------------
-  Result<Bytes> create_ping(sim::Time now, sim::Time* done = nullptr);
-  /// Scratch-reusing variant: seals the ping into `frame` (caller
-  /// reuses the buffer, keeping the keep-alive loop allocation-free).
+  /// Seals a keep-alive ping into `frame` (caller reuses the buffer,
+  /// keeping the keep-alive loop allocation-free).
   Status create_ping_wire(Bytes& frame, sim::Time now, sim::Time* done = nullptr);
 
   struct PingOutcome {

@@ -296,7 +296,10 @@ Status EndBoxEnclave::process_ingress_burst(std::span<const Bytes> wires,
     net::Packet packet = pool_.acquire();
     auto parsed = net::Packet::parse_into(**opened, packet);
     pool_.release_bytes(std::move(**opened));
-    if (!parsed.ok()) return err("ingress: " + parsed.error());
+    if (!parsed.ok()) {
+      pool_.release(std::move(packet));
+      return err("ingress: " + parsed.error());
+    }
 
     // Client-to-client optimisation (section IV-A): packets flagged as
     // already processed by the sender's EndBox bypass Click here.
@@ -338,12 +341,6 @@ Status EndBoxEnclave::process_ingress_burst(std::span<const Bytes> wires,
   out.rejected += rejected;
   rejected_ += rejected;
   return {};
-}
-
-Result<Bytes> EndBoxEnclave::ecall_create_ping() {
-  EcallGuard guard(*this);
-  if (!connected()) return err("ping: tunnel not established");
-  return session_->create_ping().serialize();
 }
 
 Status EndBoxEnclave::ecall_create_ping_wire(Bytes& frame) {

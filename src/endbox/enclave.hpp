@@ -164,9 +164,8 @@ class EndBoxEnclave : public sgx::Enclave {
   net::PacketPool& packet_pool() { return pool_; }
 
   // ---- Control channel ---------------------------------------------------
-  Result<Bytes> ecall_create_ping();
-  /// Scratch-reusing variant: seals the ping into `frame` through the
-  /// session buffer (no allocation once `frame` is warm).
+  /// Seals a keep-alive ping into `frame` through the session buffer
+  /// (no allocation once `frame` is warm).
   Status ecall_create_ping_wire(Bytes& frame);
   Result<vpn::PingInfo> ecall_handle_ping(ByteView wire);
 

@@ -75,7 +75,7 @@ class AdaptiveReshardController {
   std::size_t observe(double offered_load, std::uint64_t evictions);
 
   /// Imbalance-aware overload fed from the lane pipeline: one load
-  /// figure per lane (ring-depth peaks, per-lane core_busy_ns — any
+  /// figure per lane (backlog peaks, per-lane core_busy_ns — any
   /// monotone unit matching `shard_capacity`). Total load drives the
   /// mean-utilisation machinery exactly like observe(); the hottest
   /// lane feeds a second EWMA so the controller splits a hot lane

@@ -208,7 +208,7 @@ Result<EndBoxServer::BatchResult> EndBoxServer::handle_batch(
   // (one single thread at the default 1 shard — exactly what
   // open_batch's implementation is): each lane's sessions serialise
   // onto that lane's worker, so their cycles aggregate into one job
-  // per lane. The serial part is lane dispatch (RSS hash + ring push
+  // per lane. The serial part is lane dispatch (RSS hash + index append
   // per frame), then the lane jobs run in parallel on the server's
   // cores; completion is the
   // burst's critical path, while every lane's cycles count as busy
@@ -274,7 +274,7 @@ EndBoxServer::SealResult EndBoxServer::seal_packet(std::uint32_t session_id,
                                                    ByteView ip_packet,
                                                    sim::Time now) {
   SealResult result;
-  vpn_.seal_packet_wire(session_id, ip_packet, result.wire);
+  vpn_.seal_packet_wire_at(session_id, ip_packet, result.wire, 0);
   double cycles =
       static_cast<double>(result.wire.size()) * model_.vpn_packet_cycles +
       model_.vpn_crypto_cycles_per_byte * static_cast<double>(ip_packet.size());
@@ -283,7 +283,7 @@ EndBoxServer::SealResult EndBoxServer::seal_packet(std::uint32_t session_id,
 }
 
 Bytes EndBoxServer::create_ping(std::uint32_t session_id) {
-  return vpn_.create_ping(session_id).serialize();
+  return vpn_.create_ping(session_id);
 }
 
 std::size_t EndBoxServer::restart() {

@@ -37,7 +37,7 @@ Result<VanillaVpnClient::SendResult> VanillaVpnClient::send_bytes(ByteView ip_pa
                                                                   sim::Time now) {
   if (!connected()) return err("vanilla client: not connected");
   SendResult result;
-  session_->seal_packet_wire(ip_packet, result.wire);
+  session_->seal_packet_wire_at(ip_packet, result.wire, 0);
   double cycles =
       static_cast<double>(result.wire.size()) * model_.vpn_packet_cycles +
       model_.vpn_crypto_cycles_per_byte * static_cast<double>(ip_packet.size());
@@ -54,9 +54,7 @@ Result<VanillaVpnClient::SendResult> VanillaVpnClient::send_packet(
 Result<VanillaVpnClient::RecvResult> VanillaVpnClient::receive_wire(ByteView wire,
                                                                     sim::Time now) {
   if (!connected()) return err("vanilla client: not connected");
-  auto msg = vpn::WireMessage::parse(wire);
-  if (!msg.ok()) return err(msg.error());
-  auto opened = session_->open_data(*msg);
+  auto opened = session_->open_data_frame(wire, Bytes{});
   if (!opened.ok()) return err(opened.error());
   RecvResult result;
   double cycles = model_.vpn_packet_cycles +

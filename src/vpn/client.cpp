@@ -104,29 +104,6 @@ MsgType VpnClientSession::seal_fragment(const FragmentHeader& frag,
   return MsgType::DataIntegrityOnly;
 }
 
-std::vector<WireMessage> VpnClientSession::seal_packet(ByteView ip_packet) {
-  if (!keys_) throw std::logic_error("VpnClientSession: not established");
-  std::vector<WireMessage> messages;
-  messages.reserve(fragment_count(ip_packet.size(), config_.mtu));
-  for_each_fragment(
-      ip_packet, config_.mtu, next_packet_id_, next_frag_id_++,
-      [&](const FragmentHeader& frag, ByteView slice) {
-        WireMessage msg;
-        msg.session_id = session_id_;
-        msg.type = seal_fragment(frag, slice, seal_scratch_);
-        msg.body.assign(seal_scratch_.view().begin(), seal_scratch_.view().end());
-        messages.push_back(std::move(msg));
-      });
-  ++packets_sealed_;
-  return messages;
-}
-
-void VpnClientSession::seal_packet_wire(ByteView ip_packet,
-                                        std::vector<Bytes>& frames) {
-  frames.resize(fragment_count(ip_packet.size(), config_.mtu));
-  seal_packet_wire_at(ip_packet, frames, 0);
-}
-
 std::size_t VpnClientSession::seal_packet_wire_at(ByteView ip_packet,
                                                   std::vector<Bytes>& frames,
                                                   std::size_t at) {
@@ -135,11 +112,7 @@ std::size_t VpnClientSession::seal_packet_wire_at(ByteView ip_packet,
       ip_packet, config_.mtu, next_packet_id_, next_frag_id_++,
       [&](const FragmentHeader& frag, ByteView slice) {
         MsgType type = seal_fragment(frag, slice, seal_scratch_);
-        // The wire header goes into the headroom the seal left
-        // reserved, so the frame is contiguous without assembly copies.
-        std::uint8_t* header = seal_scratch_.prepend(kWireHeaderSize);
-        header[0] = static_cast<std::uint8_t>(type);
-        put_u32(header + 1, session_id_);
+        prepend_wire_header(seal_scratch_, type, session_id_);
         std::size_t slot = at + frag.index;
         if (frames.size() <= slot) frames.emplace_back();
         frames[slot].assign(seal_scratch_.view().begin(),
@@ -149,49 +122,36 @@ std::size_t VpnClientSession::seal_packet_wire_at(ByteView ip_packet,
   return at + count;
 }
 
-Result<std::optional<Bytes>> VpnClientSession::open_body(MsgType type,
-                                                         Bytes&& body) {
-  if (!keys_) return err("not established");
-  Result<OpenedBody> opened = type == MsgType::Data
-                                  ? open_data_body(*keys_, std::move(body))
-                                  : open_integrity_body(*keys_, std::move(body));
+Result<std::optional<Bytes>> VpnClientSession::open_data_frame(
+    ByteView frame, Bytes&& body_scratch) {
+  // Every reject hands the caller's buffer back to the pool: a frame
+  // the enclave refuses must not cost it a pooled buffer.
+  auto reject = [this](Bytes&& buffer, const std::string& error) -> Error {
+    recycle(std::move(buffer));
+    return err(error);
+  };
+  if (frame.size() < kWireHeaderSize)
+    return reject(std::move(body_scratch), "data frame: truncated header");
+  auto type = static_cast<MsgType>(frame[0]);
+  if (type != MsgType::Data && type != MsgType::DataIntegrityOnly)
+    return reject(std::move(body_scratch), "data frame: not a data message");
+  if (!keys_) return reject(std::move(body_scratch), "not established");
+  body_scratch.assign(frame.begin() + kWireHeaderSize, frame.end());
+  // Failed opens never consume the body (the move happens only on
+  // success), so it is still the caller's buffer here.
+  Result<OpenedBody> opened =
+      type == MsgType::Data ? open_data_body(*keys_, std::move(body_scratch))
+                            : open_integrity_body(*keys_, std::move(body_scratch));
   if (!opened.ok()) {
     ++auth_failures_;
-    return err(opened.error());
+    return reject(std::move(body_scratch), opened.error());
   }
-  if (!replay_.accept(opened->frag.packet_id)) return err("replayed packet");
+  if (!replay_.accept(opened->frag.packet_id))
+    return reject(std::move(opened->payload), "replayed packet");
   auto whole = reassembler_.add(opened->frag, std::move(opened->payload));
   if (!whole) return std::optional<Bytes>{};
   ++packets_opened_;
   return std::optional<Bytes>{std::move(*whole)};
-}
-
-Result<std::optional<Bytes>> VpnClientSession::open_data(const WireMessage& msg) {
-  Bytes body(msg.body.begin(), msg.body.end());
-  return open_body(msg.type, std::move(body));
-}
-
-Result<std::optional<Bytes>> VpnClientSession::open_data_frame(
-    ByteView frame, Bytes&& body_scratch) {
-  if (frame.size() < kWireHeaderSize) return err("data frame: truncated header");
-  auto type = static_cast<MsgType>(frame[0]);
-  if (type != MsgType::Data && type != MsgType::DataIntegrityOnly)
-    return err("data frame: not a data message");
-  body_scratch.assign(frame.begin() + kWireHeaderSize, frame.end());
-  return open_body(type, std::move(body_scratch));
-}
-
-WireMessage VpnClientSession::create_ping() {
-  if (!keys_) throw std::logic_error("VpnClientSession: not established");
-  PingInfo info;
-  info.seq = next_ping_seq_++;
-  info.config_version = config_.config_version;
-  info.grace_period_secs = 0;  // clients don't announce grace periods
-  WireMessage msg;
-  msg.type = MsgType::Ping;
-  msg.session_id = session_id_;
-  msg.body = seal_ping_body(*keys_, info);
-  return msg;
 }
 
 void VpnClientSession::create_ping_wire(Bytes& frame) {
@@ -203,9 +163,7 @@ void VpnClientSession::create_ping_wire(Bytes& frame) {
   // Same scratch discipline as the data path: body sealed into the
   // session buffer, wire header prepended into its headroom.
   seal_ping_body(*keys_, info, seal_scratch_);
-  std::uint8_t* header = seal_scratch_.prepend(kWireHeaderSize);
-  header[0] = static_cast<std::uint8_t>(MsgType::Ping);
-  put_u32(header + 1, session_id_);
+  prepend_wire_header(seal_scratch_, MsgType::Ping, session_id_);
   frame.assign(seal_scratch_.view().begin(), seal_scratch_.view().end());
 }
 

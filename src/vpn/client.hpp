@@ -40,37 +40,29 @@ class VpnClientSession {
   std::uint32_t session_id() const { return session_id_; }
 
   // ---- Data path -------------------------------------------------------
-  /// Seals one IP packet into one or more wire messages (fragmenting at
-  /// the MTU). Throws if not established.
-  std::vector<WireMessage> seal_packet(ByteView ip_packet);
-  /// Seals one IP packet directly into complete wire frames
-  /// ([type][session_id][sealed body]), writing through the per-session
-  /// scratch buffer. `frames` is resized to the fragment count and each
-  /// element's capacity is reused, so steady-state calls with stable
-  /// packet sizes perform no heap allocation.
-  void seal_packet_wire(ByteView ip_packet, std::vector<Bytes>& frames);
-  /// Batch-friendly variant: writes this packet's frames into
-  /// `frames[at..]`, growing the vector only when the burst needs more
-  /// slots and reusing existing slots' capacity. Returns the index one
-  /// past the last frame written, so callers chain packets:
+  /// Seals one IP packet (fragmenting at the MTU) into complete wire
+  /// frames ([type][session_id][sealed body]) through the per-session
+  /// scratch buffer, written at `frames[at..]`: the vector grows only
+  /// when the burst needs more slots and existing slots' capacity is
+  /// reused, so steady-state calls allocate nothing. Returns the index
+  /// one past the last frame written, so callers chain packets:
   /// `n = seal_packet_wire_at(p0, frames, 0); n = seal_packet_wire_at(p1, frames, n);`
+  /// Throws if not established.
   std::size_t seal_packet_wire_at(ByteView ip_packet, std::vector<Bytes>& frames,
                                   std::size_t at);
-  /// Opens a data message from the server; returns the reassembled IP
-  /// packet when a fragment group completes, nullopt while pending.
-  Result<std::optional<Bytes>> open_data(const WireMessage& msg);
-  /// Opens a complete data frame ([type][session_id][body]) without
-  /// materialising a WireMessage: the body is copied into
+  /// Opens a complete data frame ([type][session_id][body]) from the
+  /// server; returns the reassembled IP packet when a fragment group
+  /// completes, nullopt while pending. The body is copied into
   /// `body_scratch` (capacity reused) and decrypted in place, and the
   /// returned payload occupies that same buffer — recycle it through a
-  /// pool and the steady-state open allocates nothing.
+  /// pool and the steady-state open allocates nothing. A rejected frame
+  /// returns the scratch to the set_buffer_pool() pool.
   Result<std::optional<Bytes>> open_data_frame(ByteView frame, Bytes&& body_scratch);
 
   // ---- Control channel --------------------------------------------------
-  WireMessage create_ping();
   /// Seals a ping directly into a complete wire frame through the
   /// per-session scratch; reusing `frame` makes the control path
-  /// allocation-free in steady state.
+  /// allocation-free in steady state. Throws if not established.
   void create_ping_wire(Bytes& frame);
   Result<PingInfo> process_ping(const WireMessage& msg);
 
@@ -78,11 +70,15 @@ class VpnClientSession {
   std::uint32_t config_version() const { return config_.config_version; }
   bool encrypt_data() const { return config_.encrypt_data; }
 
-  /// Attaches the buffer pool fragment reassembly recycles through
-  /// (part buffers and reassembled wholes), making multi-fragment
-  /// ingress allocation-free in steady state. The pool must outlive the
-  /// session.
-  void set_buffer_pool(net::PacketPool* pool) { reassembler_.set_pool(pool); }
+  /// Attaches the buffer pool the open path recycles through: fragment
+  /// reassembly's part buffers and wholes, and the body scratch of every
+  /// frame open_data_frame rejects — multi-fragment ingress stays
+  /// allocation-free and a bad-frame flood cannot drain the pool. The
+  /// pool must outlive the session.
+  void set_buffer_pool(net::PacketPool* pool) {
+    pool_ = pool;
+    reassembler_.set_pool(pool);
+  }
 
   // ---- Stats ---------------------------------------------------------
   std::uint64_t packets_sealed() const { return packets_sealed_; }
@@ -94,9 +90,10 @@ class VpnClientSession {
  private:
   MsgType seal_fragment(const FragmentHeader& frag, ByteView slice,
                         WireBuffer& scratch);
-  /// Shared open core: verify/decrypt `body` in place, replay-check,
-  /// reassemble. `body` is consumed (its buffer becomes the payload).
-  Result<std::optional<Bytes>> open_body(MsgType type, Bytes&& body);
+  /// Returns a rejected frame's buffer to the attached pool.
+  void recycle(Bytes&& buffer) {
+    if (pool_) pool_->release_bytes(std::move(buffer));
+  }
 
   Rng& rng_;
   ca::Certificate certificate_;
@@ -115,6 +112,7 @@ class VpnClientSession {
   std::uint64_t next_ping_seq_ = 1;
   ReplayWindow replay_;
   Reassembler reassembler_;
+  net::PacketPool* pool_ = nullptr;  ///< set_buffer_pool(); may be null
   WireBuffer seal_scratch_;  ///< reused by the seal fast path
 
   std::uint64_t packets_sealed_ = 0;

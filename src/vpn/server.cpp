@@ -1,5 +1,6 @@
 #include "vpn/server.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
@@ -310,33 +311,6 @@ Result<VpnServer::Event> VpnServer::handle_ping(const WireMessage& msg,
   return Event{PingIn{msg.session_id, *info}};
 }
 
-std::vector<WireMessage> VpnServer::seal_packet(std::uint32_t session_id,
-                                                ByteView ip_packet) {
-  Session* session = find_session(session_id);
-  if (!session) throw std::logic_error("VpnServer: unknown session");
-  std::vector<WireMessage> messages;
-  messages.reserve(fragment_count(ip_packet.size(), config_.mtu));
-  for_each_fragment(
-      ip_packet, config_.mtu, session->next_packet_id, session->next_frag_id++,
-      [&](const FragmentHeader& frag, ByteView slice) {
-        WireMessage msg;
-        msg.type = MsgType::Data;
-        msg.session_id = session_id;
-        seal_data_body(session->keys, frag, slice, session->iv_rng,
-                       session->seal_scratch);
-        msg.body.assign(session->seal_scratch.view().begin(),
-                        session->seal_scratch.view().end());
-        messages.push_back(std::move(msg));
-      });
-  return messages;
-}
-
-void VpnServer::seal_packet_wire(std::uint32_t session_id, ByteView ip_packet,
-                                 std::vector<Bytes>& frames) {
-  frames.resize(fragment_count(ip_packet.size(), config_.mtu));
-  seal_packet_wire_at(session_id, ip_packet, frames, 0);
-}
-
 std::size_t VpnServer::seal_fragments(std::uint32_t session_id, Session& session,
                                       ByteView ip_packet,
                                       std::vector<Bytes>& frames, std::size_t at,
@@ -346,9 +320,7 @@ std::size_t VpnServer::seal_fragments(std::uint32_t session_id, Session& session
       [&](const FragmentHeader& frag, ByteView slice) {
         seal_data_body(session.keys, frag, slice, session.iv_rng,
                        session.seal_scratch);
-        std::uint8_t* header = session.seal_scratch.prepend(kWireHeaderSize);
-        header[0] = static_cast<std::uint8_t>(MsgType::Data);
-        put_u32(header + 1, session_id);
+        prepend_wire_header(session.seal_scratch, MsgType::Data, session_id);
         std::size_t slot = at + frag.index;
         // Workers write into pre-sized disjoint slot ranges; only the
         // single-threaded callers may grow the vector.
@@ -439,13 +411,38 @@ void VpnServer::open_frame_on_shard(SessionShard& shard, const Bytes& wire,
   slot.ip_packet = std::move(*whole);
 }
 
+std::uint32_t VpnServer::dispatch_frames(std::span<const Bytes> wires,
+                                         std::size_t only) {
+  for (auto& shard : shards_) {
+    shard->lane.clear();
+    clear_results(shard->scratch);
+  }
+  std::uint32_t malformed = 0;
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    const Bytes& wire = wires[i];
+    auto type = wire.empty() ? MsgType{} : static_cast<MsgType>(wire[0]);
+    if (wire.size() < kWireHeaderSize ||
+        (type != MsgType::Data && type != MsgType::DataIntegrityOnly)) {
+      ++malformed;
+      continue;
+    }
+    std::size_t s = shard_of_session(get_u32(wire.data() + 1));
+    if (only >= shards_.size() || s == only)
+      shards_[s]->lane.push_back(static_cast<std::uint32_t>(i));
+  }
+  note_lane_peaks();
+  return malformed;
+}
+
+void VpnServer::note_lane_peaks() {
+  for (auto& shard : shards_)
+    shard->lane_peak = std::max<std::uint64_t>(shard->lane_peak, shard->lane.size());
+}
+
 void VpnServer::open_lane_frames(SessionShard& shard,
                                  std::span<const Bytes> wires, sim::Time now) {
-  std::uint32_t idx = 0;
-  while (shard.ring.try_pop(idx)) {
-    ++shard.lane_frames;
-    open_frame_on_shard(shard, wires[idx], idx, now);
-  }
+  shard.lane_frames += shard.lane.size();
+  for (std::uint32_t idx : shard.lane) open_frame_on_shard(shard, wires[idx], idx, now);
 }
 
 void VpnServer::collect_lane(SessionShard& shard, OpenBatch& out) {
@@ -494,47 +491,13 @@ void VpnServer::open_batch(std::span<const Bytes> wires, sim::Time now,
                            OpenBatch& out) {
   expire_idle_sessions(now);  // on the caller, before dispatch pins lanes
   clear_results(out);
-  for (auto& shard : shards_) {
-    shard->ring.clear();
-    shard->ring.reserve(wires.size());
-    clear_results(shard->scratch);
-  }
-
-  // Lane dispatch — the pipeline's only serial section: size/type
-  // check, RSS hash, ring push. No session lookup, no partition
-  // vectors; everything else runs on the lane.
-  std::size_t busy_lanes = 0;
-  std::size_t last_busy = 0;
-  for (std::size_t i = 0; i < wires.size(); ++i) {
-    const Bytes& wire = wires[i];
-    if (wire.size() < kWireHeaderSize) {
-      ++out.rejected;
-      continue;
-    }
-    auto type = static_cast<MsgType>(wire[0]);
-    if (type != MsgType::Data && type != MsgType::DataIntegrityOnly) {
-      ++out.rejected;
-      continue;
-    }
-    std::size_t s = shard_of_session(get_u32(wire.data() + 1));
-    if (shards_[s]->ring.empty()) {
-      ++busy_lanes;
-      last_busy = s;
-    }
-    shards_[s]->ring.try_push(static_cast<std::uint32_t>(i));  // reserved above
-  }
-
-  // Run the lanes: concurrently when more than one has work (caller
-  // participates via the pool), inline otherwise — a single-lane
-  // server never touches a lock, keeping the 1-lane path within noise
-  // of the pre-sharding baseline.
-  if (busy_lanes == 1) {
-    open_lane_frames(*shards_[last_busy], wires, now);
-  } else if (busy_lanes > 1) {
-    pool_->run(shards_.size(), [&](std::size_t s) {
-      if (!shards_[s]->ring.empty()) open_lane_frames(*shards_[s], wires, now);
-    });
-  }
+  out.rejected += dispatch_frames(wires, shards_.size());
+  // A single-lane server never touches a lock: its one busy lane runs
+  // inline on the caller.
+  click::ShardWorkerPool::run_busy(
+      pool_.get(), shards_.size(),
+      [&](std::size_t s) { return !shards_[s]->lane.empty(); },
+      [&](std::size_t s) { open_lane_frames(*shards_[s], wires, now); });
 
   // Collect in lane order — no cross-lane merge barrier. Per-session
   // order is exact (one FIFO lane per session); global order is not
@@ -547,21 +510,11 @@ void VpnServer::open_batch_lane(std::size_t lane, std::span<const Bytes> wires,
                                 sim::Time now, OpenBatch& out) {
   clear_results(out);
   SessionShard& target = *shards_.at(lane);
-  target.ring.clear();
-  target.ring.reserve(wires.size());
-  clear_results(target.scratch);
   // The full lane dispatch runs (every frame is size-checked and
   // hashed — that cost is real and serial), but only this lane's
-  // frames are pushed; timing this per lane and taking the max is the
+  // frames are listed; timing this per lane and taking the max is the
   // pipeline's honest critical path.
-  for (std::size_t i = 0; i < wires.size(); ++i) {
-    const Bytes& wire = wires[i];
-    if (wire.size() < kWireHeaderSize) continue;
-    auto type = static_cast<MsgType>(wire[0]);
-    if (type != MsgType::Data && type != MsgType::DataIntegrityOnly) continue;
-    if (shard_of_session(get_u32(wire.data() + 1)) != lane) continue;
-    target.ring.try_push(static_cast<std::uint32_t>(i));  // reserved above
-  }
+  dispatch_frames(wires, lane);
   open_lane_frames(target, wires, now);
   collect_lane(target, out);
 }
@@ -572,20 +525,9 @@ void VpnServer::reset_replay_windows() {
         [](std::uint32_t, Session& session) { session.replay = ReplayWindow{}; });
 }
 
-std::size_t VpnServer::seal_batch(std::uint32_t session_id,
-                                  std::span<const ByteView> ip_packets,
-                                  std::vector<Bytes>& frames, std::size_t at) {
-  for (ByteView ip_packet : ip_packets)
-    at = seal_packet_wire_at(session_id, ip_packet, frames, at);
-  return at;
-}
-
 std::size_t VpnServer::stage_seal_jobs(std::span<const SealJob> jobs,
                                        std::vector<Bytes>& frames) {
-  for (auto& shard : shards_) {
-    shard->ring.clear();
-    shard->ring.reserve(jobs.size());
-  }
+  for (auto& shard : shards_) shard->lane.clear();
   seal_bases_.resize(jobs.size());
   std::size_t total = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -593,10 +535,9 @@ std::size_t VpnServer::stage_seal_jobs(std::span<const SealJob> jobs,
       throw std::logic_error("VpnServer: unknown session");
     seal_bases_[j] = total;
     total += fragment_count(jobs[j].ip_packet.size(), config_.mtu);
-    // Hand the job to its session's lane through the SPSC ring (the
-    // lane pipeline's hand-off; never full — reserved above).
-    shard_of(jobs[j].session_id).ring.try_push(static_cast<std::uint32_t>(j));
+    shard_of(jobs[j].session_id).lane.push_back(static_cast<std::uint32_t>(j));
   }
+  note_lane_peaks();
   // Size the output once, up front: every job's slot range is disjoint,
   // so lane workers write without ever touching the vector itself.
   if (frames.size() < total) frames.resize(total);
@@ -605,8 +546,7 @@ std::size_t VpnServer::stage_seal_jobs(std::span<const SealJob> jobs,
 
 void VpnServer::seal_lane_jobs(SessionShard& shard, std::span<const SealJob> jobs,
                                std::vector<Bytes>& frames) {
-  std::uint32_t j = 0;
-  while (shard.ring.try_pop(j)) {
+  for (std::uint32_t j : shard.lane) {
     Session& session = shard.sessions.find(jobs[j].session_id)->value;
     seal_fragments(jobs[j].session_id, session, jobs[j].ip_packet, frames,
                    seal_bases_[j], /*may_grow=*/false);
@@ -616,23 +556,13 @@ void VpnServer::seal_lane_jobs(SessionShard& shard, std::span<const SealJob> job
 std::size_t VpnServer::seal_jobs(std::span<const SealJob> jobs,
                                  std::vector<Bytes>& frames) {
   std::size_t total = stage_seal_jobs(jobs, frames);
-  // Each lane drains its ring run-to-completion; output slots are
+  // Each lane drains its list run-to-completion; output slots are
   // disjoint and precomputed, so the frames are byte-identical at any
   // lane count.
-  std::size_t busy_lanes = 0;
-  std::size_t last_busy = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s]->ring.empty()) continue;
-    ++busy_lanes;
-    last_busy = s;
-  }
-  if (busy_lanes == 1) {
-    seal_lane_jobs(*shards_[last_busy], jobs, frames);
-  } else if (busy_lanes > 1) {
-    pool_->run(shards_.size(), [&](std::size_t s) {
-      if (!shards_[s]->ring.empty()) seal_lane_jobs(*shards_[s], jobs, frames);
-    });
-  }
+  click::ShardWorkerPool::run_busy(
+      pool_.get(), shards_.size(),
+      [&](std::size_t s) { return !shards_[s]->lane.empty(); },
+      [&](std::size_t s) { seal_lane_jobs(*shards_[s], jobs, frames); });
   return total;
 }
 
@@ -688,18 +618,17 @@ Status VpnServer::reshard_sessions(std::size_t new_shards) {
   return {};
 }
 
-WireMessage VpnServer::create_ping(std::uint32_t session_id) {
+Bytes VpnServer::create_ping(std::uint32_t session_id) {
   Session* session = find_session(session_id);
   if (!session) throw std::logic_error("VpnServer: unknown session");
   PingInfo info;
   info.seq = session->next_ping_seq++;
   info.config_version = config_version_;
   info.grace_period_secs = grace_secs_;
-  WireMessage msg;
-  msg.type = MsgType::Ping;
-  msg.session_id = session_id;
-  msg.body = seal_ping_body(session->keys, info);
-  return msg;
+  seal_ping_body(session->keys, info, session->seal_scratch);
+  prepend_wire_header(session->seal_scratch, MsgType::Ping, session_id);
+  return Bytes(session->seal_scratch.view().begin(),
+               session->seal_scratch.view().end());
 }
 
 void VpnServer::announce_config(std::uint32_t version, std::uint32_t grace_secs,

@@ -9,19 +9,26 @@
 // The data plane is session-sharded (NFOS-style state partitioning,
 // mirroring the enclave's RSS flow sharding): sessions are pinned to
 // one of N lanes by splitmix64(session_id) % N, and each lane owns its
-// sessions, buffer pool, SPSC hand-off ring and data-path statistics.
+// sessions, buffer pool, per-burst index list and data-path statistics.
 // open_batch / seal_jobs run the lanes run-to-completion: the caller's
-// only serial work is lane dispatch (size/type check, RSS hash, ring
-// push); the lane itself looks the session up, decrypts, checks
-// replay, reassembles and emits — and results concatenate in lane
-// order. Ordering is therefore guaranteed per session only (each
-// session lives on exactly one FIFO lane), not across the burst — the
-// run-to-completion contract; one lane is the N = 1 case and keeps
-// exact arrival order. No mutable state is shared between lanes, so
-// per-session order needs no locks. reshard_sessions() changes the
-// lane count at runtime without losing replay windows or pending
-// fragment groups — the hook an adaptive load controller drives (fed
-// per-lane ring depth and busy imbalance so it can split a hot lane).
+// only serial work is lane dispatch (size/type check, RSS hash, append
+// the frame or job index to its lane's list); the lane itself looks the
+// session up, decrypts, checks replay, reassembles and emits — and
+// results concatenate in lane order. A single busy lane runs inline on
+// the caller, two or more on the worker pool. Ordering is therefore
+// guaranteed per session only (each session lives on exactly one FIFO
+// lane), not across the burst — the run-to-completion contract; one
+// lane is the N = 1 case and keeps exact arrival order. No mutable
+// state is shared between lanes, so per-session order needs no locks.
+// reshard_sessions() changes the lane count at runtime without losing
+// replay windows or pending fragment groups — the hook an adaptive load
+// controller drives (fed per-lane backlog peaks and busy imbalance so
+// it can split a hot lane).
+//
+// Sealing has two entry points: seal_packet_wire_at for one session
+// and seal_jobs for a burst. The per-frame handle() stays as the
+// control-channel entry (handshakes, pings) and is the gateway oracle
+// the batched open path is tested against.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +42,6 @@
 
 #include "ca/certificate.hpp"
 #include "click/sharded_router.hpp"
-#include "click/spsc_ring.hpp"
 #include "common/hash.hpp"
 #include "common/lifecycle_table.hpp"
 #include "common/rng.hpp"
@@ -118,16 +124,12 @@ class VpnServer {
   /// session, stale configuration after grace expiry, version floor.
   Result<Event> handle(ByteView wire, sim::Time now);
 
-  /// Seals an IP packet towards a client session.
-  std::vector<WireMessage> seal_packet(std::uint32_t session_id, ByteView ip_packet);
-  /// Seals an IP packet directly into complete wire frames via the
-  /// session's scratch buffer (steady-state allocation-free; see
-  /// VpnClientSession::seal_packet_wire).
-  void seal_packet_wire(std::uint32_t session_id, ByteView ip_packet,
-                        std::vector<Bytes>& frames);
-  /// Batch-append variant mirroring VpnClientSession::seal_packet_wire_at:
-  /// writes this packet's frames at `frames[at..]`, reusing slot
-  /// capacity, and returns the index one past the last frame written.
+  /// Seals an IP packet towards a client session into complete wire
+  /// frames through the session's scratch buffer, mirroring
+  /// VpnClientSession::seal_packet_wire_at: writes this packet's frames
+  /// at `frames[at..]`, reusing slot capacity (steady-state
+  /// allocation-free), and returns the index one past the last frame
+  /// written. Throws std::logic_error on unknown sessions.
   std::size_t seal_packet_wire_at(std::uint32_t session_id, ByteView ip_packet,
                                   std::vector<Bytes>& frames, std::size_t at);
 
@@ -160,7 +162,7 @@ class VpnServer {
 
   /// Opens a burst of data frames on the run-to-completion lane
   /// pipeline: the caller's serial pass is lane dispatch only
-  /// (size/type check, RSS hash, SPSC ring push), then every frame
+  /// (size/type check, RSS hash, index-list append), then every frame
   /// runs entirely on its session's lane — session lookup, decrypt,
   /// replay check, reassembly — with lane-local pools, scratch and
   /// stats, and the lanes' results concatenate in lane order with no
@@ -175,8 +177,8 @@ class VpnServer {
   /// (ping/handshake) are rejected here; they belong on handle().
   void open_batch(std::span<const Bytes> wires, sim::Time now, OpenBatch& out);
 
-  /// Bench/test hook for the lane pipeline: runs the full lane
-  /// dispatch over `wires` but pushes (and then drains,
+  /// Bench/test hook for the lane pipeline: runs the same lane
+  /// dispatch over `wires` but lists (and then drains,
   /// run-to-completion, inline on the caller) only the frames whose
   /// session is pinned to `lane` — so timing this per lane and taking
   /// the max measures the pipeline's real critical path, dispatch
@@ -189,14 +191,6 @@ class VpnServer {
   /// pre-sealed burst can be opened repeatedly for timing.
   void reset_replay_windows();
 
-  /// Seals a run of IP packets to one session, appending each packet's
-  /// frames at `frames[at..]` with slot-capacity reuse (the batched
-  /// counterpart of seal_packet_wire_at). Returns one past the last
-  /// frame written.
-  std::size_t seal_batch(std::uint32_t session_id,
-                         std::span<const ByteView> ip_packets,
-                         std::vector<Bytes>& frames, std::size_t at = 0);
-
   /// One downlink packet of a multi-session seal burst.
   struct SealJob {
     std::uint32_t session_id = 0;
@@ -205,11 +199,11 @@ class VpnServer {
   /// Seals a burst of packets spanning any number of sessions: the
   /// caller computes every job's fragment count and output slot range
   /// up front (so `frames` is sized once and jobs never contend for
-  /// slots), hands each job to its session's lane through the SPSC
-  /// ring, and the lanes seal run-to-completion on the worker pool —
-  /// each job's frames land at its precomputed `frames` range, so the
-  /// output is byte-identical at any lane count and preserves input
-  /// order. Returns the total frame count. Throws std::logic_error on
+  /// slots), appends each job to its session's lane list, and the
+  /// lanes seal run-to-completion (on the worker pool when two or more
+  /// are busy) — each job's frames land at its precomputed `frames`
+  /// range, so the output is byte-identical at any lane count and
+  /// preserves input order. Returns the total frame count. Throws std::logic_error on
   /// unknown sessions (validated on the caller before any lane
   /// starts, as the disjoint-slot computation requires).
   std::size_t seal_jobs(std::span<const SealJob> jobs, std::vector<Bytes>& frames);
@@ -238,12 +232,12 @@ class VpnServer {
   std::size_t worker_threads() const { return pool_ ? pool_->worker_count() : 0; }
 
   // ---- Lane introspection (the reshard controller's imbalance feed) --
-  /// High-water mark of `lane`'s SPSC ring since the last
-  /// reset_lane_stats(): the deepest backlog dispatch ever built on
-  /// that lane. A hot lane shows a peak near the burst size while its
-  /// siblings stay shallow.
+  /// Largest per-burst index list (open frames or seal jobs) `lane`
+  /// received since the last reset_lane_stats(): the deepest backlog
+  /// dispatch ever built on that lane. A hot lane shows a peak near the
+  /// burst size while its siblings stay shallow.
   std::uint64_t lane_ring_peak(std::size_t lane) const {
-    return shards_.at(lane)->ring.peak();
+    return shards_.at(lane)->lane_peak;
   }
   /// Frames this lane processed run-to-completion (open path) since
   /// the last reset_lane_stats() — the lane's busy proxy.
@@ -264,13 +258,10 @@ class VpnServer {
   std::size_t lane_pool_buffers(std::size_t lane) const {
     return shards_.at(lane)->pool.pooled();
   }
-  /// Zeroes every lane's ring peak and frame counter (one controller
-  /// observation interval ends, the next begins).
+  /// Zeroes every lane's backlog peak and frame counter (one
+  /// controller observation interval ends, the next begins).
   void reset_lane_stats() {
-    for (auto& shard : shards_) {
-      shard->ring.reset_peak();
-      shard->lane_frames = 0;
-    }
+    for (auto& shard : shards_) shard->lane_peak = shard->lane_frames = 0;
   }
 
   /// Changes the session-shard count at runtime: every session moves
@@ -285,8 +276,9 @@ class VpnServer {
   Status reshard_sessions(std::size_t new_shards);
 
   /// Builds the periodic server ping announcing the current config
-  /// version and remaining grace (section III-E, step 4).
-  WireMessage create_ping(std::uint32_t session_id);
+  /// version and remaining grace (section III-E, step 4) as a complete
+  /// wire frame, sealed through the session's scratch buffer.
+  Bytes create_ping(std::uint32_t session_id);
 
   /// Administrator action (step 2-3): announce `version` with a grace
   /// period; after `now + grace` clients on older versions are blocked.
@@ -385,11 +377,11 @@ class VpnServer {
   /// the shard's timer wheel (common/lifecycle_table.hpp).
   using SessionTable = LifecycleTable<std::uint32_t, Session>;
 
-  /// One session lane: sessions, buffer pool, SPSC hand-off ring,
+  /// One session lane: sessions, buffer pool, per-burst index list,
   /// data-path statistics and per-burst scratch, owned exclusively by
-  /// one worker during a burst (the dispatcher fills the ring before
-  /// the pool runs; the pool's hand-off — or the ring's own
-  /// release/acquire pair — orders everything else).
+  /// one worker during a burst (dispatch fills every list before any
+  /// lane runs; the ShardWorkerPool mutex publishes the lists to the
+  /// workers and their results back, as for ShardedRouter).
   struct SessionShard {
     explicit SessionShard(SessionTable::Options options)
         : sessions(options) {}
@@ -398,7 +390,8 @@ class VpnServer {
     std::uint64_t auth_failures = 0;
     std::uint64_t replays_rejected = 0;
     std::uint64_t stale_config_drops = 0;
-    click::SpscRing<std::uint32_t> ring{64};  ///< lane hand-off: frame/job indices
+    std::vector<std::uint32_t> lane;  ///< this burst's frame/job indices
+    std::uint64_t lane_peak = 0;      ///< largest `lane` since reset_lane_stats
     std::uint64_t lane_frames = 0;  ///< frames opened run-to-completion
     std::uint64_t starved_mark = 0;  ///< pool.starved() at last rebalance
     OpenBatch scratch;                     ///< per-shard open results
@@ -437,14 +430,22 @@ class VpnServer {
   /// decrypt, replay, reassembly, emit.
   void open_frame_on_shard(SessionShard& shard, const Bytes& wire,
                            std::uint32_t idx, sim::Time now);
-  /// Drains `shard`'s ring run-to-completion (the lane worker body of
-  /// open_batch).
+  /// Lane dispatch for open_batch / open_batch_lane, the pipeline's
+  /// only serial section: size/type check, RSS hash, index append —
+  /// no session lookup. Lists the frames of lane `only` (every lane
+  /// when `only` is past the last lane), records lane peaks and
+  /// returns the count of malformed or non-data frames.
+  std::uint32_t dispatch_frames(std::span<const Bytes> wires, std::size_t only);
+  /// Records each lane's list size as a candidate backlog peak.
+  void note_lane_peaks();
+  /// Drains `shard`'s index list run-to-completion (the lane worker
+  /// body of open_batch).
   void open_lane_frames(SessionShard& shard, std::span<const Bytes> wires,
                         sim::Time now);
   /// Appends `shard`'s opened results to `out` (swapping packet
   /// buffers, so the circulation stays allocation-free).
   static void collect_lane(SessionShard& shard, OpenBatch& out);
-  /// Seals the jobs queued on `shard`'s ring into their slots.
+  /// Seals the jobs listed on `shard` into their slots.
   void seal_lane_jobs(SessionShard& shard, std::span<const SealJob> jobs,
                       std::vector<Bytes>& frames);
   /// Tops up lanes that starved this burst from the richest sibling
@@ -458,7 +459,7 @@ class VpnServer {
                              ByteView ip_packet, std::vector<Bytes>& frames,
                              std::size_t at, bool may_grow);
   /// Dispatches `jobs` (validating sessions, computing slot ranges and
-  /// pushing each job onto its lane's ring) and returns the total frame
+  /// appending each job to its lane's list) and returns the total frame
   /// count; seal_bases_ receives each job's first output slot.
   std::size_t stage_seal_jobs(std::span<const SealJob> jobs,
                               std::vector<Bytes>& frames);

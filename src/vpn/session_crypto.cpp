@@ -108,20 +108,6 @@ void seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
   append_mac(keys, "integ", out);
 }
 
-Bytes seal_data_body(const SessionKeys& keys, const FragmentHeader& frag,
-                     ByteView payload, Rng& rng) {
-  WireBuffer out;
-  seal_data_body(keys, frag, payload, rng, out);
-  return out.take();
-}
-
-Bytes seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
-                          ByteView payload) {
-  WireBuffer out;
-  seal_integrity_body(keys, frag, payload, out);
-  return out.take();
-}
-
 Result<OpenedBody> open_data_body(const SessionKeys& keys, Bytes&& body) {
   if (body.size() < kFragHeaderSize + 16 + kMacSize)
     return err("data body: too short");
@@ -170,12 +156,6 @@ void seal_ping_body(const SessionKeys& keys, const PingInfo& info,
   put_u32(p + 8, info.config_version);
   put_u32(p + 12, info.grace_period_secs);
   append_mac(keys, "ping", out);
-}
-
-Bytes seal_ping_body(const SessionKeys& keys, const PingInfo& info) {
-  WireBuffer out;
-  seal_ping_body(keys, info, out);
-  return out.take();
 }
 
 Result<PingInfo> open_ping_body(const SessionKeys& keys, ByteView body) {

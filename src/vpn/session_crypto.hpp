@@ -66,12 +66,6 @@ void seal_data_body(const SessionKeys& keys, const FragmentHeader& frag,
 void seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
                          ByteView payload, WireBuffer& out);
 
-/// Convenience variants returning fresh Bytes (one allocation).
-Bytes seal_data_body(const SessionKeys& keys, const FragmentHeader& frag,
-                     ByteView payload, Rng& rng);
-Bytes seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
-                          ByteView payload);
-
 struct OpenedBody {
   FragmentHeader frag;
   Bytes payload;
@@ -85,14 +79,24 @@ Result<OpenedBody> open_data_body(const SessionKeys& keys, Bytes&& body);
 /// out of the authenticated prefix, no copy).
 Result<OpenedBody> open_integrity_body(const SessionKeys& keys, Bytes&& body);
 
-/// Copying variants for callers that only hold a view.
+/// Copying variants for callers that only hold a view (the per-frame
+/// VpnServer::handle() path).
 Result<OpenedBody> open_data_body(const SessionKeys& keys, ByteView body);
 Result<OpenedBody> open_integrity_body(const SessionKeys& keys, ByteView body);
 
-/// Ping bodies (control channel).
-Bytes seal_ping_body(const SessionKeys& keys, const PingInfo& info);
-/// Seals a ping body into `out` (reset with kSealHeadroom so a wire
-/// header can be prepended); steady-state reuse allocates nothing.
+/// Prepends the wire header ([type][session_id]) into the headroom a
+/// seal left in `out`, so `out.view()` is a complete frame without
+/// assembly copies.
+inline void prepend_wire_header(WireBuffer& out, MsgType type,
+                                std::uint32_t session_id) {
+  std::uint8_t* header = out.prepend(kWireHeaderSize);
+  header[0] = static_cast<std::uint8_t>(type);
+  put_u32(header + 1, session_id);
+}
+
+/// Seals a ping body (control channel) into `out` (reset with
+/// kSealHeadroom so a wire header can be prepended); steady-state reuse
+/// allocates nothing.
 void seal_ping_body(const SessionKeys& keys, const PingInfo& info,
                     WireBuffer& out);
 Result<PingInfo> open_ping_body(const SessionKeys& keys, ByteView body);

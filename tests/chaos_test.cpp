@@ -29,6 +29,7 @@
 #include "endbox/reshard_controller.hpp"
 #include "netsim/topology.hpp"
 #include "sgx/enclave.hpp"
+#include "seal_frames.hpp"
 #include "sgx/platform.hpp"
 #include "vpn/client.hpp"
 #include "vpn/control.hpp"
@@ -174,14 +175,13 @@ struct ChaosWorld {
       fleet[owner->second]->server_received++;
       if (echo_packets) {
         for (const auto& frame :
-             server.seal_packet(packet->session_id, packet->ip_packet))
-          send_to_client(owner->second, frame.serialize(), t);
+             seal_frames(server, packet->session_id, packet->ip_packet))
+          send_to_client(owner->second, frame, t);
       }
     } else if (auto* ping = std::get_if<VpnServer::PingIn>(&*event)) {
       auto owner = session_owner.find(ping->session_id);
       if (owner == session_owner.end()) return;
-      send_to_client(owner->second,
-                     server.create_ping(ping->session_id).serialize(), t);
+      send_to_client(owner->second, server.create_ping(ping->session_id), t);
     }
   }
 
@@ -190,12 +190,7 @@ struct ChaosWorld {
     if (wire.empty()) return;
     MsgType type = static_cast<MsgType>(wire[0]);
     if (type == MsgType::Data || type == MsgType::DataIntegrityOnly) {
-      auto parsed = WireMessage::parse(wire);
-      if (!parsed.ok()) {
-        c.cp->note_auth_failure(t);
-        return;
-      }
-      auto opened = c.session.open_data(*parsed);
+      auto opened = c.session.open_data_frame(wire, {});
       if (!opened.ok()) {
         c.cp->note_auth_failure(t);
         return;
@@ -234,8 +229,8 @@ struct ChaosWorld {
       Bytes payload = {0xda, static_cast<std::uint8_t>(i),
                        static_cast<std::uint8_t>(c.data_sent),
                        static_cast<std::uint8_t>(c.data_sent >> 8)};
-      for (const auto& frame : c.session.seal_packet(payload))
-        send_to_server(i, frame.serialize(), now);
+      for (const auto& frame : seal_frames(c.session, payload))
+        send_to_server(i, frame, now);
       c.data_sent++;
     }
   }
@@ -486,8 +481,8 @@ TEST(ChaosNet, StormNeverEvictsAnEstablishedChattyClient) {
   }
   const Bytes chatter = {0xaa, 0xbb};
   auto chat = [&](VpnClientSession& c) {
-    for (const auto& frame : c.seal_packet(chatter))
-      ASSERT_TRUE(world.server.handle(frame.serialize(), t).ok());
+    for (const auto& frame : seal_frames(c, chatter))
+      ASSERT_TRUE(world.server.handle(frame, t).ok());
   };
   for (auto& c : residents) chat(c);
 

@@ -4,6 +4,7 @@
 
 #include "click/parser.hpp"
 #include "click/router.hpp"
+#include "click/sharded_router.hpp"
 #include "click/standard_elements.hpp"
 
 namespace endbox::click {
@@ -474,54 +475,61 @@ TEST(IpFilter, PortAndProtoConditions) {
 
 // ---- Hot swap -------------------------------------------------------------
 
+/// Hot-swap lives on ShardedRouter; one lane is the single-router case.
+std::unique_ptr<ShardedRouter> one_lane(const ElementRegistry& registry,
+                                        const std::string& config) {
+  auto built = ShardedRouter::create(
+      config, 1, [&registry](std::size_t, const std::string& text) {
+        return Router::from_config(text, registry);
+      });
+  if (!built.ok()) throw std::runtime_error(built.error());
+  return std::move(*built);
+}
+
 TEST(HotSwap, SwapsAtomicallyAndKeepsState) {
   auto registry = registry_with_sink();
-  RouterManager manager(registry);
-  ASSERT_TRUE(manager.install("in :: Counter; sink :: CaptureSink; in -> sink;").ok());
-  manager.current()->push_to("in", make_udp());
-  EXPECT_EQ(manager.current()->find_as<Counter>("in")->packets(), 1u);
+  auto router = one_lane(registry, "in :: Counter; sink :: CaptureSink; in -> sink;");
+  router->push_to("in", make_udp());
+  EXPECT_EQ(router->shard(0).find_as<Counter>("in")->packets(), 1u);
 
   // New config keeps element 'in' (Counter): its count must survive.
-  ASSERT_TRUE(manager
-                  .hot_swap("in :: Counter; mid :: Queue(10); sink :: CaptureSink;"
-                            "in -> mid; ")
+  ASSERT_TRUE(router
+                  ->hot_swap("in :: Counter; mid :: Queue(10); sink :: CaptureSink;"
+                             "in -> mid; ")
                   .ok());
-  EXPECT_EQ(manager.swap_count(), 1u);
-  EXPECT_EQ(manager.current()->find_as<Counter>("in")->packets(), 1u);
-  EXPECT_NE(manager.current()->find("mid"), nullptr);
+  EXPECT_EQ(router->shard(0).find_as<Counter>("in")->packets(), 1u);
+  EXPECT_NE(router->shard(0).find("mid"), nullptr);
 }
 
 TEST(HotSwap, FailedSwapKeepsOldRouter) {
   auto registry = ElementRegistry::with_standard_elements();
-  RouterManager manager(registry);
-  ASSERT_TRUE(manager.install("a :: Counter;").ok());
-  Router* before = manager.current();
-  EXPECT_FALSE(manager.hot_swap("broken :: NoSuchClass;").ok());
-  EXPECT_EQ(manager.current(), before);
-  EXPECT_EQ(manager.swap_count(), 0u);
+  auto router = one_lane(registry, "a :: Counter;");
+  Router* before = &router->shard(0);
+  EXPECT_FALSE(router->hot_swap("broken :: NoSuchClass;").ok());
+  EXPECT_EQ(&router->shard(0), before);
+  EXPECT_EQ(router->config_text(), "a :: Counter;");
 }
 
 TEST(HotSwap, StateNotTransferredAcrossDifferentClasses) {
   auto registry = ElementRegistry::with_standard_elements();
-  RouterManager manager(registry);
-  ASSERT_TRUE(manager.install("x :: Counter;").ok());
-  manager.current()->push_to("x", make_udp());
+  auto router = one_lane(registry, "x :: Counter;");
+  router->push_to("x", make_udp());
   // 'x' changes class: no state transfer, fresh Queue.
-  ASSERT_TRUE(manager.hot_swap("x :: Queue(5);").ok());
-  EXPECT_NE(manager.current()->find_as<Queue>("x"), nullptr);
+  ASSERT_TRUE(router->hot_swap("x :: Queue(5);").ok());
+  EXPECT_NE(router->shard(0).find_as<Queue>("x"), nullptr);
 }
 
 TEST(HotSwap, FlowTableSurvivesSwap) {
   auto registry = ElementRegistry::with_standard_elements();
-  RouterManager manager(registry);
-  ASSERT_TRUE(manager.install("lb :: RoundRobinSwitch(2, FLOW); c0 :: Counter; "
-                              "c1 :: Counter; lb -> c0; lb[1] -> c1;").ok());
-  auto* lb = manager.current()->find_as<RoundRobinSwitch>("lb");
+  const std::string config =
+      "lb :: RoundRobinSwitch(2, FLOW); c0 :: Counter; "
+      "c1 :: Counter; lb -> c0; lb[1] -> c1;";
+  auto router = one_lane(registry, config);
+  auto* lb = router->shard(0).find_as<RoundRobinSwitch>("lb");
   lb->push(0, make_udp());
   EXPECT_EQ(lb->tracked_flows(), 1u);
-  ASSERT_TRUE(manager.hot_swap("lb :: RoundRobinSwitch(2, FLOW); c0 :: Counter; "
-                               "c1 :: Counter; lb -> c0; lb[1] -> c1;").ok());
-  EXPECT_EQ(manager.current()->find_as<RoundRobinSwitch>("lb")->tracked_flows(), 1u);
+  ASSERT_TRUE(router->hot_swap(config).ok());
+  EXPECT_EQ(router->shard(0).find_as<RoundRobinSwitch>("lb")->tracked_flows(), 1u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "click/router.hpp"
+#include "click/sharded_router.hpp"
 #include "click/standard_elements.hpp"
 #include "elements/context.hpp"
 #include "elements/device.hpp"
@@ -186,20 +187,22 @@ TEST_F(Fixture, SplitterConfigErrors) {
 
 TEST_F(Fixture, SplitterStateSurvivesHotSwap) {
   auto registry = make_endbox_registry(context);
-  click::RouterManager manager(registry);
-  ASSERT_TRUE(manager.install(
+  const std::string config =
       "s :: TrustedSplitter(RATE 1e6, SAMPLE 1, BURST 16000); d :: Discard; "
-      "over :: Discard; s -> d; s[1] -> over;").ok());
-  auto* s = manager.current()->find_as<TrustedSplitter>("s");
+      "over :: Discard; s -> d; s[1] -> over;";
+  auto router = click::ShardedRouter::create(
+      config, 1, [&registry](std::size_t, const std::string& text) {
+        return click::Router::from_config(text, registry);
+      });
+  ASSERT_TRUE(router.ok()) << router.error();
+  auto* s = (*router)->shard(0).find_as<TrustedSplitter>("s");
   for (int i = 0; i < 50; ++i) s->push(0, benign(128));
   auto over_before = s->over_rate();
   ASSERT_GT(over_before, 0u);
   // Hot-swap to the same config: bucket state carries over, so the
   // limiter keeps rejecting (no fresh burst allowance).
-  ASSERT_TRUE(manager.hot_swap(
-      "s :: TrustedSplitter(RATE 1e6, SAMPLE 1, BURST 16000); d :: Discard; "
-      "over :: Discard; s -> d; s[1] -> over;").ok());
-  auto* s2 = manager.current()->find_as<TrustedSplitter>("s");
+  ASSERT_TRUE((*router)->hot_swap(config).ok());
+  auto* s2 = (*router)->shard(0).find_as<TrustedSplitter>("s");
   EXPECT_EQ(s2->over_rate(), over_before);
   s2->push(0, benign(128));
   EXPECT_EQ(s2->over_rate(), over_before + 1);  // still over rate

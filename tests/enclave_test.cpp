@@ -113,7 +113,8 @@ TEST_F(EnclaveFixture, DataPathGuardsWhenNotConnected) {
                         world.authority.public_key(), world.rng);
   EXPECT_FALSE(enclave.ecall_process_egress(world.benign_packet()).ok());
   EXPECT_FALSE(enclave.ecall_process_ingress(Bytes(32, 0)).ok());
-  EXPECT_FALSE(enclave.ecall_create_ping().ok());
+  Bytes ping;
+  EXPECT_FALSE(enclave.ecall_create_ping_wire(ping).ok());
   EXPECT_FALSE(enclave.ecall_handle_ping(Bytes(32, 0)).ok());
 }
 

@@ -173,9 +173,9 @@ TEST(EndBox, ConfigUpdateViaPingFlow) {
   EXPECT_NE(client.enclave().router()->find("fw"), nullptr);
 
   // Client proves the update with its next ping.
-  auto client_ping = client.create_ping(world.clock.now());
-  ASSERT_TRUE(client_ping.ok());
-  ASSERT_TRUE(world.server.handle_wire(*client_ping, world.clock.now()).ok());
+  Bytes client_ping;
+  ASSERT_TRUE(client.create_ping_wire(client_ping, world.clock.now()).ok());
+  ASSERT_TRUE(world.server.handle_wire(client_ping, world.clock.now()).ok());
   EXPECT_EQ(world.server.vpn().session_config_version(1), 3u);
 }
 
@@ -203,8 +203,9 @@ TEST(EndBox, StaleClientBlockedAfterGraceThenRecovers) {
   Bytes ping = world.server.create_ping(1);
   ASSERT_TRUE(client.handle_server_ping(ping, &world.server.file_server(),
                                         world.clock.now()).ok());
-  auto client_ping = client.create_ping(world.clock.now());
-  ASSERT_TRUE(world.server.handle_wire(*client_ping, world.clock.now()).ok());
+  Bytes client_ping;
+  ASSERT_TRUE(client.create_ping_wire(client_ping, world.clock.now()).ok());
+  ASSERT_TRUE(world.server.handle_wire(client_ping, world.clock.now()).ok());
   EXPECT_TRUE(world.send_through(client, world.benign_packet()).ok());
 }
 

@@ -1,24 +1,22 @@
-// Run-to-completion lane pipeline suite: SpscRing edge cases (full,
-// empty, wraparound, slot-generation reuse, live-entry growth) and a
-// two-thread producer/consumer stress run under TSan in CI; the
+// Run-to-completion lane pipeline suite: the
 // AdaptiveReshardController's imbalance feed (observe_lanes splits a
 // hot lane while the mean holds, refuses to shrink while a merge would
 // overload the hot lane, and reduces to the scalar observe() on
 // balanced lanes); the VpnServer lane pipeline end to end (per-session
 // ordering at 1/2/4/8 lanes, lossless 1→8→2 reshard, starved-lane
 // pool adoption, and a controller split driven by the server's own
-// lane stats).
+// lane stats, whose backlog peak is a max over bursts, not a sum, and
+// resets with the frame counts). Multi-lane bursts run on real worker
+// threads; CI runs this suite under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "ca/authority.hpp"
-#include "click/spsc_ring.hpp"
 #include "common/rng.hpp"
 #include "endbox/reshard_controller.hpp"
 #include "sgx/enclave.hpp"
@@ -28,132 +26,6 @@
 
 namespace endbox {
 namespace {
-
-// ---- SpscRing -------------------------------------------------------
-
-TEST(SpscRing, FullAndEmptyEdges) {
-  click::SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_TRUE(ring.empty());
-  int out = 0;
-  EXPECT_FALSE(ring.try_pop(out));  // empty pop fails, out untouched
-
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(int(i)));
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_FALSE(ring.try_push(99));  // full push fails...
-  EXPECT_EQ(ring.size(), 4u);       // ...and changes nothing
-
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);  // FIFO
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(click::SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(click::SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(click::SpscRing<int>(64).capacity(), 64u);
-  EXPECT_EQ(click::SpscRing<int>(65).capacity(), 128u);
-}
-
-TEST(SpscRing, WraparoundAndSlotGenerationReuse) {
-  // Positions are monotonic 64-bit counters masked into 4 slots, so
-  // every slot is reused once per 4 operations; interleaved push/pop
-  // at partial fill crosses the wrap boundary repeatedly and each
-  // generation must read back its own values, not a neighbour's.
-  click::SpscRing<std::uint64_t> ring(4);
-  std::uint64_t next_push = 0, next_pop = 0, out = 0;
-  for (int round = 0; round < 1000; ++round) {
-    std::size_t burst = 1 + round % 3;
-    for (std::size_t i = 0; i < burst; ++i)
-      ASSERT_TRUE(ring.try_push(std::uint64_t(next_push++)));
-    for (std::size_t i = 0; i < burst; ++i) {
-      ASSERT_TRUE(ring.try_pop(out));
-      ASSERT_EQ(out, next_pop++);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, PeakTracksProducerHighWater) {
-  click::SpscRing<int> ring(8);
-  EXPECT_EQ(ring.peak(), 0u);
-  for (int i = 0; i < 3; ++i) ring.try_push(int(i));
-  int out = 0;
-  while (ring.try_pop(out)) {
-  }
-  ring.try_push(1);
-  EXPECT_EQ(ring.peak(), 3u);  // high-water, not current depth
-  ring.reset_peak();
-  EXPECT_EQ(ring.peak(), 0u);
-  ring.try_push(2);
-  EXPECT_EQ(ring.peak(), 2u);  // depth after the reset: 2 queued
-}
-
-TEST(SpscRing, ReserveCarriesLiveEntries) {
-  click::SpscRing<int> ring(4);
-  // Advance past one wrap so the live run straddles the mask boundary,
-  // then grow: the entries must land at their positions' new slots.
-  int out = 0;
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(ring.try_push(int(i)));
-    if (i < 3) {
-      ASSERT_TRUE(ring.try_pop(out));
-    }
-  }
-  ASSERT_EQ(ring.size(), 3u);
-  ring.reserve(16);
-  EXPECT_EQ(ring.capacity(), 16u);
-  for (int expected = 3; expected < 6; ++expected) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, expected);
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, ClearDropsQueuedEntries) {
-  click::SpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) ring.try_push(int(i));
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
-  ring.try_push(42);
-  int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 42);
-}
-
-TEST(SpscRing, TwoThreadStress) {
-  // One producer, one consumer, a ring much smaller than the stream:
-  // both sides spin through full/empty backoffs, so the release/acquire
-  // pairs publish every slot across real thread hand-offs (this suite
-  // runs under TSan in CI). FIFO is asserted by value: the consumer
-  // must see exactly 0..N-1 in order.
-  // Both sides yield on a full/empty miss — on a single-core runner a
-  // bare spin burns whole scheduler quanta per hand-off.
-  constexpr std::uint64_t kItems = 100000;
-  click::SpscRing<std::uint64_t> ring(16);
-  std::uint64_t mismatches = 0;
-  std::thread consumer([&] {
-    std::uint64_t expected = 0, out = 0;
-    while (expected < kItems) {
-      if (ring.try_pop(out)) {
-        if (out != expected) ++mismatches;
-        ++expected;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < kItems; ++i)
-    while (!ring.try_push(std::uint64_t(i))) std::this_thread::yield();
-  consumer.join();
-  EXPECT_EQ(mismatches, 0u);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_GT(ring.peak(), 0u);
-  EXPECT_LE(ring.peak(), 16u);
-}
 
 // ---- AdaptiveReshardController imbalance feed -----------------------
 
@@ -415,10 +287,10 @@ TEST(LanePipeline, StarvedLaneAdoptsBuffersFromRichestSibling) {
 }
 
 TEST(LanePipeline, ServerLaneStatsDriveHotLaneSplit) {
-  // End to end: a skewed burst leaves one lane's ring peak and frame
+  // End to end: a skewed burst leaves one lane's backlog peak and frame
   // count far above its siblings'; feeding exactly those per-lane
   // stats into observe_lanes splits the lane while the mean sits in
-  // the hold band — ring depth and busy share are the controller's
+  // the hold band — backlog depth and busy share are the controller's
   // imbalance signal, not a synthetic vector.
   Pki pki;
   LaneRig rig(pki, 4, 12, 0xfeed33);
@@ -457,12 +329,31 @@ TEST(LanePipeline, ServerLaneStatsDriveHotLaneSplit) {
   }
   EXPECT_EQ(rig.server.lane_frames(hot), 40u);
 
+  // A second, smaller burst on the hot lane: the frame count adds up
+  // both bursts while the backlog peak stays the larger burst's — a
+  // high-water mark, not a running sum.
+  frames.clear();
+  for (int f = 0; f < 10; ++f)
+    rig.clients[by_lane[hot][0]].seal_packet_wire_at(
+        to_bytes("warm " + std::to_string(f)), frames, frames.size());
+  rig.server.open_batch(frames, 0, out);
+  ASSERT_EQ(out.rejected, 0u);
+  EXPECT_EQ(rig.server.lane_ring_peak(hot), 40u);
+  EXPECT_EQ(rig.server.lane_frames(hot), 50u);
+
   ReshardPolicy policy = lane_policy();
   policy.shard_capacity = 44.0;  // hot lane ~0.9, mean ~0.26: hold band
   AdaptiveReshardController controller(policy, 4);
   std::size_t target = controller.observe_lanes(lane_load);
-  EXPECT_EQ(target, 8u) << "ring/busy imbalance must split the hot lane";
+  EXPECT_EQ(target, 8u) << "backlog/busy imbalance must split the hot lane";
   EXPECT_EQ(controller.grow_decisions(), 1u);
+
+  // The observation interval ends: both lane stats start over.
+  rig.server.reset_lane_stats();
+  for (std::size_t l = 0; l < 4; ++l) {
+    EXPECT_EQ(rig.server.lane_ring_peak(l), 0u);
+    EXPECT_EQ(rig.server.lane_frames(l), 0u);
+  }
   ASSERT_TRUE(rig.server.reshard_sessions(target).ok());
   EXPECT_EQ(rig.server.session_shard_count(), 8u);
 }

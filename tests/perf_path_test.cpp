@@ -1,13 +1,16 @@
 // Fast-path performance-contract tests: the zero-allocation guarantees
 // of the WireBuffer seal/open path and of the pooled, batched enclave
-// ingress -> Click -> egress loop, WireBuffer/PacketPool semantics, the
-// seal_packet_wire frame format, and the FlowKey hash's collision
+// ingress -> Click -> egress loop, WireBuffer/PacketPool semantics
+// (rejected ingress frames keep the pool whole), the
+// seal_packet_wire_at frame format, and the FlowKey hash's collision
 // behaviour. The allocation assertions use replaced global operator
 // new/delete, so this suite owns its own binary.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <string>
 #include <unordered_set>
 
 #include "ca/authority.hpp"
@@ -201,7 +204,7 @@ TEST(FlowKeyHash, EqualKeysHashEqualDistinctKeysMostlyDiffer) {
   EXPECT_NE(h(a), h(b));
 }
 
-// ---- seal_packet_wire frame format ------------------------------------------
+// ---- seal_packet_wire_at frame format ---------------------------------------
 
 struct WireFixture : ::testing::Test {
   Rng rng{31};
@@ -247,7 +250,7 @@ TEST_F(WireFixture, ClientSealPacketWireFramesReachTheServer) {
   Rng payload_rng(9);
   Bytes ip_packet = payload_rng.bytes(1400);
   std::vector<Bytes> frames;
-  client.seal_packet_wire(ip_packet, frames);
+  client.seal_packet_wire_at(ip_packet, frames, 0);
   ASSERT_EQ(frames.size(), 1u);
 
   auto event = server.handle(frames[0], clock.now());
@@ -265,7 +268,7 @@ TEST_F(WireFixture, SealPacketWireFragmentsAtTheMtuAndReassembles) {
   Rng payload_rng(10);
   Bytes ip_packet = payload_rng.bytes(2500);
   std::vector<Bytes> frames;
-  client.seal_packet_wire(ip_packet, frames);
+  client.seal_packet_wire_at(ip_packet, frames, 0);
   ASSERT_EQ(frames.size(), 3u);
 
   Bytes delivered;
@@ -284,7 +287,7 @@ TEST_F(WireFixture, DegenerateZeroMtuStillDeliversEveryByte) {
   auto client = connect(config);
   Bytes ip_packet = to_bytes("abc");
   std::vector<Bytes> frames;
-  client.seal_packet_wire(ip_packet, frames);
+  client.seal_packet_wire_at(ip_packet, frames, 0);
   ASSERT_EQ(frames.size(), 3u);
   Bytes delivered;
   for (const auto& frame : frames) {
@@ -300,7 +303,7 @@ TEST_F(WireFixture, SealPacketWireFrameParsesAsAWireMessage) {
   auto client = connect();
   Bytes ip_packet = to_bytes("ip-bytes");
   std::vector<Bytes> frames;
-  client.seal_packet_wire(ip_packet, frames);
+  client.seal_packet_wire_at(ip_packet, frames, 0);
   ASSERT_EQ(frames.size(), 1u);
   auto msg = vpn::WireMessage::parse(frames[0]);
   ASSERT_TRUE(msg.ok()) << msg.error();
@@ -313,9 +316,9 @@ TEST_F(WireFixture, SealPacketWireReusesFrameCapacityAcrossCalls) {
   Rng payload_rng(11);
   Bytes ip_packet = payload_rng.bytes(1500);
   std::vector<Bytes> frames;
-  for (int i = 0; i < 4; ++i) client.seal_packet_wire(ip_packet, frames);
+  for (int i = 0; i < 4; ++i) client.seal_packet_wire_at(ip_packet, frames, 0);
   std::uint64_t before = g_allocations;
-  for (int i = 0; i < 100; ++i) client.seal_packet_wire(ip_packet, frames);
+  for (int i = 0; i < 100; ++i) client.seal_packet_wire_at(ip_packet, frames, 0);
   EXPECT_EQ(g_allocations - before, 0u);
 }
 
@@ -324,11 +327,9 @@ TEST_F(WireFixture, ServerSealPacketWireOpensAtTheClient) {
   Rng payload_rng(12);
   Bytes ip_packet = payload_rng.bytes(800);
   std::vector<Bytes> frames;
-  server.seal_packet_wire(client.session_id(), ip_packet, frames);
+  server.seal_packet_wire_at(client.session_id(), ip_packet, frames, 0);
   ASSERT_EQ(frames.size(), 1u);
-  auto msg = vpn::WireMessage::parse(frames[0]);
-  ASSERT_TRUE(msg.ok()) << msg.error();
-  auto opened = client.open_data(*msg);
+  auto opened = client.open_data_frame(frames[0], {});
   ASSERT_TRUE(opened.ok()) << opened.error();
   ASSERT_TRUE(opened->has_value());
   EXPECT_EQ(**opened, ip_packet);
@@ -340,7 +341,7 @@ TEST_F(WireFixture, IntegrityOnlySealPacketWireUsesTheIntegrityType) {
   auto client = connect(config);
   Bytes ip_packet = to_bytes("plaintext-ip");
   std::vector<Bytes> frames;
-  client.seal_packet_wire(ip_packet, frames);
+  client.seal_packet_wire_at(ip_packet, frames, 0);
   ASSERT_EQ(frames.size(), 1u);
   auto msg = vpn::WireMessage::parse(frames[0]);
   ASSERT_TRUE(msg.ok()) << msg.error();
@@ -599,6 +600,50 @@ TEST_F(FragmentedLoopFixture, SteadyStateFragmentedIngressRoundTripDoesNotAlloca
   for (int iter = 0; iter < 50; ++iter) run_burst();
   EXPECT_EQ(g_allocations - before, 0u)
       << "the fragmented ingress burst (open x3 -> reassemble -> Click) allocated";
+}
+
+TEST_F(EnclaveLoopFixture, RejectedIngressFramesReturnTheirPooledBuffers) {
+  // Every frame the enclave refuses hands back the buffers it drew:
+  // the pool keeps its size and no reject falls back to the heap.
+  auto& enclave = client->enclave();
+  net::PacketPool& pool = enclave.packet_pool();
+  std::uint32_t session = enclave.session()->session_id();
+  Bytes ip_packet = world.benign_packet(200).serialize();
+  std::vector<Bytes> frames;
+  auto seal = [&](ByteView payload) {
+    world.server.vpn().seal_packet_wire_at(session, payload, frames, 0);
+    return frames[0];
+  };
+  IngressBatch in;
+  auto deliver = [&](const Bytes& wire) {
+    auto status =
+        enclave.ecall_process_ingress_batch(std::span<const Bytes>(&wire, 1), in);
+    for (net::Packet& packet : in.packets) pool.release(std::move(packet));
+    in.packets.clear();
+    return status;
+  };
+  for (int warm = 0; warm < 4; ++warm) ASSERT_TRUE(deliver(seal(ip_packet)).ok());
+  const Bytes replayed = seal(ip_packet);
+  ASSERT_TRUE(deliver(replayed).ok());
+
+  std::map<std::string, std::vector<Bytes>> rejects;  // five frames per kind
+  for (int i = 0; i < 5; ++i) {
+    rejects["replayed"].push_back(replayed);
+    Bytes tampered = seal(ip_packet);
+    tampered[tampered.size() / 2] ^= 0x01;
+    rejects["MAC failure"].push_back(std::move(tampered));
+    rejects["unparsable payload"].push_back(seal(to_bytes("not an ip packet")));
+    rejects["truncated header"].push_back(
+        Bytes{static_cast<std::uint8_t>(vpn::MsgType::Data), 0});
+  }
+  ASSERT_GT(pool.pooled(), 0u);
+  for (const auto& [kind, wires] : rejects) {
+    std::size_t pooled = pool.pooled();
+    std::uint64_t starved = pool.starved();
+    for (const Bytes& wire : wires) EXPECT_FALSE(deliver(wire).ok()) << kind;
+    EXPECT_EQ(pool.pooled(), pooled) << kind;
+    EXPECT_EQ(pool.starved(), starved) << kind;
+  }
 }
 
 TEST_F(EnclaveLoopFixture, SteadyStatePingPathDoesNotAllocate) {

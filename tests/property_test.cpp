@@ -85,9 +85,9 @@ TEST_P(UseCaseSweep, HotSwapToEveryOtherUseCaseWorks) {
     EXPECT_EQ(client.enclave().config_version(), version);
     // Traffic still flows right after the swap, but first prove the
     // update to the server via a ping (grace period is zero).
-    auto ping = client.create_ping(world.clock.now());
-    ASSERT_TRUE(ping.ok());
-    ASSERT_TRUE(world.server.handle_wire(*ping, world.clock.now()).ok());
+    Bytes ping;
+    ASSERT_TRUE(client.create_ping_wire(ping, world.clock.now()).ok());
+    ASSERT_TRUE(world.server.handle_wire(ping, world.clock.now()).ok());
     auto in = world.send_through(client, world.benign_packet());
     ASSERT_TRUE(in.ok()) << in.error();
     ++version;
@@ -125,8 +125,12 @@ TEST_P(VpnBodySweep, SealOpenRoundTripAndTamperDetection) {
   Bytes payload = rng.bytes(size);
   vpn::FragmentHeader frag{7, 3, 0, 1};
 
-  Bytes body = encrypted ? vpn::seal_data_body(keys, frag, payload, rng)
-                         : vpn::seal_integrity_body(keys, frag, payload);
+  WireBuffer sealed;
+  if (encrypted)
+    vpn::seal_data_body(keys, frag, payload, rng, sealed);
+  else
+    vpn::seal_integrity_body(keys, frag, payload, sealed);
+  Bytes body = sealed.take();
   auto opened = encrypted ? vpn::open_data_body(keys, body)
                           : vpn::open_integrity_body(keys, body);
   ASSERT_TRUE(opened.ok()) << opened.error();

@@ -12,6 +12,7 @@
 #include "ca/authority.hpp"
 #include "endbox/reshard_controller.hpp"
 #include "endbox_world.hpp"
+#include "seal_frames.hpp"
 #include "sgx/enclave.hpp"
 #include "sgx/platform.hpp"
 #include "vpn/client.hpp"
@@ -479,9 +480,9 @@ TEST(ScalabilityTest, MillionSessionChurnStaysBounded) {
       ++created;
 
       // Traffic: a live session's packet must always land (zero loss).
-      auto frames = client.seal_packet(payload);
+      auto frames = vpn::seal_frames(client, payload);
       ASSERT_EQ(frames.size(), 1u);
-      auto event = server.handle(frames[0].serialize(), now);
+      auto event = server.handle(frames[0], now);
       ASSERT_TRUE(event.ok()) << event.error();
       auto* in = std::get_if<vpn::VpnServer::PacketIn>(&*event);
       ASSERT_NE(in, nullptr);

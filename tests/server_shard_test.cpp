@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "endbox/reshard_controller.hpp"
 #include "oracle/gateway.hpp"
+#include "seal_frames.hpp"
 #include "sgx/enclave.hpp"
 #include "sgx/platform.hpp"
 #include "vpn/client.hpp"
@@ -257,7 +258,7 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
     one.server.open_batch(frames_one, 0, out_one);
     four.server.open_batch(frames_four, 0, out_four);
     oracle::open_by_handle(twin.server, frames_twin, 0, out_twin);
-    // One lane = one FIFO ring: exact arrival order.
+    // One lane = one FIFO list: exact arrival order.
     expect_batches_equal(out_one, out_twin, "1-lane vs handle()");
     // Four lanes: same packets, lane-concatenation order, per-session
     // order intact.
@@ -310,7 +311,7 @@ TEST(ServerShard, SealJobsEquivalentAcrossShardCountsAndSequentialSeal) {
     for (; k < kSessions; ++k)
       if (four.clients[k].session_id() == msg->session_id) break;
     ASSERT_LT(k, kSessions);
-    auto opened = four.clients[k].open_data(*msg);
+    auto opened = four.clients[k].open_data_frame(frames_four[f], {});
     ASSERT_TRUE(opened.ok()) << opened.error();
   }
   std::vector<VpnServer::SealJob> bad_jobs{{0xdeadbeefu, payloads[0]}};
@@ -412,7 +413,7 @@ TEST(ServerShard, ReshardMigratesExpiryDeadlinesExactly) {
   // Distinct stamps: session k last talks at t = k seconds (session 0
   // keeps its handshake-time stamp of 0).
   for (std::size_t k = 1; k < kSessions; ++k) {
-    auto wire = rig.clients[k].seal_packet(to_bytes("stamp"))[0].serialize();
+    auto wire = seal_frames(rig.clients[k], to_bytes("stamp"))[0];
     ASSERT_TRUE(server.handle(wire, k * sim::kSecond).ok());
   }
   // Session 0 expires on the old sharding; its count must fold through.

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "sgx/enclave.hpp"
 #include "sgx/platform.hpp"
+#include "seal_frames.hpp"
 #include "vpn/client.hpp"
 #include "vpn/replay.hpp"
 #include "vpn/server.hpp"
@@ -421,9 +422,9 @@ TEST_F(TunnelFixture, HandshakeEstablishes) {
 TEST_F(TunnelFixture, DataRoundTripClientToServer) {
   auto client = connect();
   Bytes ip_packet = to_bytes("pretend-ip-packet-bytes");
-  auto messages = client.seal_packet(ip_packet);
+  auto messages = seal_frames(client, ip_packet);
   ASSERT_EQ(messages.size(), 1u);
-  auto event = server.handle(messages[0].serialize(), clock.now());
+  auto event = server.handle(messages[0], clock.now());
   ASSERT_TRUE(event.ok()) << event.error();
   auto& packet = std::get<VpnServer::PacketIn>(*event);
   EXPECT_EQ(packet.ip_packet, ip_packet);
@@ -433,9 +434,9 @@ TEST_F(TunnelFixture, DataRoundTripClientToServer) {
 TEST_F(TunnelFixture, DataRoundTripServerToClient) {
   auto client = connect();
   Bytes ip_packet = to_bytes("server pushes this");
-  auto messages = server.seal_packet(client.session_id(), ip_packet);
+  auto messages = seal_frames(server, client.session_id(), ip_packet);
   ASSERT_EQ(messages.size(), 1u);
-  auto opened = client.open_data(messages[0]);
+  auto opened = client.open_data_frame(messages[0], {});
   ASSERT_TRUE(opened.ok()) << opened.error();
   ASSERT_TRUE(opened->has_value());
   EXPECT_EQ(**opened, ip_packet);
@@ -447,14 +448,14 @@ TEST_F(TunnelFixture, LargePacketsFragmentAndReassemble) {
   auto client = connect(config);
   Rng data_rng(5);
   Bytes big = data_rng.bytes(64 * 1024);
-  auto messages = client.seal_packet(big);
+  auto messages = seal_frames(client, big);
   EXPECT_EQ(messages.size(), 8u);  // ceil(65536 / 9000)
   for (std::size_t i = 0; i + 1 < messages.size(); ++i) {
-    auto event = server.handle(messages[i].serialize(), clock.now());
+    auto event = server.handle(messages[i], clock.now());
     ASSERT_TRUE(event.ok());
     EXPECT_TRUE(std::holds_alternative<VpnServer::FragmentPending>(*event));
   }
-  auto last = server.handle(messages.back().serialize(), clock.now());
+  auto last = server.handle(messages.back(), clock.now());
   ASSERT_TRUE(last.ok());
   EXPECT_EQ(std::get<VpnServer::PacketIn>(*last).ip_packet, big);
 }
@@ -522,7 +523,7 @@ TEST_F(TunnelFixture, OpenBatchRejectsBadFramesIndividually) {
   EXPECT_EQ(to_string(out.packets[1].ip_packet), "good-2");
 
   // A ping frame does not belong on the batched data drain.
-  Bytes ping = client.create_ping().serialize();
+  Bytes ping = ping_frame(client);
   std::vector<Bytes> control{ping};
   server.open_batch(std::span<const Bytes>(control.data(), 1), clock.now(), out);
   EXPECT_EQ(out.rejected, 1u);
@@ -582,14 +583,14 @@ TEST_F(TunnelFixture, SealBatchRoundTripsThroughTheClient) {
   auto client = connect();
   Bytes a = to_bytes("downlink-a");
   Bytes b = to_bytes("downlink-b-longer");
-  std::array<ByteView, 2> packets{ByteView(a), ByteView(b)};
+  std::array<VpnServer::SealJob, 2> jobs{
+      VpnServer::SealJob{client.session_id(), a},
+      VpnServer::SealJob{client.session_id(), b}};
   std::vector<Bytes> frames;
-  std::size_t n = server.seal_batch(client.session_id(), packets, frames);
+  std::size_t n = server.seal_jobs(jobs, frames);
   ASSERT_EQ(n, 2u);
   for (std::size_t i = 0; i < n; ++i) {
-    auto msg = WireMessage::parse(frames[i]);
-    ASSERT_TRUE(msg.ok());
-    auto opened = client.open_data(*msg);
+    auto opened = client.open_data_frame(frames[i], {});
     ASSERT_TRUE(opened.ok()) << opened.error();
     ASSERT_TRUE(opened->has_value());
     EXPECT_EQ(**opened, i == 0 ? a : b);
@@ -599,7 +600,7 @@ TEST_F(TunnelFixture, SealBatchRoundTripsThroughTheClient) {
 TEST_F(TunnelFixture, CiphertextRevealsNothingObvious) {
   auto client = connect();
   Bytes secret = to_bytes("SUPER-SECRET-MARKER");
-  auto wire = client.seal_packet(secret)[0].serialize();
+  auto wire = seal_frames(client, secret)[0];
   // The plaintext marker must not appear in the sealed message.
   auto it = std::search(wire.begin(), wire.end(), secret.begin(), secret.end());
   EXPECT_EQ(it, wire.end());
@@ -607,7 +608,7 @@ TEST_F(TunnelFixture, CiphertextRevealsNothingObvious) {
 
 TEST_F(TunnelFixture, TamperedDataRejected) {
   auto client = connect();
-  auto msg = client.seal_packet(to_bytes("payload"))[0];
+  auto msg = *WireMessage::parse(seal_frames(client, to_bytes("payload"))[0]);
   msg.body[msg.body.size() / 2] ^= 1;
   EXPECT_FALSE(server.handle(msg.serialize(), clock.now()).ok());
   EXPECT_EQ(server.auth_failures(), 1u);
@@ -615,7 +616,7 @@ TEST_F(TunnelFixture, TamperedDataRejected) {
 
 TEST_F(TunnelFixture, ReplayedTrafficRejected) {
   auto client = connect();
-  auto wire = client.seal_packet(to_bytes("payload"))[0].serialize();
+  auto wire = seal_frames(client, to_bytes("payload"))[0];
   EXPECT_TRUE(server.handle(wire, clock.now()).ok());
   auto replay = server.handle(wire, clock.now());
   EXPECT_FALSE(replay.ok());
@@ -625,7 +626,7 @@ TEST_F(TunnelFixture, ReplayedTrafficRejected) {
 
 TEST_F(TunnelFixture, UnknownSessionRejected) {
   auto client = connect();
-  auto msg = client.seal_packet(to_bytes("x"))[0];
+  auto msg = *WireMessage::parse(seal_frames(client, to_bytes("x"))[0]);
   msg.session_id = 999;
   EXPECT_FALSE(server.handle(msg.serialize(), clock.now()).ok());
 }
@@ -670,7 +671,7 @@ TEST_F(TunnelFixture, IntegrityOnlyModeRequiresServerPolicy) {
   VpnClientConfig isp_config;
   isp_config.encrypt_data = false;
   auto client = connect(isp_config);
-  auto msg = client.seal_packet(to_bytes("isp traffic"))[0];
+  auto msg = *WireMessage::parse(seal_frames(client, to_bytes("isp traffic"))[0]);
   EXPECT_EQ(msg.type, MsgType::DataIntegrityOnly);
   // Default server policy: reject.
   EXPECT_FALSE(server.handle(msg.serialize(), clock.now()).ok());
@@ -689,14 +690,14 @@ TEST_F(TunnelFixture, IntegrityOnlyModeWorksWhenAllowed) {
   auto reply = WireMessage::parse(std::get<VpnServer::HandshakeDone>(*event).reply_wire);
   ASSERT_TRUE(client.process_handshake_reply(*reply).ok());
 
-  auto msg = client.seal_packet(to_bytes("isp traffic"))[0];
+  auto msg = *WireMessage::parse(seal_frames(client, to_bytes("isp traffic"))[0]);
   auto data_event = isp_server.handle(msg.serialize(), 0);
   ASSERT_TRUE(data_event.ok()) << data_event.error();
   auto& packet = std::get<VpnServer::PacketIn>(*data_event);
   EXPECT_FALSE(packet.was_encrypted);
   EXPECT_EQ(packet.ip_packet, to_bytes("isp traffic"));
   // Integrity still enforced:
-  auto msg2 = client.seal_packet(to_bytes("isp traffic 2"))[0];
+  auto msg2 = *WireMessage::parse(seal_frames(client, to_bytes("isp traffic 2"))[0]);
   msg2.body[20] ^= 1;
   EXPECT_FALSE(isp_server.handle(msg2.serialize(), 0).ok());
 }
@@ -706,14 +707,14 @@ TEST_F(TunnelFixture, PingCarriesConfigVersionBothWays) {
   // Server -> client ping announces version + grace.
   server.announce_config(5, 30, clock.now());
   auto server_ping = server.create_ping(client.session_id());
-  auto info = client.process_ping(server_ping);
+  auto info = client.process_ping(*WireMessage::parse(server_ping));
   ASSERT_TRUE(info.ok()) << info.error();
   EXPECT_EQ(info->config_version, 5u);
   EXPECT_EQ(info->grace_period_secs, 30u);
 
   // Client -> server ping proves the update was applied.
   client.set_config_version(5);
-  auto event = server.handle(client.create_ping().serialize(), clock.now());
+  auto event = server.handle(ping_frame(client), clock.now());
   ASSERT_TRUE(event.ok());
   EXPECT_EQ(std::get<VpnServer::PingIn>(*event).info.config_version, 5u);
   EXPECT_EQ(server.session_config_version(client.session_id()), 5u);
@@ -726,26 +727,28 @@ TEST_F(TunnelFixture, CraftedPingRejected) {
   forged.session_id = client.session_id();
   PingInfo fake{1, 999, 0};
   SessionKeys wrong_keys{Bytes(16, 0), Bytes(32, 0)};
-  forged.body = seal_ping_body(wrong_keys, fake);
+  WireBuffer body;
+  seal_ping_body(wrong_keys, fake, body);
+  forged.body = body.take();
   EXPECT_FALSE(server.handle(forged.serialize(), clock.now()).ok());
   EXPECT_EQ(server.auth_failures(), 1u);
 }
 
 TEST_F(TunnelFixture, StaleConfigBlockedAfterGrace) {
   auto client = connect();  // client at config version 1
-  ASSERT_TRUE(server.handle(client.seal_packet(to_bytes("ok")) [0].serialize(),
+  ASSERT_TRUE(server.handle(seal_frames(client, to_bytes("ok"))[0],
                             clock.now()).ok());
 
   server.announce_config(2, 10, clock.now());  // v2, 10 s grace
 
   // During grace: old config still accepted.
   clock.advance_to(5 * sim::kSecond);
-  EXPECT_TRUE(server.handle(client.seal_packet(to_bytes("still ok"))[0].serialize(),
+  EXPECT_TRUE(server.handle(seal_frames(client, to_bytes("still ok"))[0],
                             clock.now()).ok());
 
   // After grace: blocked.
   clock.advance_to(11 * sim::kSecond);
-  auto blocked = server.handle(client.seal_packet(to_bytes("nope"))[0].serialize(),
+  auto blocked = server.handle(seal_frames(client, to_bytes("nope"))[0],
                                clock.now());
   EXPECT_FALSE(blocked.ok());
   EXPECT_NE(blocked.error().find("stale"), std::string::npos);
@@ -753,19 +756,19 @@ TEST_F(TunnelFixture, StaleConfigBlockedAfterGrace) {
 
   // Client updates and proves it via ping: traffic flows again.
   client.set_config_version(2);
-  ASSERT_TRUE(server.handle(client.create_ping().serialize(), clock.now()).ok());
-  EXPECT_TRUE(server.handle(client.seal_packet(to_bytes("fresh"))[0].serialize(),
+  ASSERT_TRUE(server.handle(ping_frame(client), clock.now()).ok());
+  EXPECT_TRUE(server.handle(seal_frames(client, to_bytes("fresh"))[0],
                             clock.now()).ok());
 }
 
 TEST_F(TunnelFixture, ConfigVersionCannotRollBack) {
   auto client = connect();
   client.set_config_version(5);
-  ASSERT_TRUE(server.handle(client.create_ping().serialize(), clock.now()).ok());
+  ASSERT_TRUE(server.handle(ping_frame(client), clock.now()).ok());
   EXPECT_EQ(server.session_config_version(client.session_id()), 5u);
   // A malicious ping claiming an older version must not roll back.
   client.set_config_version(3);
-  ASSERT_TRUE(server.handle(client.create_ping().serialize(), clock.now()).ok());
+  ASSERT_TRUE(server.handle(ping_frame(client), clock.now()).ok());
   EXPECT_EQ(server.session_config_version(client.session_id()), 5u);
 }
 
@@ -780,8 +783,8 @@ TEST_F(TunnelFixture, MultipleClients) {
   auto c2 = connect();
   EXPECT_NE(c1.session_id(), c2.session_id());
   EXPECT_EQ(server.session_count(), 2u);
-  auto e1 = server.handle(c1.seal_packet(to_bytes("from c1"))[0].serialize(), 0);
-  auto e2 = server.handle(c2.seal_packet(to_bytes("from c2"))[0].serialize(), 0);
+  auto e1 = server.handle(seal_frames(c1, to_bytes("from c1"))[0], 0);
+  auto e2 = server.handle(seal_frames(c2, to_bytes("from c2"))[0], 0);
   ASSERT_TRUE(e1.ok());
   ASSERT_TRUE(e2.ok());
   EXPECT_EQ(std::get<VpnServer::PacketIn>(*e1).session_id, c1.session_id());
@@ -803,13 +806,13 @@ TEST_F(TunnelFixture, IdleSessionExpiresAndFiresCloseHook) {
 
   // Only `active` keeps talking.
   clock.advance_to(20 * sim::kSecond);
-  ASSERT_TRUE(srv.handle(active.seal_packet(to_bytes("keepalive"))[0].serialize(),
+  ASSERT_TRUE(srv.handle(seal_frames(active, to_bytes("keepalive"))[0],
                          clock.now())
                   .ok());
   // 31 s in: `idle` (silent since its handshake at t=0) is past the
   // timeout; the sweep runs on the next frame the server sees.
   clock.advance_to(31 * sim::kSecond);
-  ASSERT_TRUE(srv.handle(active.seal_packet(to_bytes("tick"))[0].serialize(),
+  ASSERT_TRUE(srv.handle(seal_frames(active, to_bytes("tick"))[0],
                          clock.now())
                   .ok());
   EXPECT_EQ(srv.session_count(), 1u);
@@ -817,7 +820,7 @@ TEST_F(TunnelFixture, IdleSessionExpiresAndFiresCloseHook) {
   EXPECT_EQ(closed, (std::vector<std::uint32_t>{idle.session_id()}));
   EXPECT_TRUE(srv.has_session(active.session_id()));
   // The expired session's traffic is now rejected like any unknown id.
-  EXPECT_FALSE(srv.handle(idle.seal_packet(to_bytes("x"))[0].serialize(),
+  EXPECT_FALSE(srv.handle(seal_frames(idle, to_bytes("x"))[0],
                           clock.now())
                    .ok());
 }
@@ -830,7 +833,7 @@ TEST_F(TunnelFixture, CloseSessionDropsStateAndFiresHook) {
   EXPECT_FALSE(server.close_session(client.session_id()));  // already gone
   EXPECT_EQ(server.session_count(), 0u);
   EXPECT_EQ(closed, (std::vector<std::uint32_t>{client.session_id()}));
-  EXPECT_FALSE(server.handle(client.seal_packet(to_bytes("x"))[0].serialize(),
+  EXPECT_FALSE(server.handle(seal_frames(client, to_bytes("x"))[0],
                              clock.now())
                    .ok());
   // Re-key: a fresh handshake establishes a brand-new session.
@@ -866,7 +869,7 @@ TEST_F(TunnelFixture, GarbageFloodDoesNotKeepSessionAlive) {
   config.session_idle_timeout = 30 * sim::kSecond;
   VpnServer srv(rng, authority.public_key(), config);
   auto client = connect_to(srv);
-  auto msg = client.seal_packet(to_bytes("payload"))[0];
+  auto msg = *WireMessage::parse(seal_frames(client, to_bytes("payload"))[0]);
   msg.body[msg.body.size() / 2] ^= 1;  // break the MAC
   Bytes tampered = msg.serialize();
   for (sim::Time t = 5; t <= 25; t += 10) {
@@ -889,10 +892,10 @@ TEST_F(TunnelFixture, FragmentHorizonDropsStaleGroupsInTheServer) {
   auto client = connect_to(srv, client_config);
   Rng data_rng(17);
   Bytes big = data_rng.bytes(250);  // 3 fragments
-  auto messages = client.seal_packet(big);
+  auto messages = seal_frames(client, big);
   ASSERT_EQ(messages.size(), 3u);
   for (int i = 0; i < 2; ++i) {
-    auto event = srv.handle(messages[static_cast<std::size_t>(i)].serialize(),
+    auto event = srv.handle(messages[static_cast<std::size_t>(i)],
                             clock.now());
     ASSERT_TRUE(event.ok());
     EXPECT_TRUE(std::holds_alternative<VpnServer::FragmentPending>(*event));
@@ -900,33 +903,32 @@ TEST_F(TunnelFixture, FragmentHorizonDropsStaleGroupsInTheServer) {
   // The last fragment lands 10 s later: the half-built group (born at
   // t=0) aged out, so instead of completing it reopens a fresh group.
   clock.advance_to(10 * sim::kSecond);
-  auto late = srv.handle(messages[2].serialize(), clock.now());
+  auto late = srv.handle(messages[2], clock.now());
   ASSERT_TRUE(late.ok());
   EXPECT_TRUE(std::holds_alternative<VpnServer::FragmentPending>(*late));
   EXPECT_EQ(srv.fragments_expired(), 1u);
   // A fresh large packet delivered promptly still reassembles fine.
   Bytes big2 = data_rng.bytes(250);
-  auto messages2 = client.seal_packet(big2);
+  auto messages2 = seal_frames(client, big2);
   ASSERT_EQ(messages2.size(), 3u);
   for (std::size_t i = 0; i + 1 < messages2.size(); ++i)
-    ASSERT_TRUE(srv.handle(messages2[i].serialize(), clock.now()).ok());
-  auto done = srv.handle(messages2.back().serialize(), clock.now());
+    ASSERT_TRUE(srv.handle(messages2[i], clock.now()).ok());
+  auto done = srv.handle(messages2.back(), clock.now());
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(std::get<VpnServer::PacketIn>(*done).ip_packet, big2);
 }
 
 TEST_F(TunnelFixture, SealBeforeHandshakeThrows) {
   auto client = make_client();
-  EXPECT_THROW(client.seal_packet(to_bytes("x")), std::logic_error);
-  EXPECT_THROW(client.create_ping(), std::logic_error);
+  EXPECT_THROW(seal_frames(client, to_bytes("x")), std::logic_error);
+  EXPECT_THROW(ping_frame(client), std::logic_error);
 }
 
 // ---- Robustness: mutation fuzz, duplicate handshakes, re-key ---------------
 
 TEST_F(TunnelFixture, MutationFuzzDataFrameEveryByteRejectsCleanly) {
   auto client = connect();
-  std::vector<Bytes> frames;
-  client.seal_packet_wire(to_bytes("fuzz-me-until-i-break"), frames);
+  auto frames = seal_frames(client, to_bytes("fuzz-me-until-i-break"));
   ASSERT_EQ(frames.size(), 1u);
   const Bytes valid = frames[0];
   VpnServer::OpenBatch out;
@@ -1013,14 +1015,14 @@ TEST_F(TunnelFixture, DuplicateHandshakeReplyDoesNotResetTheSession) {
   ASSERT_TRUE(client.process_handshake_reply(*reply).ok());
   // Send some data so the replay window has advanced past zero.
   for (int i = 0; i < 3; ++i) {
-    auto sent = client.seal_packet(to_bytes("pkt"));
-    ASSERT_TRUE(server.handle(sent[0].serialize(), clock.now()).ok());
+    auto sent = seal_frames(client, to_bytes("pkt"));
+    ASSERT_TRUE(server.handle(sent[0], clock.now()).ok());
   }
   // The duplicated reply lands again: success with no state change —
   // keys, session id and the replay window all survive.
   ASSERT_TRUE(client.process_handshake_reply(*reply).ok());
-  auto sent = client.seal_packet(to_bytes("after-dup"));
-  auto opened = server.handle(sent[0].serialize(), clock.now());
+  auto sent = seal_frames(client, to_bytes("after-dup"));
+  auto opened = server.handle(sent[0], clock.now());
   ASSERT_TRUE(opened.ok()) << opened.error();
   EXPECT_EQ(std::get<VpnServer::PacketIn>(*opened).ip_packet,
             to_bytes("after-dup"));
@@ -1053,11 +1055,11 @@ TEST_F(TunnelFixture, RekeyDropsPendingFragmentsOfTheOldSession) {
   std::uint32_t old_session = client.session_id();
   Rng data_rng(23);
   Bytes old_packet = data_rng.bytes(250);
-  auto old_frags = srv.seal_packet(old_session, old_packet);
+  auto old_frags = seal_frames(srv, old_session, old_packet);
   ASSERT_EQ(old_frags.size(), 3u);
   // Two of three old-session fragments arrive, then the client re-keys.
-  ASSERT_TRUE(client.open_data(old_frags[0]).ok());
-  ASSERT_TRUE(client.open_data(old_frags[1]).ok());
+  ASSERT_TRUE(client.open_data_frame(old_frags[0], {}).ok());
+  ASSERT_TRUE(client.open_data_frame(old_frags[1], {}).ok());
   auto init = client.create_handshake_init();
   auto event = srv.handle(init.serialize(), clock.now());
   ASSERT_TRUE(event.ok());
@@ -1067,13 +1069,13 @@ TEST_F(TunnelFixture, RekeyDropsPendingFragmentsOfTheOldSession) {
   // The straggler fragment of the old session fails the new keys' MAC
   // — and, crucially, the half-built old group is gone, so nothing can
   // ever complete from a mix of old and new fragments.
-  EXPECT_FALSE(client.open_data(old_frags[2]).ok());
+  EXPECT_FALSE(client.open_data_frame(old_frags[2], {}).ok());
   Bytes new_packet = data_rng.bytes(250);
-  auto new_frags = srv.seal_packet(client.session_id(), new_packet);
+  auto new_frags = seal_frames(srv, client.session_id(), new_packet);
   ASSERT_EQ(new_frags.size(), 3u);
   std::optional<Bytes> assembled;
   for (const auto& frag : new_frags) {
-    auto opened = client.open_data(frag);
+    auto opened = client.open_data_frame(frag, {});
     ASSERT_TRUE(opened.ok()) << opened.error();
     if (opened->has_value()) assembled = std::move(**opened);
   }
@@ -1087,17 +1089,17 @@ TEST_F(TunnelFixture, CorruptFragmentNeverPoisonsReassembly) {
   auto client = connect(config);
   Rng data_rng(29);
   Bytes packet = data_rng.bytes(250);
-  auto frags = client.seal_packet(packet);
+  auto frags = seal_frames(client, packet);
   ASSERT_EQ(frags.size(), 3u);
   // The middle fragment arrives corrupted, the rest intact and out of
   // order. The corrupt copy is rejected before touching the group.
-  Bytes corrupt = frags[1].serialize();
+  Bytes corrupt = frags[1];
   corrupt[corrupt.size() / 2] ^= 0x40;
-  ASSERT_TRUE(server.handle(frags[2].serialize(), clock.now()).ok());
+  ASSERT_TRUE(server.handle(frags[2], clock.now()).ok());
   EXPECT_FALSE(server.handle(corrupt, clock.now()).ok());
-  ASSERT_TRUE(server.handle(frags[0].serialize(), clock.now()).ok());
+  ASSERT_TRUE(server.handle(frags[0], clock.now()).ok());
   // A pristine retransmit of the middle fragment completes the packet.
-  auto done = server.handle(frags[1].serialize(), clock.now());
+  auto done = server.handle(frags[1], clock.now());
   ASSERT_TRUE(done.ok()) << done.error();
   EXPECT_EQ(std::get<VpnServer::PacketIn>(*done).ip_packet, packet);
 }
@@ -1108,14 +1110,14 @@ TEST_F(TunnelFixture, DuplicatedFragmentAssemblesExactlyOnce) {
   auto client = connect(config);
   Rng data_rng(31);
   Bytes packet = data_rng.bytes(250);
-  auto frags = client.seal_packet(packet);
+  auto frags = seal_frames(client, packet);
   ASSERT_EQ(frags.size(), 3u);
-  ASSERT_TRUE(server.handle(frags[0].serialize(), clock.now()).ok());
+  ASSERT_TRUE(server.handle(frags[0], clock.now()).ok());
   // The network duplicates a fragment: the copy is a replay (each
   // fragment carries its own packet id) and is rejected.
-  EXPECT_FALSE(server.handle(frags[0].serialize(), clock.now()).ok());
-  ASSERT_TRUE(server.handle(frags[1].serialize(), clock.now()).ok());
-  auto done = server.handle(frags[2].serialize(), clock.now());
+  EXPECT_FALSE(server.handle(frags[0], clock.now()).ok());
+  ASSERT_TRUE(server.handle(frags[1], clock.now()).ok());
+  auto done = server.handle(frags[2], clock.now());
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(std::get<VpnServer::PacketIn>(*done).ip_packet, packet);
 }
@@ -1130,8 +1132,8 @@ TEST_F(TunnelFixture, ServerRestartClosesEverySessionAndInvalidatesTheEpoch) {
   EXPECT_EQ(server.session_count(), 0u);
   EXPECT_EQ(closed.size(), 2u);
   // Old-epoch traffic bounces: the restarted server has no sessions.
-  auto stale = alice.seal_packet(to_bytes("stale"));
-  EXPECT_FALSE(server.handle(stale[0].serialize(), clock.now()).ok());
+  auto stale = seal_frames(alice, to_bytes("stale"));
+  EXPECT_FALSE(server.handle(stale[0], clock.now()).ok());
   // Re-handshaking works, and the dedupe cache was emptied too: the
   // same server mints fresh sessions for the new epoch.
   auto event = server.handle(bob.create_handshake_init().serialize(),
@@ -1140,8 +1142,8 @@ TEST_F(TunnelFixture, ServerRestartClosesEverySessionAndInvalidatesTheEpoch) {
   auto reply = WireMessage::parse(
       std::get<VpnServer::HandshakeDone>(*event).reply_wire);
   ASSERT_TRUE(bob.process_handshake_reply(*reply).ok());
-  auto fresh = bob.seal_packet(to_bytes("fresh"));
-  auto opened = server.handle(fresh[0].serialize(), clock.now());
+  auto fresh = seal_frames(bob, to_bytes("fresh"));
+  auto opened = server.handle(fresh[0], clock.now());
   ASSERT_TRUE(opened.ok()) << opened.error();
   EXPECT_EQ(std::get<VpnServer::PacketIn>(*opened).ip_packet,
             to_bytes("fresh"));
@@ -1197,8 +1199,8 @@ TEST_F(TunnelFixture, HandshakePinShieldsMidHandshakeSessionsFromTheStorm) {
   EXPECT_GT(srv.sessions_rejected_full(), 0u);
   // An authenticated data frame unpins its session, making it fair
   // game: the next storm handshake evicts exactly that one.
-  auto sent = clients[0].seal_packet(to_bytes("hello"));
-  ASSERT_TRUE(srv.handle(sent[0].serialize(), now).ok());
+  auto sent = seal_frames(clients[0], to_bytes("hello"));
+  ASSERT_TRUE(srv.handle(sent[0], now).ok());
   std::uint32_t unpinned = clients[0].session_id();
   now += sim::kMillisecond;
   VpnClientSession late(rng, certificate, enclave_key, srv.public_key(), {});
