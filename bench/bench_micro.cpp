@@ -84,9 +84,9 @@ std::string chain_config() {
          "ids[1] -> [1]to_device;";
 }
 
-// One wired chain instance, driveable per-packet (fresh payload buffer
-// per push, like the pre-batching enclave ingress) or batched
-// (pool-recycled buffers, one virtual call per element per burst).
+// One wired chain instance, driveable as bursts of one (fresh payload
+// buffer per push, like the pre-batching enclave ingress) or as one
+// burst (pool-recycled buffers, one virtual call per element per burst).
 // `ids_rules` sizes the IDSMatcher rule set: a compact set keeps the
 // chain graph-overhead-bound (the regime batching targets), the full
 // 377-rule community set makes it scan-bound (batching's floor).
@@ -113,8 +113,8 @@ struct ChainBench {
     router = std::move(*built);
   }
 
-  /// Pushes one burst per-packet: each packet is built with a freshly
-  /// allocated payload, exactly like the packet-at-a-time data path.
+  /// Pushes `burst` packets as bursts of one through Router::push_to,
+  /// each built with a freshly allocated payload.
   void run_per_packet(const Bytes& payload, std::size_t burst) {
     for (std::size_t k = 0; k < burst; ++k) {
       net::Packet packet = net::Packet::udp(net::Ipv4(10, 8, 0, 2),
@@ -332,8 +332,9 @@ struct LaneChainBench {
 
 }  // namespace
 
-// Args: payload bytes, IDS rule count (12 = compact set, 377 = the
-// paper's community set).
+// 64 bursts of one (BM_ClickChainPerPacket) vs one 64-packet burst
+// (BM_ClickChainBatch). Args: payload bytes, IDS rule count (12 =
+// compact set, 377 = the paper's community set).
 static void BM_ClickChainPerPacket(benchmark::State& state) {
   ChainBench chain(static_cast<std::size_t>(state.range(1)));
   Rng rng(9);
@@ -901,11 +902,11 @@ int run_json_mode(const std::string& path) {
     if (!opened.ok()) std::abort();
   });
 
-  // PR-3: the representative element chain, 64-packet bursts, batched
-  // (PacketBatch + pooled buffers) vs the per-packet path kept callable
-  // as the honest baseline. Reported per packet. The compact-ruleset
-  // rows isolate the graph traversal batching amortises; the community
-  // rows show the floor when Aho-Corasick scanning dominates.
+  // PR-3: the representative element chain, one 64-packet burst
+  // (PacketBatch + pooled buffers) vs 64 bursts of one (fresh buffers)
+  // as the baseline. Reported per packet. The compact-ruleset rows
+  // isolate the graph traversal batching amortises; the community rows
+  // show the floor when Aho-Corasick scanning dominates.
   constexpr std::size_t kBurst = click::PacketBatch::kMaxBurst;
   auto chain_pair = [&](std::size_t payload_size, std::size_t ids_rules,
                         double& ns_batch, double& ns_single) {
@@ -1126,7 +1127,7 @@ int run_json_mode(const std::string& path) {
   std::fprintf(f,
                "  \"note\": \"ref = the baseline each row names; seal/open "
                "ref = the byte-wise test oracle; click_chain rows are "
-               "ns/packet for 64-packet bursts (batched vs per-packet); "
+               "ns/packet, one 64-packet burst vs 64 bursts of one; "
                "sharded_chain rows are critical-path ns/packet for 64-packet "
                "bursts, each shard timed serially and the burst costed at the "
                "slowest shard (one core per shard, the virtual-time model); "

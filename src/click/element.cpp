@@ -8,13 +8,10 @@ Status Element::configure(const std::vector<std::string>& args) {
   return {};
 }
 
-void Element::push(int /*port*/, net::Packet&& packet) {
-  output(0, std::move(packet));
-}
-
-void Element::push_batch(int port, PacketBatch&& batch) {
-  for (net::Packet& packet : batch) push(port, std::move(packet));
-  batch.clear();
+void Element::push(int port, net::Packet&& packet) {
+  PacketBatch batch;
+  batch.push_back(std::move(packet));
+  push_batch(port, std::move(batch));
 }
 
 void Element::take_state(Element& /*old_element*/) {}
@@ -34,12 +31,6 @@ void Element::connect_output(int port, Element* target, int target_port) {
 bool Element::output_connected(int port) const {
   return port >= 0 && static_cast<std::size_t>(port) < outputs_.size() &&
          outputs_[static_cast<std::size_t>(port)].target != nullptr;
-}
-
-void Element::output(int port, net::Packet&& packet) {
-  if (!output_connected(port)) return;
-  auto& out = outputs_[static_cast<std::size_t>(port)];
-  out.target->push(out.target_port, std::move(packet));
 }
 
 void Element::output_batch(int port, PacketBatch&& batch) {

@@ -1,11 +1,13 @@
 // Element: the unit of packet processing in the Click model.
 //
 // Elements have numbered input and output ports; a Router wires output
-// ports to downstream elements' input ports. Processing is push-based:
-// upstream calls push(port, packet), the element transforms/filters and
-// forwards via output(). This is the subset of Click semantics the
-// EndBox middlebox functions need (the paper's elements — IPFilter,
-// RoundRobinSwitch, IDSMatcher, splitters — are all push elements).
+// ports to downstream elements' input ports. Processing is push-based
+// and burst-at-a-time: upstream calls push_batch(port, batch), the
+// element transforms/filters the burst and forwards it via
+// output_batch(), re-batching per output port. This is the subset of
+// Click semantics the EndBox middlebox functions need (the paper's
+// elements — IPFilter, RoundRobinSwitch, IDSMatcher, splitters — are
+// all push elements).
 #pragma once
 
 #include <functional>
@@ -31,15 +33,15 @@ class Element {
   /// is activated. Default accepts an empty argument list only.
   virtual Status configure(const std::vector<std::string>& args);
 
-  /// Receives a packet on input `port`. Default forwards to output 0.
-  virtual void push(int port, net::Packet&& packet);
+  /// Receives one packet on input `port`: pushes it as a burst of one
+  /// through push_batch, the element's only data-path body.
+  void push(int port, net::Packet&& packet);
 
   /// Receives a burst on input `port`. The batch is consumed: when the
   /// call returns its packets are moved-from and the caller clears it.
-  /// The default loops the per-packet push(), so every element is
-  /// batch-correct; hot elements override it to process the burst with
-  /// one virtual call and re-batch per output port.
-  virtual void push_batch(int port, PacketBatch&& batch);
+  /// Each element processes the burst with one virtual call and
+  /// re-batches per output port.
+  virtual void push_batch(int port, PacketBatch&& batch) = 0;
 
   /// Hot-swap hook: adopt state from the same-named element of the
   /// previous configuration (Click's take_state). Default: nothing.
@@ -76,14 +78,11 @@ class Element {
   bool output_connected(int port) const;
 
  protected:
-  /// Forwards a packet out of `port`; silently drops when unconnected
-  /// (Click semantics for a dangling push port would be a config error;
-  /// dropping keeps partially-wired test graphs usable).
-  void output(int port, net::Packet&& packet);
-
   /// Forwards a whole burst out of `port` and clears `batch` afterwards
   /// (the downstream element consumed the packets). Empty bursts are
-  /// not forwarded; unconnected ports drop the burst.
+  /// not forwarded. An unconnected port silently drops the burst (Click
+  /// semantics for a dangling push port would be a config error;
+  /// dropping keeps partially-wired test graphs usable).
   void output_batch(int port, PacketBatch&& batch);
 
  private:

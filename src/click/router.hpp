@@ -32,8 +32,8 @@ class Router {
     return dynamic_cast<T*>(find(name));
   }
 
-  /// Injects a packet into the input port 0 of the named element.
-  /// Returns false when the element does not exist.
+  /// Injects one packet, as a burst of one, into the input port 0 of
+  /// the named element. Returns false when the element does not exist.
   bool push_to(const std::string& name, net::Packet&& packet);
 
   /// Injects a whole burst into the input port 0 of the named element

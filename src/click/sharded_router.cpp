@@ -110,10 +110,6 @@ void ShardedRouter::adopt(std::vector<std::unique_ptr<Router>> shards) {
   ShardWorkerPool::ensure(pool_, shards_.size());
 }
 
-bool ShardedRouter::push_to(const std::string& name, net::Packet&& packet) {
-  return shards_[shard_for(packet)]->push_to(name, std::move(packet));
-}
-
 bool ShardedRouter::push_batch_to(const std::string& name, PacketBatch&& batch) {
   if (shards_.size() == 1) return shards_[0]->push_batch_to(name, std::move(batch));
   for (const auto& shard : shards_)

@@ -158,11 +158,6 @@ class ShardedRouter {
     return shard_of(net::FlowKey::of(packet), shards_.size());
   }
 
-  /// Routes one packet to its flow's shard and pushes it inline (the
-  /// calling thread runs the graph). Returns false when the entry
-  /// element does not exist.
-  bool push_to(const std::string& name, net::Packet&& packet);
-
   /// The batch entry: partitions the burst by flow into per-shard
   /// sub-bursts and pushes each into that shard's `name` element. Busy
   /// shards run concurrently on the worker pool; a single busy shard

@@ -28,12 +28,6 @@ Result<long> parse_int(const std::string& text) {
 
 // ---- Counter ----------------------------------------------------------
 
-void Counter::push(int /*port*/, net::Packet&& packet) {
-  ++packets_;
-  bytes_ += packet.wire_size();
-  output(0, std::move(packet));
-}
-
 void Counter::push_batch(int /*port*/, PacketBatch&& batch) {
   packets_ += batch.size();
   for (const net::Packet& packet : batch) bytes_ += packet.wire_size();
@@ -54,8 +48,6 @@ void Counter::absorb_state(Element& old_element) {
 
 // ---- Discard ----------------------------------------------------------
 
-void Discard::push(int /*port*/, net::Packet&& /*packet*/) { ++discarded_; }
-
 void Discard::push_batch(int /*port*/, PacketBatch&& batch) {
   discarded_ += batch.size();
   batch.clear();
@@ -75,14 +67,6 @@ Status Tee::configure(const std::vector<std::string>& args) {
   if (*n < 1 || *n > 64) return err("Tee output count out of range");
   n_outputs_ = static_cast<int>(*n);
   return {};
-}
-
-void Tee::push(int /*port*/, net::Packet&& packet) {
-  for (int i = 1; i < n_outputs_; ++i) {
-    net::Packet copy = packet;
-    output(i, std::move(copy));
-  }
-  output(0, std::move(packet));
 }
 
 void Tee::push_batch(int /*port*/, PacketBatch&& batch) {
@@ -107,14 +91,6 @@ Status Queue::configure(const std::vector<std::string>& args) {
   if (*n < 1) return err("Queue capacity must be positive");
   capacity_ = static_cast<std::size_t>(*n);
   return {};
-}
-
-void Queue::push(int /*port*/, net::Packet&& packet) {
-  if (queue_.size() >= capacity_) {
-    ++drops_;
-    return;
-  }
-  queue_.push_back(std::move(packet));
 }
 
 void Queue::push_batch(int /*port*/, PacketBatch&& batch) {
@@ -175,11 +151,6 @@ Status SetTos::configure(const std::vector<std::string>& args) {
   return {};
 }
 
-void SetTos::push(int /*port*/, net::Packet&& packet) {
-  packet.tos = tos_;
-  output(0, std::move(packet));
-}
-
 void SetTos::push_batch(int /*port*/, PacketBatch&& batch) {
   for (net::Packet& packet : batch) packet.tos = tos_;
   output_batch(0, std::move(batch));
@@ -193,11 +164,6 @@ Status Paint::configure(const std::vector<std::string>& args) {
   if (!n.ok()) return err(n.error());
   color_ = static_cast<std::uint32_t>(*n);
   return {};
-}
-
-void Paint::push(int /*port*/, net::Packet&& packet) {
-  packet.flow_hint = color_;
-  output(0, std::move(packet));
 }
 
 void Paint::push_batch(int /*port*/, PacketBatch&& batch) {
@@ -261,10 +227,6 @@ int RoundRobinSwitch::route(const net::Packet& packet) {
   return out;
 }
 
-void RoundRobinSwitch::push(int /*port*/, net::Packet&& packet) {
-  output(route(packet), std::move(packet));
-}
-
 void RoundRobinSwitch::push_batch(int /*port*/, PacketBatch&& batch) {
   // Re-batch per output port (allocated once, reused across bursts) so
   // every downstream element still sees one virtual call per burst.
@@ -309,16 +271,6 @@ bool implausible_header(const net::Packet& packet) {
   return packet.ttl == 0 || packet.src == net::Ipv4() || packet.dst == net::Ipv4();
 }
 }  // namespace
-
-void CheckIPHeader::push(int /*port*/, net::Packet&& packet) {
-  if (implausible_header(packet)) {
-    ++bad_;
-    packet.dropped = true;
-    output(1, std::move(packet));
-    return;
-  }
-  output(0, std::move(packet));
-}
 
 void CheckIPHeader::push_batch(int /*port*/, PacketBatch&& batch) {
   partition_batch(batch, reject_scratch_, [this](net::Packet& packet) {
@@ -432,16 +384,6 @@ bool IPFilter::allows(const net::Packet& packet) {
     if (rule.matches(packet)) return rule.allow;
   }
   return true;  // unmatched packets are allowed
-}
-
-void IPFilter::push(int /*port*/, net::Packet&& packet) {
-  if (!allows(packet)) {
-    ++dropped_;
-    packet.dropped = true;
-    output(1, std::move(packet));
-    return;
-  }
-  output(0, std::move(packet));
 }
 
 void IPFilter::push_batch(int /*port*/, PacketBatch&& batch) {

@@ -21,7 +21,6 @@ namespace endbox::click {
 class Counter : public Element {
  public:
   std::string_view class_name() const override { return "Counter"; }
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
@@ -38,7 +37,6 @@ class Counter : public Element {
 class Discard : public Element {
  public:
   std::string_view class_name() const override { return "Discard"; }
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
   void absorb_state(Element& old_element) override;
   std::uint64_t discarded() const { return discarded_; }
@@ -52,7 +50,6 @@ class Tee : public Element {
  public:
   std::string_view class_name() const override { return "Tee"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
   int n_outputs() const override { return n_outputs_; }
 
@@ -66,7 +63,6 @@ class Queue : public Element {
  public:
   std::string_view class_name() const override { return "Queue"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
@@ -91,7 +87,6 @@ class SetTos : public Element {
  public:
   std::string_view class_name() const override { return "SetTos"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -103,7 +98,6 @@ class Paint : public Element {
  public:
   std::string_view class_name() const override { return "Paint"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
 
  private:
@@ -126,7 +120,6 @@ class RoundRobinSwitch : public Element {
  public:
   std::string_view class_name() const override { return "RoundRobinSwitch"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
@@ -162,7 +155,6 @@ class RoundRobinSwitch : public Element {
 class CheckIPHeader : public Element {
  public:
   std::string_view class_name() const override { return "CheckIPHeader"; }
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
   void absorb_state(Element& old_element) override;
   int n_outputs() const override { return 2; }
@@ -202,7 +194,6 @@ class IPFilter : public Element {
 
   std::string_view class_name() const override { return "IPFilter"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, PacketBatch&& batch) override;
   void absorb_state(Element& old_element) override;
   int n_outputs() const override { return 2; }

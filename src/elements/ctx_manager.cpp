@@ -62,11 +62,6 @@ void CTXManager::classify(net::Packet& packet) {
   packet.flow_ctx = &entry->value;
 }
 
-void CTXManager::push(int /*port*/, net::Packet&& packet) {
-  classify(packet);
-  output(0, std::move(packet));
-}
-
 void CTXManager::push_batch(int /*port*/, click::PacketBatch&& batch) {
   // Pure annotator: the burst passes through intact, each packet gains
   // its context pointer. Entry pointers are deque-stable, and expiry

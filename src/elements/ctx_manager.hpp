@@ -31,7 +31,6 @@ class CTXManager : public click::Element {
  public:
   std::string_view class_name() const override { return "CTXManager"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;

@@ -16,7 +16,6 @@ namespace endbox::elements {
 class FromDevice : public click::Element {
  public:
   std::string_view class_name() const override { return "FromDevice"; }
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
   void absorb_state(Element& old_element) override;
   std::uint64_t packets() const { return packets_; }
@@ -30,7 +29,6 @@ class ToDevice : public click::Element {
   explicit ToDevice(ElementContext& context) : context_(context) {}
 
   std::string_view class_name() const override { return "ToDevice"; }
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
   void absorb_state(Element& old_element) override;
   int n_inputs() const override { return 2; }  ///< port 1 = reject path

@@ -68,78 +68,28 @@ bool IDSMatcher::apply_stream_verdict(net::Packet& packet,
   return true;
 }
 
-void IDSMatcher::push(int /*port*/, net::Packet&& packet) {
-  if (stream_packet(packet)) {
-    idps::IdpsVerdict verdict;
-    if (!packet.flow_ctx->match.drop_flow)
-      verdict = inspect_stream_one(packet);
-    if (!apply_stream_verdict(packet, verdict)) {
-      output(1, std::move(packet));
-      return;
-    }
-    output(0, std::move(packet));
-    return;
-  }
-  // Deliberately unchanged (probe copy, allocating inspect): this is
-  // the per-packet baseline the batch benches compare against.
-  const Bytes& data =
-      packet.decrypted_payload.empty() ? packet.payload : packet.decrypted_payload;
-  bytes_scanned_ += data.size();
-
-  net::Packet probe = packet;  // inspect() reads header + payload
-  probe.payload = data;
-  auto verdict = engine_->inspect(probe);
-  if (verdict.matched) ++matches_;
-  if (verdict.drop || (drop_mode_ && verdict.matched)) {
-    packet.dropped = true;
-    output(1, std::move(packet));
-    return;
-  }
-  output(0, std::move(packet));
-}
-
 void IDSMatcher::push_batch(int /*port*/, click::PacketBatch&& batch) {
-  // Burst inspection: the burst splits into the stream subset (packets
-  // with a CTX context — resumable interleaved walk, flows chained in
-  // arrival order) and the per-packet subset (everything else — the
-  // existing interleaved walk). Both run without per-packet probe
-  // copies; verdicts land back at each packet's original burst
-  // position, so ordering and statistics match the per-packet paths.
+  // Burst inspection: stream packets (those with a CTX context) are
+  // scanned one by one in burst order, each verdict applied before the
+  // next scan, so a flow killed earlier in the burst is not rescanned.
+  // The other packets are inspected together by the interleaved walk.
+  // Each packet's keep/drop lands at its burst position, so outputs and
+  // statistics do not depend on how the traffic is cut into bursts.
   constexpr std::size_t kMax = click::PacketBatch::kMaxBurst;
   std::size_t n = batch.size();
   if (n == 0) return;
-  std::array<idps::IdpsVerdict, kMax> verdicts{};  // default: no match
-
+  std::array<bool, kMax> keep{};
   std::array<const net::Packet*, kMax> packets;
   std::array<ByteView, kMax> payloads;
   std::array<std::uint32_t, kMax> back;  // subset pos -> burst pos
   std::size_t m = 0;
-  std::array<const net::Packet*, kMax> s_packets;
-  std::array<ByteView, kMax> s_chunks;
-  std::array<idps::StreamMatchState*, kMax> s_states;
-  std::array<std::span<std::uint8_t>, kMax> s_masks;
-  std::array<std::uint32_t, kMax> s_back;
-  std::size_t s = 0;
 
   for (std::size_t i = 0; i < n; ++i) {
     net::Packet& packet = batch[i];
     if (stream_packet(packet)) {
-      // Flows already killed by an earlier burst are not rescanned;
-      // apply_stream_verdict drops their packets below.
-      if (packet.flow_ctx->match.drop_flow) continue;
-      ++stream_chunks_;
-      bytes_scanned_ += packet.stream_len;
-      s_packets[s] = &packet;
-      s_chunks[s] = {packet.payload.data() + packet.stream_off,
-                     packet.stream_len};
-      s_masks[s] = mask_mode_ && packet.stream_len > 0
-                       ? std::span<std::uint8_t>{packet.payload.data() +
-                                                     packet.stream_off,
-                                                 packet.stream_len}
-                       : std::span<std::uint8_t>{};
-      s_states[s] = &packet.flow_ctx->match;
-      s_back[s] = static_cast<std::uint32_t>(i);
-      ++s;
+      idps::IdpsVerdict verdict;
+      if (!packet.flow_ctx->match.drop_flow) verdict = inspect_stream_one(packet);
+      keep[i] = apply_stream_verdict(packet, verdict);
       continue;
     }
     const Bytes& data = packet.decrypted_payload.empty()
@@ -152,47 +102,21 @@ void IDSMatcher::push_batch(int /*port*/, click::PacketBatch&& batch) {
     ++m;
   }
 
-  std::array<idps::IdpsVerdict, kMax> sub;
   if (m > 0) {
+    std::array<idps::IdpsVerdict, kMax> verdicts;
     engine_->inspect_batch({packets.data(), m}, {payloads.data(), m}, scratch_,
-                           sub.data());
-    for (std::size_t k = 0; k < m; ++k) verdicts[back[k]] = sub[k];
-  }
-  if (s > 0) {
-    // Evasion accounting: counters live per flow, and one flow can
-    // appear several times in the burst — sum each distinct state once.
-    std::uint64_t before = 0;
-    for (std::size_t k = 0; k < s; ++k) {
-      bool seen = false;
-      for (std::size_t j = 0; j < k && !seen; ++j)
-        seen = s_states[j] == s_states[k];
-      if (!seen) before += s_states[k]->cross_segment_matches;
+                           verdicts.data());
+    for (std::size_t k = 0; k < m; ++k) {
+      if (verdicts[k].matched) ++matches_;
+      bool drop = verdicts[k].drop || (drop_mode_ && verdicts[k].matched);
+      if (drop) batch[back[k]].dropped = true;
+      keep[back[k]] = !drop;
     }
-    engine_->inspect_stream_batch({s_packets.data(), s}, {s_chunks.data(), s},
-                                  {s_states.data(), s}, scratch_, sub.data(),
-                                  {s_masks.data(), s});
-    std::uint64_t after = 0;
-    for (std::size_t k = 0; k < s; ++k) {
-      bool seen = false;
-      for (std::size_t j = 0; j < k && !seen; ++j)
-        seen = s_states[j] == s_states[k];
-      if (!seen) after += s_states[k]->cross_segment_matches;
-    }
-    stream_evasions_ += after - before;
-    for (std::size_t k = 0; k < s; ++k) verdicts[s_back[k]] = sub[k];
   }
 
   std::size_t index = 0;
-  click::partition_batch(batch, drop_scratch_, [&](net::Packet& packet) {
-    const idps::IdpsVerdict& verdict = verdicts[index++];
-    if (stream_packet(packet)) return apply_stream_verdict(packet, verdict);
-    if (verdict.matched) ++matches_;
-    if (verdict.drop || (drop_mode_ && verdict.matched)) {
-      packet.dropped = true;
-      return false;
-    }
-    return true;
-  });
+  click::partition_batch(batch, drop_scratch_,
+                         [&](net::Packet&) { return keep[index++]; });
   output_batch(0, std::move(batch));
   output_batch(1, std::move(drop_scratch_));
   drop_scratch_.clear();

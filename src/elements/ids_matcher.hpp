@@ -37,7 +37,6 @@ class IDSMatcher : public click::Element {
 
   std::string_view class_name() const override { return "IDSMatcher"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;

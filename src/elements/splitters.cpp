@@ -61,18 +61,10 @@ bool RateSplitterBase::admit(const net::Packet& packet) {
   return true;
 }
 
-void RateSplitterBase::push(int /*port*/, net::Packet&& packet) {
-  if (admit(packet)) {
-    output(0, std::move(packet));
-  } else {
-    packet.dropped = true;
-    output(1, std::move(packet));
-  }
-}
-
 void RateSplitterBase::push_batch(int /*port*/, click::PacketBatch&& batch) {
-  // Admission stays per packet (the bucket and the sampled clock see the
-  // same sequence as the per-packet path); only the forwarding batches.
+  // Admission stays per packet, in burst order, so the bucket and the
+  // sampled clock see the same sequence however the stream is cut into
+  // bursts; only the forwarding batches.
   click::partition_batch(batch, over_scratch_, [this](net::Packet& packet) {
     if (admit(packet)) return true;
     packet.dropped = true;

@@ -25,7 +25,6 @@ class RateSplitterBase : public click::Element {
   explicit RateSplitterBase(ElementContext& context) : context_(context) {}
 
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;

@@ -15,10 +15,6 @@ bool seq_before(std::uint32_t a, std::uint32_t b) {
 }  // namespace
 
 void TCPIn::emit(int port, net::Packet&& packet) {
-  if (!batching_) {
-    output(port, std::move(packet));
-    return;
-  }
   click::PacketBatch& batch = port == 0 ? out_batch_ : drop_batch_;
   batch.push_back(std::move(packet));
   if (batch.full()) {
@@ -187,20 +183,13 @@ void TCPIn::process(net::Packet&& packet) {
   release_parked(flow);
 }
 
-void TCPIn::push(int /*port*/, net::Packet&& packet) {
-  batching_ = false;
-  process(std::move(packet));
-}
-
 void TCPIn::push_batch(int /*port*/, click::PacketBatch&& batch) {
-  batching_ = true;
   for (auto& packet : batch) process(std::move(packet));
   batch.clear();
   output_batch(0, std::move(out_batch_));
   out_batch_.clear();
   output_batch(1, std::move(drop_batch_));
   drop_batch_.clear();
-  batching_ = false;
 }
 
 void TCPIn::take_state(Element& old_element) {
@@ -222,11 +211,6 @@ void TCPOut::scrub(net::Packet& packet) {
   packet.stream_off = 0;
   packet.stream_len = 0;
   packet.stream_scan = false;
-}
-
-void TCPOut::push(int /*port*/, net::Packet&& packet) {
-  scrub(packet);
-  output(0, std::move(packet));
 }
 
 void TCPOut::push_batch(int /*port*/, click::PacketBatch&& batch) {

@@ -13,7 +13,9 @@
 // TCPIn output 1 carries parked-cap overflow: segments a hostile flow
 // tried to buffer beyond its StreamLimits are dropped *unscanned but
 // also unforwarded* — forwarding bytes the IDS never saw is the
-// evasion this chain exists to close.
+// evasion this chain exists to close. TCPIn re-batches per output
+// port, so forwarded segments and drops leave as separate bursts;
+// a released segment follows the segment that filled its hole.
 //
 // TCPOut clears the context annotation (contexts are lane-local and
 // can expire between bursts; a pointer must never leave the graph) and
@@ -28,7 +30,6 @@ namespace endbox::elements {
 class TCPIn : public click::Element {
  public:
   std::string_view class_name() const override { return "TCPIn"; }
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
@@ -39,9 +40,8 @@ class TCPIn : public click::Element {
 
  private:
   void process(net::Packet&& packet);
-  /// Forwards one packet: directly in per-packet mode, via the member
-  /// bursts in batch mode (flushed when full — parked releases can
-  /// emit more packets than arrived).
+  /// Appends one packet to the output burst of `port` (flushed when
+  /// full — parked releases can emit more packets than arrived).
   void emit(int port, net::Packet&& packet);
   /// Drops parked segments older than park_age lane packets.
   void expire_parked(FlowContext& ctx);
@@ -50,7 +50,6 @@ class TCPIn : public click::Element {
   /// Releases every parked segment the cursor has caught up to.
   void release_parked(FlowContext& ctx);
 
-  bool batching_ = false;
   click::PacketBatch out_batch_;
   click::PacketBatch drop_batch_;
   std::uint64_t packets_seen_ = 0;
@@ -60,7 +59,6 @@ class TCPIn : public click::Element {
 class TCPOut : public click::Element {
  public:
   std::string_view class_name() const override { return "TCPOut"; }
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;

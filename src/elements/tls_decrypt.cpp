@@ -34,11 +34,6 @@ void TLSDecrypt::process(net::Packet& packet) {
   ++decrypted_;
 }
 
-void TLSDecrypt::push(int /*port*/, net::Packet&& packet) {
-  process(packet);
-  output(0, std::move(packet));
-}
-
 void TLSDecrypt::push_batch(int /*port*/, click::PacketBatch&& batch) {
   // Every outcome exits output 0, so the burst stays intact.
   for (net::Packet& packet : batch) process(packet);

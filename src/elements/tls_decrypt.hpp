@@ -21,7 +21,6 @@ class TLSDecrypt : public click::Element {
 
   std::string_view class_name() const override { return "TLSDecrypt"; }
   Status configure(const std::vector<std::string>& args) override;
-  void push(int port, net::Packet&& packet) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
   void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
@@ -31,7 +30,7 @@ class TLSDecrypt : public click::Element {
   std::uint64_t key_misses() const { return key_misses_; }
 
  private:
-  /// The record-parse / key-lookup / decrypt step shared by both paths.
+  /// The record-parse / key-lookup / decrypt step for one packet.
   void process(net::Packet& packet);
 
   ElementContext& context_;

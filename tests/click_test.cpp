@@ -21,9 +21,12 @@ Packet make_udp(std::uint16_t dport = 80, std::size_t payload = 100) {
 /// Sink that records everything pushed into it.
 struct CaptureSink : Element {
   std::string_view class_name() const override { return "CaptureSink"; }
-  void push(int port, Packet&& p) override {
-    ports.push_back(port);
-    packets.push_back(std::move(p));
+  void push_batch(int port, PacketBatch&& batch) override {
+    for (Packet& p : batch) {
+      ports.push_back(port);
+      packets.push_back(std::move(p));
+    }
+    batch.clear();
   }
   int n_inputs() const override { return 16; }
   std::vector<Packet> packets;
@@ -489,7 +492,7 @@ std::unique_ptr<ShardedRouter> one_lane(const ElementRegistry& registry,
 TEST(HotSwap, SwapsAtomicallyAndKeepsState) {
   auto registry = registry_with_sink();
   auto router = one_lane(registry, "in :: Counter; sink :: CaptureSink; in -> sink;");
-  router->push_to("in", make_udp());
+  router->shard(0).push_to("in", make_udp());
   EXPECT_EQ(router->shard(0).find_as<Counter>("in")->packets(), 1u);
 
   // New config keeps element 'in' (Counter): its count must survive.
@@ -513,7 +516,7 @@ TEST(HotSwap, FailedSwapKeepsOldRouter) {
 TEST(HotSwap, StateNotTransferredAcrossDifferentClasses) {
   auto registry = ElementRegistry::with_standard_elements();
   auto router = one_lane(registry, "x :: Counter;");
-  router->push_to("x", make_udp());
+  router->shard(0).push_to("x", make_udp());
   // 'x' changes class: no state transfer, fresh Queue.
   ASSERT_TRUE(router->hot_swap("x :: Queue(5);").ok());
   EXPECT_NE(router->shard(0).find_as<Queue>("x"), nullptr);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 
 #include "click/router.hpp"
 #include "click/sharded_router.hpp"
@@ -12,6 +13,8 @@
 #include "elements/ids_matcher.hpp"
 #include "elements/splitters.hpp"
 #include "elements/tls_decrypt.hpp"
+#include "oracle/ip_filter.hpp"
+#include "oracle/naive_scanner.hpp"
 
 namespace endbox::elements {
 namespace {
@@ -253,7 +256,10 @@ TEST_F(TlsFixture, LeavesWirePayloadIntact) {
   ASSERT_TRUE(decrypt.configure({}).ok());
   struct Capture : click::Element {
     std::string_view class_name() const override { return "Capture"; }
-    void push(int, Packet&& p) override { got = std::move(p); }
+    void push_batch(int, click::PacketBatch&& batch) override {
+      for (Packet& p : batch) got = std::move(p);
+      batch.clear();
+    }
     Packet got;
   } capture;
   decrypt.connect_output(0, &capture, 0);
@@ -313,10 +319,13 @@ TEST_F(TlsFixture, EncryptedIdpsPipeline) {
 
 // ---- Batch semantics: push_batch must be byte- and order-identical -------
 //
-// Property: pushing a packet stream per-packet through one element
-// instance and the same stream as mixed-size bursts through a second
-// instance yields identical per-port output sequences (wire bytes and
-// metadata annotations) and identical element statistics.
+// Property: pushing a packet stream per packet (bursts of one, through
+// Element::push) into one element instance and the same stream as
+// mixed-size bursts into a second instance yields identical per-port
+// output sequences (wire bytes and metadata annotations) and identical
+// element statistics. Both sides run the same push_batch, so the two
+// elements with non-trivial verdict logic, IPFilter and IDSMatcher,
+// are also checked packet by packet against independent oracles.
 
 namespace batch_property {
 
@@ -330,16 +339,16 @@ struct Capture {
   bool operator==(const Capture&) const = default;
 };
 
-/// Terminal sink recording packets per input port. Inherits the default
-/// push_batch (which unrolls to push), so per-port arrival order is
-/// captured faithfully for both paths.
+/// Terminal sink recording packets per input port, in arrival order.
 class CaptureSink : public click::Element {
  public:
   std::string_view class_name() const override { return "CaptureSink"; }
   int n_inputs() const override { return 256; }
-  void push(int port, Packet&& p) override {
-    rows.push_back(Capture{port, p.serialize(), p.dropped, p.flow_hint,
-                           p.decrypted_payload});
+  void push_batch(int port, click::PacketBatch&& batch) override {
+    for (const Packet& p : batch)
+      rows.push_back(Capture{port, p.serialize(), p.dropped, p.flow_hint,
+                             p.decrypted_payload});
+    batch.clear();
   }
   std::vector<Capture> on_port(int port) const {
     std::vector<Capture> out;
@@ -373,10 +382,14 @@ std::vector<Packet> mixed_traffic(std::size_t count) {
   return packets;
 }
 
-/// Feeds `packets` per-packet into `single` and as mixed-size bursts
-/// into `batched`; expects identical per-port capture sequences.
+/// Feeds `packets` as bursts of one into `single` and as mixed-size
+/// bursts into `batched`; expects identical per-port capture sequences.
+/// `arrivals`, when given, receives `single`'s captures in arrival
+/// order: for an element that forwards each packet once, row k is
+/// packet k.
 void expect_equivalent(click::Element& single, click::Element& batched,
-                       const std::vector<Packet>& packets) {
+                       const std::vector<Packet>& packets,
+                       std::vector<Capture>* arrivals = nullptr) {
   CaptureSink a, b;
   for (int port = 0; port < single.n_outputs(); ++port) {
     single.connect_output(port, &a, port);
@@ -408,11 +421,32 @@ void expect_equivalent(click::Element& single, click::Element& batched,
       EXPECT_TRUE(rows_a[k] == rows_b[k])
           << "port " << port << " packet " << k << " differs";
   }
+  if (arrivals) *arrivals = std::move(a.rows);
+}
+
+/// Checks each packet's IDSMatcher output port and drop mark, and the
+/// match count, against the naive scanner's per-packet verdicts.
+void expect_ids_oracle(const std::vector<idps::SnortRule>& rules, bool drop_mode,
+                       const std::vector<Packet>& packets,
+                       const std::vector<Capture>& arrivals,
+                       std::uint64_t matches) {
+  oracle::NaiveScanner naive(rules);
+  ASSERT_EQ(arrivals.size(), packets.size());
+  std::uint64_t expected_matches = 0;
+  for (std::size_t k = 0; k < packets.size(); ++k) {
+    idps::IdpsVerdict verdict = naive.inspect(packets[k], packets[k].payload);
+    expected_matches += verdict.matched;
+    bool drop = verdict.drop || (drop_mode && verdict.matched);
+    EXPECT_EQ(arrivals[k].port, drop ? 1 : 0) << "packet " << k;
+    EXPECT_EQ(arrivals[k].dropped, drop) << "packet " << k;
+  }
+  EXPECT_EQ(matches, expected_matches);
 }
 
 }  // namespace batch_property
 
 using batch_property::expect_equivalent;
+using batch_property::expect_ids_oracle;
 using batch_property::mixed_traffic;
 
 TEST_F(Fixture, CounterBatchMatchesPerPacket) {
@@ -455,16 +489,85 @@ TEST_F(Fixture, CheckIPHeaderBatchMatchesPerPacket) {
   EXPECT_EQ(a.bad_packets(), c.bad_packets());
 }
 
+/// IPFilter rule text for an oracle rule ("drop all" when unconditioned).
+std::string filter_rule_text(const oracle::FilterRule& rule) {
+  std::string text = rule.allow ? "allow" : "drop";
+  auto prefix = [](const char* side, const oracle::FilterRule::Prefix& p) {
+    return std::string(" ") + side + " " + Ipv4(p.address).str() + "/" +
+           std::to_string(p.length);
+  };
+  if (rule.src) text += prefix("src", *rule.src);
+  if (rule.dst) text += prefix("dst", *rule.dst);
+  if (rule.proto)
+    text += *rule.proto == net::IpProto::Tcp   ? " proto tcp"
+            : *rule.proto == net::IpProto::Udp ? " proto udp"
+                                               : " proto icmp";
+  if (rule.src_port) text += " src port " + std::to_string(*rule.src_port);
+  if (rule.dst_port) text += " dst port " + std::to_string(*rule.dst_port);
+  return text == "allow" || text == "drop" ? text + " all" : text;
+}
+
+/// A seeded random rule set drawing addresses and ports mostly from the
+/// ones mixed_traffic uses, so rules both match and miss.
+std::vector<oracle::FilterRule> random_filter_rules(Rng& rng) {
+  auto pick = [&](std::uint64_t n) { return rng.uniform(0, n - 1); };
+  auto address = [&]() -> std::uint32_t {
+    switch (pick(3)) {
+      case 0: return Ipv4(10, 8, 0, static_cast<std::uint8_t>(2 + pick(5))).value();
+      case 1: return Ipv4(10, 0, 0, 1).value();
+      default: return rng.next_u32();
+    }
+  };
+  std::vector<oracle::FilterRule> rules(1 + pick(6));
+  for (oracle::FilterRule& rule : rules) {
+    rule.allow = pick(2) == 0;
+    if (pick(2)) rule.src = {address(), static_cast<unsigned>(pick(33))};
+    if (pick(2)) rule.dst = {address(), static_cast<unsigned>(pick(33))};
+    if (pick(3) == 0) {
+      constexpr net::IpProto kProtos[] = {net::IpProto::Tcp, net::IpProto::Udp,
+                                          net::IpProto::Icmp};
+      rule.proto = kProtos[pick(3)];
+    }
+    if (pick(3) == 0) rule.src_port = static_cast<std::uint16_t>(40000 + pick(8));
+    if (pick(3) == 0) rule.dst_port = pick(2) ? std::uint16_t{80} : std::uint16_t{5001};
+  }
+  return rules;
+}
+
 TEST_F(Fixture, IPFilterBatchMatchesPerPacket) {
-  std::vector<std::string> rules = {"drop dst port 80", "allow src 10.8.0.0/16",
-                                    "drop all"};
-  click::IPFilter a, c;
-  ASSERT_TRUE(a.configure(rules).ok());
-  ASSERT_TRUE(c.configure(rules).ok());
-  expect_equivalent(a, c, mixed_traffic(300));
-  EXPECT_GT(a.dropped(), 0u);
-  EXPECT_EQ(a.dropped(), c.dropped());
-  EXPECT_EQ(a.rules_evaluated(), c.rules_evaluated());
+  // A fixed rule set (drop dst port 80, allow src 10.8.0.0/16, drop
+  // all), then seeded random ones. Every packet's output port must
+  // also be the oracle's first-match verdict.
+  std::vector<std::vector<oracle::FilterRule>> rule_sets(1);
+  rule_sets[0].resize(3);
+  rule_sets[0][0].dst_port = 80;
+  rule_sets[0][1].allow = true;
+  rule_sets[0][1].src = {Ipv4(10, 8, 0, 0).value(), 16};
+  Rng rule_rng(0xf117e2);
+  for (int i = 0; i < 24; ++i) rule_sets.push_back(random_filter_rules(rule_rng));
+
+  auto traffic = mixed_traffic(300);
+  for (std::size_t k = 0; k < traffic.size(); k += 3)
+    traffic[k].proto = net::IpProto::Tcp;
+  std::uint64_t total_dropped = 0;
+  for (const auto& rule_set : rule_sets) {
+    std::vector<std::string> rules;
+    for (const oracle::FilterRule& rule : rule_set)
+      rules.push_back(filter_rule_text(rule));
+    click::IPFilter a, c;
+    ASSERT_TRUE(a.configure(rules).ok());
+    ASSERT_TRUE(c.configure(rules).ok());
+    std::vector<batch_property::Capture> arrivals;
+    expect_equivalent(a, c, traffic, &arrivals);
+    EXPECT_EQ(a.dropped(), c.dropped());
+    EXPECT_EQ(a.rules_evaluated(), c.rules_evaluated());
+    ASSERT_EQ(arrivals.size(), traffic.size());
+    for (std::size_t k = 0; k < traffic.size(); ++k)
+      EXPECT_EQ(arrivals[k].port, oracle::ip_filter_allows(rule_set, traffic[k]) ? 0 : 1)
+          << "packet " << k << " under rules: " << ::testing::PrintToString(rules);
+    total_dropped += a.dropped();
+  }
+  EXPECT_GT(total_dropped, 0u);
 }
 
 TEST_F(Fixture, RoundRobinSwitchBatchMatchesPerPacket) {
@@ -514,19 +617,42 @@ TEST_F(Fixture, IDSMatcherBatchMatchesPerPacket) {
   IDSMatcher a(context), c(context);
   ASSERT_TRUE(a.configure({"RULESET strict", "DROP"}).ok());
   ASSERT_TRUE(c.configure({"RULESET strict", "DROP"}).ok());
-  expect_equivalent(a, c, mixed_traffic(250));
+  auto traffic = mixed_traffic(250);
+  std::vector<batch_property::Capture> arrivals;
+  expect_equivalent(a, c, traffic, &arrivals);
   EXPECT_GT(a.matches(), 0u);  // the stream embeds "malware" payloads
   EXPECT_EQ(a.matches(), c.matches());
   EXPECT_EQ(a.bytes_scanned(), c.bytes_scanned());
+  expect_ids_oracle(context.rulesets["strict"], true, traffic, arrivals, a.matches());
 }
 
 TEST_F(Fixture, IDSMatcherBatchMatchesPerPacketOnCommunityRuleset) {
   IDSMatcher a(context), c(context);
   ASSERT_TRUE(a.configure({"RULESET community"}).ok());
   ASSERT_TRUE(c.configure({"RULESET community"}).ok());
-  expect_equivalent(a, c, mixed_traffic(150));
+  // Random payloads match no community rule, so every third packet
+  // carries one rule's contents (nocase ones upper-cased): rules fire,
+  // miss on their header constraints, or stay incomplete when the
+  // payload is too short for every content.
+  const auto& rules = context.rulesets["community"];
+  auto traffic = mixed_traffic(150);
+  for (std::size_t k = 0; k < traffic.size(); k += 3) {
+    Bytes& payload = traffic[k].payload;
+    std::size_t at = 4;
+    for (const idps::ContentPattern& content : rules[k / 3].contents) {
+      if (at + content.bytes.size() > payload.size()) break;
+      for (std::uint8_t byte : content.bytes)
+        payload[at++] = static_cast<std::uint8_t>(content.nocase ? std::toupper(byte) : byte);
+      ++at;
+    }
+  }
+  std::vector<batch_property::Capture> arrivals;
+  expect_equivalent(a, c, traffic, &arrivals);
+  EXPECT_GT(a.matches(), 0u);
   EXPECT_EQ(a.matches(), c.matches());
   EXPECT_EQ(a.bytes_scanned(), c.bytes_scanned());
+  expect_ids_oracle(context.rulesets["community"], false, traffic, arrivals,
+                    a.matches());
 }
 
 TEST_F(Fixture, RateSplitterBatchMatchesPerPacket) {

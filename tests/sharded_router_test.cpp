@@ -264,10 +264,12 @@ TEST(ShardedEquivalence, PerPacketPushMatchesSingleShardToo) {
   ShardHarness sharded(config, 4);
   Rng rng(17);
   for (int i = 0; i < 100; ++i) {
-    net::Packet packet = random_packet(rng);
-    net::Packet copy = packet;
-    ASSERT_TRUE(single.router->push_to("from_device", std::move(packet)));
-    ASSERT_TRUE(sharded.router->push_to("from_device", std::move(copy)));
+    // Bursts of one: the per-packet pattern through the batch entry.
+    PacketBatch one, one_copy;
+    one.push_back(random_packet(rng));
+    one_copy.push_back(net::Packet(one[0]));
+    ASSERT_TRUE(single.router->push_batch_to("from_device", std::move(one)));
+    ASSERT_TRUE(sharded.router->push_batch_to("from_device", std::move(one_copy)));
   }
   EXPECT_EQ(single.sum<click::Counter>(
                 "cnt", [](const click::Counter& c) { return c.packets(); }),

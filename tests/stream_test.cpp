@@ -535,6 +535,44 @@ TEST_F(StreamFixture, BatchPathCatchesStraddlesWithinOneBurst) {
   EXPECT_EQ(ids->stream_evasions(), 2u);
 }
 
+TEST_F(StreamFixture, BurstDoesNotRescanFlowKilledEarlierInIt) {
+  // The flow's first segment fires the Drop rule; its second segment
+  // (which alone would fire the Alert rule) belongs to a dead flow and
+  // must not be scanned, counted or masked — whether it arrives in the
+  // same burst or in the next one.
+  struct Outcome {
+    std::vector<bool> verdicts;
+    std::uint64_t chunks, bytes, matches, alerts;
+    Bytes second_payload;
+  };
+  for (const char* args : {"RULESET strict, DROP", "RULESET strict, DROP, MASK"}) {
+    auto run = [&](bool one_burst) {
+      delivered.clear();
+      auto router = build(stream_config(args));
+      PacketBatch first, second;
+      first.push_back(seg(0, "xx malware"));
+      (one_burst ? first : second).push_back(seg(10, "yy suspicious"));
+      router->push_batch_to("from", std::move(first));
+      router->push_batch_to("from", std::move(second));
+      auto* ids = router->find_as<IDSMatcher>("ids");
+      return Outcome{verdicts(), ids->stream_chunks(), ids->bytes_scanned(),
+                     ids->matches(), ids->engine()->alerts(),
+                     delivered.at(1).first.payload};
+    };
+    Outcome burst = run(true), ones = run(false);
+    SCOPED_TRACE(args);
+    EXPECT_EQ(burst.verdicts, (std::vector<bool>{false, false}));
+    EXPECT_EQ(burst.verdicts, ones.verdicts);
+    EXPECT_EQ(burst.chunks, 1u);
+    EXPECT_EQ(burst.chunks, ones.chunks);
+    EXPECT_EQ(burst.bytes, ones.bytes);
+    EXPECT_EQ(burst.matches, ones.matches);
+    EXPECT_EQ(burst.alerts, ones.alerts);
+    EXPECT_EQ(to_string(burst.second_payload), "yy suspicious");
+    EXPECT_EQ(burst.second_payload, ones.second_payload);
+  }
+}
+
 // ---- Lane layer: reshard migration and determinism -----------------------
 
 struct StreamShardHarness {
