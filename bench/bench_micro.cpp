@@ -441,8 +441,8 @@ static void BM_ClickHotSwap(benchmark::State& state) {
   auto registry = elements::make_endbox_registry(context);
   std::string a = use_case_config(UseCase::Nop);
   std::string b = use_case_config(UseCase::Fw);
-  // The data planes' hot-swap at one lane: build the new graph, pair
-  // same-name elements, take_state.
+  // The data planes' hot-swap at one lane: build the new graph and run
+  // the one state transfer into it (queues, fold, flows).
   auto router = click::ShardedRouter::create(
       a, 1, [&registry](std::size_t, const std::string& text) {
         return click::Router::from_config(text, registry);

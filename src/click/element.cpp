@@ -14,8 +14,6 @@ void Element::push(int port, net::Packet&& packet) {
   push_batch(port, std::move(batch));
 }
 
-void Element::take_state(Element& /*old_element*/) {}
-
 void Element::absorb_state(Element& /*old_element*/) {}
 
 void Element::migrate_flows(

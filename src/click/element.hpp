@@ -8,8 +8,13 @@
 // Click semantics the EndBox middlebox functions need (the paper's
 // elements — IPFilter, RoundRobinSwitch, IDSMatcher, splitters — are
 // all push elements).
+// Hot-swap and reshard carry state through one transfer (ShardedRouter):
+// the counter block below, absorb_state and migrate_flows.
 #pragma once
 
+#include <array>
+#include <cassert>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -43,26 +48,22 @@ class Element {
   /// re-batches per output port.
   virtual void push_batch(int port, PacketBatch&& batch) = 0;
 
-  /// Hot-swap hook: adopt state from the same-named element of the
-  /// previous configuration (Click's take_state). Default: nothing.
-  virtual void take_state(Element& old_element);
-
-  /// Reshard hook: *merge* state from one same-named element of a
-  /// previous shard set. Unlike take_state (a 1:1 replacement on
-  /// hot-swap), absorb_state may be called several times on the same
-  /// element — once per old shard folded into this one — so
-  /// implementations add counters, append queue contents and union flow
-  /// tables instead of overwriting. Default: nothing.
+  /// The one state hook, for hot-swap and reshard alike: folds
+  /// `old_element` into this newly configured element. `old_element`
+  /// has the same name and class and comes from the graph set being
+  /// replaced. Hot-swap calls it once; reshard calls it once per old
+  /// shard folded into this one, so implementations merge rather than
+  /// overwrite. Counters need no override: the router sums the counter
+  /// block before this runs. Default: nothing.
   virtual void absorb_state(Element& old_element);
 
-  /// Reshard hook for *flow-keyed* state. absorb_state folds old shard
-  /// o into new shard o % n — correct for counters, wrong for per-flow
-  /// state: after the reshard a flow's packets arrive at
-  /// shard_of(key, new_n), which is generally a different shard. The
-  /// router calls migrate_flows on every old element first;
-  /// implementations move each flow's state to
-  /// `target_for(key)` (the same-named element on the flow's new
-  /// shard, possibly this element itself). Default: nothing.
+  /// Hook for *flow-keyed* state. After a hot-swap or reshard a flow's
+  /// packets arrive at shard_of(key, n), which is generally not the
+  /// shard absorb_state folded this element into, so the router calls
+  /// migrate_flows on every old element after the fold; implementations
+  /// move each flow's state to `target_for(key)` (the same-name,
+  /// same-class element on the flow's new shard, or nullptr). Default:
+  /// nothing.
   virtual void migrate_flows(
       const std::function<Element*(const net::FlowKey&)>& target_for);
 
@@ -77,7 +78,22 @@ class Element {
   void connect_output(int port, Element* target, int target_port);
   bool output_connected(int port) const;
 
+  /// Counter slots every element carries (sized for IDSMatcher's five).
+  /// Each class names its slots with a private enum; ShardedRouter sums
+  /// the block across hot-swap and reshard.
+  static constexpr std::size_t kCounterSlots = 5;
+  std::uint64_t counter(std::size_t slot) const {
+    assert(slot < kCounterSlots);
+    return counters_[slot];
+  }
+
  protected:
+  /// Adds `n` to counter slot `slot`.
+  void count(std::size_t slot, std::uint64_t n = 1) {
+    assert(slot < kCounterSlots);
+    counters_[slot] += n;
+  }
+
   /// Forwards a whole burst out of `port` and clears `batch` afterwards
   /// (the downstream element consumed the packets). Empty bursts are
   /// not forwarded. An unconnected port silently drops the burst (Click
@@ -90,8 +106,11 @@ class Element {
     Element* target = nullptr;
     int target_port = 0;
   };
+  friend class ShardedRouter;  ///< folds counters_ on hot-swap and reshard
+
   std::vector<Port> outputs_;
   std::string name_;
+  std::array<std::uint64_t, kCounterSlots> counters_{};
 };
 
 }  // namespace endbox::click

@@ -8,20 +8,9 @@ void ElementRegistry::register_class(const std::string& class_name, Factory fact
   factories_[class_name] = std::move(factory);
 }
 
-bool ElementRegistry::knows(const std::string& class_name) const {
-  return factories_.count(class_name) > 0;
-}
-
 std::unique_ptr<Element> ElementRegistry::create(const std::string& class_name) const {
   auto it = factories_.find(class_name);
   return it == factories_.end() ? nullptr : it->second();
-}
-
-std::vector<std::string> ElementRegistry::class_names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, _] : factories_) names.push_back(name);
-  return names;
 }
 
 ElementRegistry ElementRegistry::with_standard_elements() {

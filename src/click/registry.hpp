@@ -19,11 +19,8 @@ class ElementRegistry {
   using Factory = std::function<std::unique_ptr<Element>()>;
 
   void register_class(const std::string& class_name, Factory factory);
-  bool knows(const std::string& class_name) const;
   /// Creates an instance; nullptr for unknown classes.
   std::unique_ptr<Element> create(const std::string& class_name) const;
-
-  std::vector<std::string> class_names() const;
 
   /// Registry preloaded with the standard element classes.
   static ElementRegistry with_standard_elements();

@@ -45,7 +45,7 @@ class Router {
   std::size_t connection_count() const { return connection_count_; }
   const std::string& config_text() const { return config_text_; }
 
-  /// Elements in declaration order (for take_state pairing and stats).
+  /// Elements in declaration order (for state transfer and stats).
   const std::vector<Element*>& elements() const { return element_order_; }
 
  private:

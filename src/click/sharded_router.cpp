@@ -134,12 +134,7 @@ bool ShardedRouter::push_batch_to(const std::string& name, PacketBatch&& batch) 
 Status ShardedRouter::hot_swap(const std::string& config_text) {
   auto built = build_shards(config_text, shards_.size());
   if (!built.ok()) return err(built.error());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    for (Element* fresh : (*built)[i]->elements()) {
-      Element* old = shards_[i]->find(fresh->name());
-      if (old && old->class_name() == fresh->class_name()) fresh->take_state(*old);
-    }
-  }
+  transfer_state(*built);
   config_text_ = config_text;
   adopt(std::move(*built));
   return {};
@@ -150,56 +145,58 @@ Status ShardedRouter::reshard(std::size_t new_shards) {
   if (new_shards == shards_.size()) return {};
   auto built = build_shards(config_text_, new_shards);
   if (!built.ok()) return err(built.error());
+  transfer_state(*built);
+  adopt(std::move(*built));
+  ++reshard_count_;
+  return {};
+}
 
-  // Queued packets first: drain every old Queue and re-push each packet
-  // into the same-named Queue of the shard its flow now hashes to, so
-  // nothing is lost and flows keep living in exactly one shard.
+void ShardedRouter::transfer_state(std::vector<std::unique_ptr<Router>>& built) {
+  const std::size_t n = built.size();
+  // An old element's successor on `shard`: same name, same class.
+  auto successor = [&](std::size_t shard, const Element& old) -> Element* {
+    Element* fresh = built[shard]->find(old.name());
+    return fresh && fresh->class_name() == old.class_name() ? fresh : nullptr;
+  };
+
+  // 1. Queued packets: drain every old Queue and re-push each packet
+  // into its successor on the shard the packet's flow hashes to, so
+  // flows keep living in exactly one shard. Overflow counts as drops.
   for (const auto& old_shard : shards_) {
     for (Element* old_element : old_shard->elements()) {
       auto* old_queue = dynamic_cast<Queue*>(old_element);
       if (!old_queue) continue;
-      while (auto packet = old_queue->pop()) {
-        std::size_t target = shard_of(net::FlowKey::of(*packet), new_shards);
-        if (auto* fresh = (*built)[target]->find_as<Queue>(old_element->name()))
+      while (auto packet = old_queue->pop())
+        if (Element* fresh =
+                successor(shard_of(net::FlowKey::of(*packet), n), *old_queue))
           fresh->push(0, std::move(*packet));
-      }
     }
   }
 
-  // Flow-keyed state next: a flow's packets arrive at
-  // shard_of(key, new_shards) after the switch, which is generally NOT
-  // o % new_shards — folding a stream context to the wrong shard would
-  // orphan it (its flow never touches that lane again) while the right
-  // lane starts the flow from scratch, losing mid-stream scan state.
-  // migrate_flows re-homes each flow's state to the same-named element
-  // on the shard its key hashes to under the new count.
+  // 2. Fold: old shard o merges into new shard o % n, so each old shard
+  // contributes exactly once and every aggregate survives. The router
+  // sums the counter block; absorb_state folds the rest (lane clocks,
+  // bucket credit, stats structs).
+  for (std::size_t o = 0; o < shards_.size(); ++o) {
+    for (Element* old_element : shards_[o]->elements()) {
+      Element* fresh = successor(o % n, *old_element);
+      if (!fresh) continue;
+      for (std::size_t i = 0; i < Element::kCounterSlots; ++i)
+        fresh->counters_[i] += old_element->counters_[i];
+      fresh->absorb_state(*old_element);
+    }
+  }
+
+  // 3. Flows last: a flow's packets arrive at shard_of(key, n), which is
+  // generally not o % n, so each flow's state moves there. Running
+  // after the fold stamps migrated state with the folded lane clock.
   for (const auto& old_shard : shards_) {
     for (Element* old_element : old_shard->elements()) {
-      old_element->migrate_flows([&](const net::FlowKey& key) -> Element* {
-        std::size_t target = shard_of(key, new_shards);
-        Element* fresh = (*built)[target]->find(old_element->name());
-        if (!fresh || fresh->class_name() != old_element->class_name())
-          return nullptr;
-        return fresh;
+      old_element->migrate_flows([&](const net::FlowKey& key) {
+        return successor(shard_of(key, n), *old_element);
       });
     }
   }
-
-  // Everything else merges additively: old shard o folds into new shard
-  // o % new_shards, so each old shard contributes exactly once and
-  // aggregate totals (Counter packets/bytes, IDPS matches, drop tallies)
-  // are preserved across the transition.
-  for (std::size_t o = 0; o < shards_.size(); ++o) {
-    Router& target = *(*built)[o % new_shards];
-    for (Element* old_element : shards_[o]->elements()) {
-      Element* fresh = target.find(old_element->name());
-      if (fresh && fresh->class_name() == old_element->class_name())
-        fresh->absorb_state(*old_element);
-    }
-  }
-  adopt(std::move(*built));
-  ++reshard_count_;
-  return {};
 }
 
 }  // namespace endbox::click

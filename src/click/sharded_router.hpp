@@ -14,15 +14,16 @@
 // N = 1 of the same path — it runs inline on the caller.
 //
 // hot_swap() is Click's hot-swapping, adapted to in-memory configs
-// (the paper's change (iii), section IV): a new graph set is built,
-// each element takes the state of its same-name/same-class
-// predecessor (shard i -> shard i), and on failure the old graphs keep
-// running — one shard is the single-router case. reshard(n) changes
-// the shard count at runtime: queued packets are drained and re-hashed to
-// the shard their flow now maps to, and every other element's state is
-// folded into the new shard set with Element::absorb_state (old shard o
-// merges into new shard o % n), so Counter totals, flow tables and IDPS
-// statistics survive the transition with no packet loss.
+// (the paper's change (iii), section IV), and reshard(n) changes the
+// shard count at runtime. Both build a new graph set and run one
+// transfer into it — hot-swap is simply the transfer at an unchanged
+// shard count — in three steps: queued packets are drained and
+// re-hashed to the shard their flow now maps to; every old element
+// folds into its same-name, same-class successor on new shard o % n
+// (the router sums the counter block, then absorb_state); and
+// migrate_flows moves per-flow state to the shard each flow hashes to.
+// Counter totals, flow tables and stream contexts survive with no
+// packet loss; on a failed build the old graphs keep running.
 #pragma once
 
 #include <condition_variable>
@@ -166,16 +167,14 @@ class ShardedRouter {
   /// is consumed. Returns false when the entry element does not exist.
   bool push_batch_to(const std::string& name, PacketBatch&& batch);
 
-  /// Hot-swaps every shard to a new configuration, transferring element
-  /// state shard-for-shard via take_state (same name, same class). On
-  /// failure the old shards keep running.
+  /// Hot-swaps every shard to a new configuration and transfers element
+  /// state into it (transfer_state). On failure the old shards keep
+  /// running.
   Status hot_swap(const std::string& config_text);
 
-  /// Changes the shard count at runtime: rebuilds the graphs, re-hashes
-  /// queued packets to the shard their flow now maps to, and folds all
-  /// other element state into the new shards via absorb_state (old
-  /// shard o merges into new shard o % new_shards). No-op when the
-  /// count is unchanged; on failure the old shards keep running.
+  /// Changes the shard count at runtime: rebuilds the graphs and
+  /// transfers element state into them (transfer_state). No-op when
+  /// the count is unchanged; on failure the old shards keep running.
   Status reshard(std::size_t new_shards);
 
  private:
@@ -184,6 +183,9 @@ class ShardedRouter {
   Result<std::vector<std::unique_ptr<Router>>> build_shards(
       const std::string& config_text, std::size_t shards);
   void adopt(std::vector<std::unique_ptr<Router>> shards);
+  /// Moves the running shards' state into `built`: queued packets,
+  /// then the fold (old shard o into built[o % n]), then per-flow state.
+  void transfer_state(std::vector<std::unique_ptr<Router>>& built);
 
   RouterFactory factory_;
   std::string config_text_;

@@ -29,32 +29,16 @@ Result<long> parse_int(const std::string& text) {
 // ---- Counter ----------------------------------------------------------
 
 void Counter::push_batch(int /*port*/, PacketBatch&& batch) {
-  packets_ += batch.size();
-  for (const net::Packet& packet : batch) bytes_ += packet.wire_size();
+  count(kPackets, batch.size());
+  for (const net::Packet& packet : batch) count(kBytes, packet.wire_size());
   output_batch(0, std::move(batch));
-}
-
-void Counter::take_state(Element& old_element) {
-  auto& old = static_cast<Counter&>(old_element);
-  packets_ = old.packets_;
-  bytes_ = old.bytes_;
-}
-
-void Counter::absorb_state(Element& old_element) {
-  auto& old = static_cast<Counter&>(old_element);
-  packets_ += old.packets_;
-  bytes_ += old.bytes_;
 }
 
 // ---- Discard ----------------------------------------------------------
 
 void Discard::push_batch(int /*port*/, PacketBatch&& batch) {
-  discarded_ += batch.size();
+  count(kDiscarded, batch.size());
   batch.clear();
-}
-
-void Discard::absorb_state(Element& old_element) {
-  discarded_ += static_cast<Discard&>(old_element).discarded_;
 }
 
 // ---- Tee --------------------------------------------------------------
@@ -96,41 +80,12 @@ Status Queue::configure(const std::vector<std::string>& args) {
 void Queue::push_batch(int /*port*/, PacketBatch&& batch) {
   for (net::Packet& packet : batch) {
     if (queue_.size() >= capacity_) {
-      ++drops_;
+      count(kDrops);
       continue;
     }
     queue_.push_back(std::move(packet));
   }
   batch.clear();
-}
-
-void Queue::append_from(Queue& old) {
-  while (!old.queue_.empty()) {
-    if (queue_.size() >= capacity_) {
-      // This queue's capacity is below the combined occupancy; the
-      // overflow is dropped, like arrivals at a full queue.
-      drops_ += old.queue_.size();
-      old.queue_.clear();
-      break;
-    }
-    queue_.push_back(std::move(old.queue_.front()));
-    old.queue_.pop_front();
-  }
-}
-
-void Queue::take_state(Element& old_element) {
-  auto& old = static_cast<Queue&>(old_element);
-  drops_ = old.drops_;
-  append_from(old);
-}
-
-void Queue::absorb_state(Element& old_element) {
-  // Contents are normally redistributed flow-accurately by the sharded
-  // router *before* absorb runs (old queues arrive empty here); the
-  // append keeps plain absorb correct on its own too.
-  auto& old = static_cast<Queue&>(old_element);
-  drops_ += old.drops_;
-  append_from(old);
 }
 
 std::optional<net::Packet> Queue::pop() {
@@ -241,27 +196,26 @@ void RoundRobinSwitch::push_batch(int /*port*/, PacketBatch&& batch) {
   }
 }
 
-void RoundRobinSwitch::adopt_flows(const RoundRobinSwitch& old) {
-  // Pins whose port survives migrate, first assignment winning on a
-  // key collision; ages restart at this element's clock (the old
-  // element's packet count is a different timeline). The capacity
-  // bound holds — an over-full union sheds the excess as unpinned.
-  old.flow_table_.for_each([&](const net::FlowKey& key, const int& out) {
-    if (out >= n_outputs_ || flow_table_.contains(key)) return;
-    if (!flow_table_.insert(key, int{out}, logical_now_)) ++unpinned_;
-  });
-}
-
-void RoundRobinSwitch::take_state(Element& old_element) {
-  auto& old = static_cast<RoundRobinSwitch&>(old_element);
-  // Keep flow stickiness across hot-swaps (stateful middlebox scaling).
-  next_ = old.next_ % n_outputs_;
-  adopt_flows(old);
-}
-
 void RoundRobinSwitch::absorb_state(Element& old_element) {
-  // Union the flow tables: a flow pinned by any old shard stays pinned.
-  adopt_flows(static_cast<RoundRobinSwitch&>(old_element));
+  // Pins move in migrate_flows; only the cursor folds here (the last
+  // old shard folded into this one wins).
+  next_ = static_cast<RoundRobinSwitch&>(old_element).next_ % n_outputs_;
+}
+
+void RoundRobinSwitch::migrate_flows(
+    const std::function<Element*(const net::FlowKey&)>& target_for) {
+  // Each pin follows its flow to the target, so the flow keeps its
+  // output. Pins whose port survives move, first assignment winning on
+  // a key collision; ages restart at the target's clock (this
+  // element's packet count is a different timeline). The capacity
+  // bound holds: an over-full target sheds the excess as unpinned.
+  flow_table_.extract_all([&](net::FlowKey&& key, int&& out, sim::Time) {
+    auto* target = dynamic_cast<RoundRobinSwitch*>(target_for(key));
+    if (!target || out >= target->n_outputs_ || target->flow_table_.contains(key))
+      return;
+    if (!target->flow_table_.insert(key, int{out}, target->logical_now_))
+      ++target->unpinned_;
+  });
 }
 
 // ---- CheckIPHeader -------------------------------------------------------
@@ -275,17 +229,13 @@ bool implausible_header(const net::Packet& packet) {
 void CheckIPHeader::push_batch(int /*port*/, PacketBatch&& batch) {
   partition_batch(batch, reject_scratch_, [this](net::Packet& packet) {
     if (!implausible_header(packet)) return true;
-    ++bad_;
+    count(kBad);
     packet.dropped = true;
     return false;
   });
   output_batch(0, std::move(batch));
   output_batch(1, std::move(reject_scratch_));
   reject_scratch_.clear();
-}
-
-void CheckIPHeader::absorb_state(Element& old_element) {
-  bad_ += static_cast<CheckIPHeader&>(old_element).bad_;
 }
 
 // ---- IPFilter -------------------------------------------------------------
@@ -380,7 +330,7 @@ Status IPFilter::configure(const std::vector<std::string>& args) {
 
 bool IPFilter::allows(const net::Packet& packet) {
   for (const auto& rule : rules_) {
-    ++rules_evaluated_;
+    count(kRulesEvaluated);
     if (rule.matches(packet)) return rule.allow;
   }
   return true;  // unmatched packets are allowed
@@ -389,19 +339,13 @@ bool IPFilter::allows(const net::Packet& packet) {
 void IPFilter::push_batch(int /*port*/, PacketBatch&& batch) {
   partition_batch(batch, reject_scratch_, [this](net::Packet& packet) {
     if (allows(packet)) return true;
-    ++dropped_;
+    count(kDropped);
     packet.dropped = true;
     return false;
   });
   output_batch(0, std::move(batch));
   output_batch(1, std::move(reject_scratch_));
   reject_scratch_.clear();
-}
-
-void IPFilter::absorb_state(Element& old_element) {
-  auto& old = static_cast<IPFilter&>(old_element);
-  dropped_ += old.dropped_;
-  rules_evaluated_ += old.rules_evaluated_;
 }
 
 // ---- Registration ------------------------------------------------------

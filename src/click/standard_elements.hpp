@@ -22,15 +22,12 @@ class Counter : public Element {
  public:
   std::string_view class_name() const override { return "Counter"; }
   void push_batch(int port, PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
-  void absorb_state(Element& old_element) override;
 
-  std::uint64_t packets() const { return packets_; }
-  std::uint64_t bytes() const { return bytes_; }
+  std::uint64_t packets() const { return counter(kPackets); }
+  std::uint64_t bytes() const { return counter(kBytes); }
 
  private:
-  std::uint64_t packets_ = 0;
-  std::uint64_t bytes_ = 0;
+  enum Slot { kPackets, kBytes };
 };
 
 /// Silently drops every packet.
@@ -38,11 +35,10 @@ class Discard : public Element {
  public:
   std::string_view class_name() const override { return "Discard"; }
   void push_batch(int port, PacketBatch&& batch) override;
-  void absorb_state(Element& old_element) override;
-  std::uint64_t discarded() const { return discarded_; }
+  std::uint64_t discarded() const { return counter(kDiscarded); }
 
  private:
-  std::uint64_t discarded_ = 0;
+  enum Slot { kDiscarded };
 };
 
 /// Duplicates each packet to all N outputs. `Tee(3)` has 3 outputs.
@@ -64,22 +60,18 @@ class Queue : public Element {
   std::string_view class_name() const override { return "Queue"; }
   Status configure(const std::vector<std::string>& args) override;
   void push_batch(int port, PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
-  void absorb_state(Element& old_element) override;
 
   /// Dequeues the head packet, if any (pull side).
   std::optional<net::Packet> pop();
   std::size_t size() const { return queue_.size(); }
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t drops() const { return drops_; }
+  std::uint64_t drops() const { return counter(kDrops); }
 
  private:
-  /// Moves `old`'s queued packets to this tail; overflow counts as drops.
-  void append_from(Queue& old);
+  enum Slot { kDrops };
 
   std::size_t capacity_ = 1000;
   std::deque<net::Packet> queue_;
-  std::uint64_t drops_ = 0;
 };
 
 /// Sets the IP TOS byte: `SetTos(0xeb)` or decimal.
@@ -116,13 +108,18 @@ class Paint : public Element {
 /// unpinned_flows()) and expires pins idle for IDLE_PKTS packets of
 /// element time (a packet-count timer wheel; 0 = never). Defaults keep
 /// the former unbounded-feeling behaviour at a 64k cap.
+///
+/// Hot-swap and reshard keep the round-robin cursor (absorb_state) and
+/// move each pin to the shard its flow hashes to (migrate_flows), so a
+/// flow keeps its output across both.
 class RoundRobinSwitch : public Element {
  public:
   std::string_view class_name() const override { return "RoundRobinSwitch"; }
   Status configure(const std::vector<std::string>& args) override;
   void push_batch(int port, PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
+  void migrate_flows(const std::function<Element*(const net::FlowKey&)>&
+                         target_for) override;
   int n_outputs() const override { return n_outputs_; }
 
   std::size_t tracked_flows() const { return flow_table_.size(); }
@@ -137,8 +134,6 @@ class RoundRobinSwitch : public Element {
 
   /// Output port for one packet (advances round-robin/flow state).
   int route(const net::Packet& packet);
-  /// Re-pins a predecessor's surviving flows (hot-swap / reshard).
-  void adopt_flows(const RoundRobinSwitch& old);
 
   int n_outputs_ = 2;
   bool flow_mode_ = false;
@@ -156,12 +151,12 @@ class CheckIPHeader : public Element {
  public:
   std::string_view class_name() const override { return "CheckIPHeader"; }
   void push_batch(int port, PacketBatch&& batch) override;
-  void absorb_state(Element& old_element) override;
   int n_outputs() const override { return 2; }
-  std::uint64_t bad_packets() const { return bad_; }
+  std::uint64_t bad_packets() const { return counter(kBad); }
 
  private:
-  std::uint64_t bad_ = 0;
+  enum Slot { kBad };
+
   PacketBatch reject_scratch_;  ///< reused bad-packet burst for output 1
 };
 
@@ -195,23 +190,22 @@ class IPFilter : public Element {
   std::string_view class_name() const override { return "IPFilter"; }
   Status configure(const std::vector<std::string>& args) override;
   void push_batch(int port, PacketBatch&& batch) override;
-  void absorb_state(Element& old_element) override;
   int n_outputs() const override { return 2; }
 
   std::size_t rule_count() const { return rules_.size(); }
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t rules_evaluated() const { return rules_evaluated_; }
+  std::uint64_t dropped() const { return counter(kDropped); }
+  std::uint64_t rules_evaluated() const { return counter(kRulesEvaluated); }
 
   /// Parses one rule string (exposed for tests).
   static Result<Rule> parse_rule(const std::string& text);
 
  private:
-  /// First-match verdict for one packet (tallies rules_evaluated_).
+  enum Slot { kDropped, kRulesEvaluated };
+
+  /// First-match verdict for one packet (tallies rules evaluated).
   bool allows(const net::Packet& packet);
 
   std::vector<Rule> rules_;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t rules_evaluated_ = 0;
   PacketBatch reject_scratch_;  ///< reused dropped-packet burst for output 1
 };
 

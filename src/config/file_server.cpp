@@ -16,11 +16,6 @@ std::optional<ConfigBundle> ConfigFileServer::fetch(std::uint32_t version) const
   return it->second;
 }
 
-std::optional<ConfigBundle> ConfigFileServer::latest() const {
-  if (bundles_.empty()) return std::nullopt;
-  return bundles_.rbegin()->second;
-}
-
 std::uint32_t ConfigFileServer::latest_version() const {
   return bundles_.empty() ? 0 : bundles_.rbegin()->first;
 }

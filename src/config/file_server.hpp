@@ -17,7 +17,6 @@ class ConfigFileServer {
   Status publish(const ConfigBundle& bundle);
 
   std::optional<ConfigBundle> fetch(std::uint32_t version) const;
-  std::optional<ConfigBundle> latest() const;
   std::uint32_t latest_version() const;
   std::size_t stored() const { return bundles_.size(); }
   std::uint64_t fetches() const { return fetches_; }

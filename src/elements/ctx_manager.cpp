@@ -73,27 +73,15 @@ void CTXManager::push_batch(int /*port*/, click::PacketBatch&& batch) {
   output_batch(0, std::move(batch));
 }
 
-void CTXManager::take_state(Element& old_element) {
-  auto& old = static_cast<CTXManager&>(old_element);
-  table_ = std::move(old.table_);
-  stats_ = old.stats_;
-  // Hot-swap keeps the configured limits of the *new* element; every
-  // adopted context must point at this element's plumbing, not the
-  // soon-to-be-destroyed old one's.
-  table_.for_each([&](const net::FlowKey&, FlowContext& ctx) {
-    ctx.stats = &stats_;
-    ctx.limits = &limits_;
-  });
-}
-
 void CTXManager::adopt(net::FlowKey key, FlowContext&& ctx) {
   std::size_t parked = ctx.parked_bytes;
   ctx.stats = &stats_;
   ctx.limits = &limits_;
   // Migration counts as activity: the source lane's clock is unrelated
   // to ours, so the old stamp would expire the flow too early or far
-  // too late. Re-stamping restarts the idle window — acceptable, since
-  // a reshard is rare and the flow was live enough to be migrated.
+  // too late. Re-stamping at this lane's clock (folded before the
+  // migration runs) restarts the idle window — acceptable, since a
+  // transition is rare and the flow was live enough to be migrated.
   table_.insert_migrated(key, std::move(ctx), stats_.logical_now);
   ++stats_.flows_migrated_in;
   stats_.bytes_buffered += parked;
@@ -113,16 +101,10 @@ void CTXManager::migrate_flows(
 }
 
 void CTXManager::absorb_state(Element& old_element) {
+  // Stats only: live contexts move afterwards, one by one, through
+  // migrate_flows into this element's table (its CAPACITY and
+  // IDLE_PKTS apply from then on).
   auto& old = static_cast<CTXManager&>(old_element);
-  // Counters fold o -> o%n like every element's; live contexts were
-  // already re-homed by migrate_flows (old.table_ is empty by now
-  // during a reshard — but fold any stragglers for robustness when
-  // absorb is used standalone).
-  old.table_.extract_all(
-      [&](net::FlowKey&& key, FlowContext&& ctx, sim::Time /*last_activity*/) {
-        old.stats_.bytes_buffered -= ctx.parked_bytes;
-        adopt(std::move(key), std::move(ctx));
-      });
   stats_.absorb(old.stats_);
   table_.absorb_stats(old.table_.stats());
 }

@@ -14,11 +14,13 @@
 // (counted in table stats as rejected_full) — degraded, never wedged.
 //
 // Lane-locality: RSS pins a flow to one lane, so this table is only
-// ever touched by its lane's worker. On reshard, migrate_flows()
-// re-homes every live context to the CTXManager of the lane its flow
-// hashes to under the new shard count — mid-stream scan state
-// (reassembly cursor, automaton states, content hits) survives the
-// lane-count change.
+// ever touched by its lane's worker. Hot-swap and reshard run the same
+// transfer: absorb_state folds the stream and table stats (raising the
+// lane clock to the predecessor's), then migrate_flows() moves every
+// live context into the table of the new CTXManager on the lane its
+// flow hashes to — a table built with the new element's CAPACITY and
+// IDLE_PKTS. Mid-stream scan state (reassembly cursor, automaton
+// states, content hits) survives both.
 #pragma once
 
 #include "click/element.hpp"
@@ -32,7 +34,6 @@ class CTXManager : public click::Element {
   std::string_view class_name() const override { return "CTXManager"; }
   Status configure(const std::vector<std::string>& args) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
   void migrate_flows(const std::function<click::Element*(const net::FlowKey&)>&
                          target_for) override;

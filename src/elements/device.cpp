@@ -3,12 +3,8 @@
 namespace endbox::elements {
 
 void FromDevice::push_batch(int /*port*/, click::PacketBatch&& batch) {
-  packets_ += batch.size();
+  count(kPackets, batch.size());
   output_batch(0, std::move(batch));
-}
-
-void FromDevice::absorb_state(Element& old_element) {
-  packets_ += static_cast<FromDevice&>(old_element).packets_;
 }
 
 void ToDevice::push_batch(int port, click::PacketBatch&& batch) {
@@ -19,17 +15,10 @@ void ToDevice::push_batch(int port, click::PacketBatch&& batch) {
   // middlebox functions.
   for (net::Packet& packet : batch) {
     bool accepted = port == 0 && !packet.dropped;
-    if (accepted) ++accepted_;
-    else ++rejected_;
+    count(accepted ? kAccepted : kRejected);
     if (context_.to_device) context_.to_device(std::move(packet), accepted);
   }
   batch.clear();
-}
-
-void ToDevice::absorb_state(Element& old_element) {
-  auto& old = static_cast<ToDevice&>(old_element);
-  accepted_ += old.accepted_;
-  rejected_ += old.rejected_;
 }
 
 }  // namespace endbox::elements

@@ -17,11 +17,10 @@ class FromDevice : public click::Element {
  public:
   std::string_view class_name() const override { return "FromDevice"; }
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void absorb_state(Element& old_element) override;
-  std::uint64_t packets() const { return packets_; }
+  std::uint64_t packets() const { return counter(kPackets); }
 
  private:
-  std::uint64_t packets_ = 0;
+  enum Slot { kPackets };
 };
 
 class ToDevice : public click::Element {
@@ -30,16 +29,15 @@ class ToDevice : public click::Element {
 
   std::string_view class_name() const override { return "ToDevice"; }
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void absorb_state(Element& old_element) override;
   int n_inputs() const override { return 2; }  ///< port 1 = reject path
 
-  std::uint64_t accepted() const { return accepted_; }
-  std::uint64_t rejected() const { return rejected_; }
+  std::uint64_t accepted() const { return counter(kAccepted); }
+  std::uint64_t rejected() const { return counter(kRejected); }
 
  private:
+  enum Slot { kAccepted, kRejected };
+
   ElementContext& context_;
-  std::uint64_t accepted_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace endbox::elements

@@ -6,9 +6,9 @@
 //
 // Contexts are lane-local: RSS pins a flow's packets to one lane, so
 // its context lives in that lane's CTXManager table and is read and
-// written without locks. Reshard migrates live contexts to the lane
-// their flow hashes to under the new shard count (Element::
-// migrate_flows), so mid-stream scans survive a lane count change.
+// written without locks. Hot-swap and reshard migrate live contexts to
+// the lane their flow hashes to (Element::migrate_flows), so
+// mid-stream scans survive a new configuration or lane count.
 //
 // Keying is *unidirectional* (net::FlowKey, the plain 5-tuple): the
 // two directions of a TCP connection are distinct streams with
@@ -43,7 +43,7 @@ struct StreamStats {
   std::uint64_t logical_now = 0;          ///< lane packet clock
   std::uint64_t flows_classified = 0;     ///< contexts created
   std::uint64_t flows_expired = 0;        ///< contexts idle-expired
-  std::uint64_t flows_migrated_in = 0;    ///< contexts adopted by reshard
+  std::uint64_t flows_migrated_in = 0;    ///< contexts moved in (swap, reshard)
   std::uint64_t bytes_buffered = 0;       ///< parked payload bytes now
   std::uint64_t bytes_buffered_peak = 0;
   std::uint64_t segments_parked = 0;      ///< out-of-order segments parked
@@ -53,13 +53,14 @@ struct StreamStats {
 
   void absorb(const StreamStats& other) {
     // logical_now is lane time, not a counter — keep the larger clock
-    // so re-stamped activity never moves backwards.
+    // so re-stamped activity never moves backwards. bytes_buffered is
+    // not folded: it counts the parked bytes of this lane's contexts,
+    // and each migrated context brings its own (CTXManager::adopt).
     logical_now = logical_now > other.logical_now ? logical_now
                                                   : other.logical_now;
     flows_classified += other.flows_classified;
     flows_expired += other.flows_expired;
     flows_migrated_in += other.flows_migrated_in;
-    bytes_buffered += other.bytes_buffered;
     bytes_buffered_peak = bytes_buffered_peak > other.bytes_buffered_peak
                               ? bytes_buffered_peak
                               : other.bytes_buffered_peak;

@@ -33,8 +33,8 @@ Status IDSMatcher::configure(const std::vector<std::string>& args) {
 
 idps::IdpsVerdict IDSMatcher::inspect_stream_one(net::Packet& packet) {
   FlowContext& ctx = *packet.flow_ctx;
-  ++stream_chunks_;
-  bytes_scanned_ += packet.stream_len;
+  count(kStreamChunks);
+  count(kBytesScanned, packet.stream_len);
   ByteView chunk(packet.payload.data() + packet.stream_off, packet.stream_len);
   std::span<std::uint8_t> mask;
   if (mask_mode_ && packet.stream_len > 0)
@@ -42,18 +42,18 @@ idps::IdpsVerdict IDSMatcher::inspect_stream_one(net::Packet& packet) {
   std::uint64_t before = ctx.match.cross_segment_matches;
   auto verdict =
       engine_->inspect_stream(packet, chunk, ctx.match, scratch_.rules, mask);
-  stream_evasions_ += ctx.match.cross_segment_matches - before;
+  count(kStreamEvasions, ctx.match.cross_segment_matches - before);
   return verdict;
 }
 
 bool IDSMatcher::apply_stream_verdict(net::Packet& packet,
                                       const idps::IdpsVerdict& verdict) {
   FlowContext& ctx = *packet.flow_ctx;
-  if (verdict.matched) ++matches_;
+  if (verdict.matched) count(kMatches);
   bool kill = verdict.drop || (drop_mode_ && verdict.matched);
   if (kill && !ctx.match.drop_flow) {
     ctx.match.drop_flow = true;
-    ++flows_killed_;
+    count(kFlowsKilled);
   }
   // A flow killed by an earlier segment stays dead: every later packet
   // of it is dropped whether or not this chunk matched anything.
@@ -95,7 +95,7 @@ void IDSMatcher::push_batch(int /*port*/, click::PacketBatch&& batch) {
     const Bytes& data = packet.decrypted_payload.empty()
                             ? packet.payload
                             : packet.decrypted_payload;
-    bytes_scanned_ += data.size();
+    count(kBytesScanned, data.size());
     packets[m] = &packet;
     payloads[m] = data;
     back[m] = static_cast<std::uint32_t>(i);
@@ -107,7 +107,7 @@ void IDSMatcher::push_batch(int /*port*/, click::PacketBatch&& batch) {
     engine_->inspect_batch({packets.data(), m}, {payloads.data(), m}, scratch_,
                            verdicts.data());
     for (std::size_t k = 0; k < m; ++k) {
-      if (verdicts[k].matched) ++matches_;
+      if (verdicts[k].matched) count(kMatches);
       bool drop = verdicts[k].drop || (drop_mode_ && verdicts[k].matched);
       if (drop) batch[back[k]].dropped = true;
       keep[back[k]] = !drop;
@@ -122,30 +122,13 @@ void IDSMatcher::push_batch(int /*port*/, click::PacketBatch&& batch) {
   drop_scratch_.clear();
 }
 
-void IDSMatcher::take_state(Element& old_element) {
-  auto& old = static_cast<IDSMatcher&>(old_element);
-  bytes_scanned_ = old.bytes_scanned_;
-  matches_ = old.matches_;
-  stream_chunks_ = old.stream_chunks_;
-  stream_evasions_ = old.stream_evasions_;
-  flows_killed_ = old.flows_killed_;
-  // This element's engine is freshly built (configure), so the old
-  // element's running totals become this one's base.
-  base_prefilter_.prefiltered_bytes = old.prefiltered_bytes();
-  base_prefilter_.confirmed_windows = old.confirmed_windows();
-  base_prefilter_.fallback_scans = old.fallback_scans();
-}
-
 void IDSMatcher::absorb_state(Element& old_element) {
-  // Stream statistics merge additively; the automaton itself stays
-  // per-shard (each engine carries mutable inspection counters, so
-  // sharing one across worker threads would race).
+  // This element's engine is freshly built (configure), so the old
+  // element's running prefilter totals fold into this one's base. The
+  // automaton itself stays per-shard (each engine carries mutable
+  // inspection counters, so sharing one across worker threads would
+  // race).
   auto& old = static_cast<IDSMatcher&>(old_element);
-  bytes_scanned_ += old.bytes_scanned_;
-  matches_ += old.matches_;
-  stream_chunks_ += old.stream_chunks_;
-  stream_evasions_ += old.stream_evasions_;
-  flows_killed_ += old.flows_killed_;
   base_prefilter_.prefiltered_bytes += old.prefiltered_bytes();
   base_prefilter_.confirmed_windows += old.confirmed_windows();
   base_prefilter_.fallback_scans += old.fallback_scans();

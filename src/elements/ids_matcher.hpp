@@ -38,21 +38,22 @@ class IDSMatcher : public click::Element {
   std::string_view class_name() const override { return "IDSMatcher"; }
   Status configure(const std::vector<std::string>& args) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
   int n_outputs() const override { return 2; }
 
   const idps::IdpsEngine* engine() const { return engine_.get(); }
-  std::uint64_t bytes_scanned() const { return bytes_scanned_; }
-  std::uint64_t matches() const { return matches_; }
-  std::uint64_t stream_chunks() const { return stream_chunks_; }
+  std::uint64_t bytes_scanned() const { return counter(kBytesScanned); }
+  std::uint64_t matches() const { return counter(kMatches); }
+  /// Stream windows scanned.
+  std::uint64_t stream_chunks() const { return counter(kStreamChunks); }
   /// Cross-segment matches observed — split-payload deliveries the
   /// per-packet matcher would have missed (evasions caught).
-  std::uint64_t stream_evasions() const { return stream_evasions_; }
-  std::uint64_t flows_killed() const { return flows_killed_; }
+  std::uint64_t stream_evasions() const { return counter(kStreamEvasions); }
+  /// Flows put into drop_flow.
+  std::uint64_t flows_killed() const { return counter(kFlowsKilled); }
   /// Two-tier scanning stats: live engine counters plus the totals
-  /// inherited from hot-swap predecessors (the engine is rebuilt per
-  /// configure, so swap continuity lives in base_prefilter_).
+  /// inherited from hot-swap and reshard predecessors (the engine is
+  /// rebuilt per configure, so continuity lives in base_prefilter_).
   std::uint64_t prefiltered_bytes() const {
     return base_prefilter_.prefiltered_bytes +
            (engine_ ? engine_->prefilter_stats().prefiltered_bytes : 0);
@@ -67,6 +68,9 @@ class IDSMatcher : public click::Element {
   }
 
  private:
+  enum Slot { kBytesScanned, kMatches, kStreamChunks, kStreamEvasions,
+              kFlowsKilled };
+
   /// True when the packet must take the resumable stream path.
   static bool stream_packet(const net::Packet& packet) {
     return packet.flow_ctx != nullptr && packet.stream_scan;
@@ -78,15 +82,10 @@ class IDSMatcher : public click::Element {
                             const idps::IdpsVerdict& verdict);
 
   ElementContext& context_;
-  std::shared_ptr<idps::IdpsEngine> engine_;  ///< shared across hot-swaps
+  std::shared_ptr<idps::IdpsEngine> engine_;  ///< built anew by every configure
   bool drop_mode_ = false;
   bool mask_mode_ = false;
-  std::uint64_t bytes_scanned_ = 0;
-  std::uint64_t matches_ = 0;
-  std::uint64_t stream_chunks_ = 0;    ///< stream windows scanned
-  std::uint64_t stream_evasions_ = 0;  ///< cross-segment matches seen
-  std::uint64_t flows_killed_ = 0;     ///< flows put into drop_flow
-  idps::PrefilterStats base_prefilter_;  ///< totals from swapped-out elements
+  idps::PrefilterStats base_prefilter_;  ///< totals from replaced elements
   idps::IdpsEngine::BatchScratch scratch_;    ///< reused across bursts
   click::PacketBatch drop_scratch_;           ///< reused matched burst for output 1
 };

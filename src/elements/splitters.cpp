@@ -36,13 +36,13 @@ Status RateSplitterBase::configure(const std::vector<std::string>& args) {
   }
   if (!have_rate) return err(std::string(class_name()) + ": RATE required");
   if (burst_bits_ == 0) burst_bits_ = rate_bps_;  // one second of burst
-  tokens_ = burst_bits_;
   return {};
 }
 
 bool RateSplitterBase::admit(const net::Packet& packet) {
   sim::Time now = acquire_time();
   if (!primed_) {
+    tokens_ = burst_bits_;  // fill on priming: a new element holds no credit
     last_refresh_ = now;
     primed_ = true;
   }
@@ -53,11 +53,11 @@ bool RateSplitterBase::admit(const net::Packet& packet) {
   }
   double bits = static_cast<double>(packet.wire_size()) * 8.0;
   if (tokens_ < bits) {
-    ++over_rate_;
+    count(kOverRate);
     return false;
   }
   tokens_ -= bits;
-  ++conforming_;
+  count(kConforming);
   return true;
 }
 
@@ -75,22 +75,11 @@ void RateSplitterBase::push_batch(int /*port*/, click::PacketBatch&& batch) {
   over_scratch_.clear();
 }
 
-void RateSplitterBase::take_state(Element& old_element) {
-  auto& old = static_cast<RateSplitterBase&>(old_element);
-  tokens_ = std::min(old.tokens_, burst_bits_);
-  last_refresh_ = old.last_refresh_;
-  primed_ = old.primed_;
-  conforming_ = old.conforming_;
-  over_rate_ = old.over_rate_;
-}
-
 void RateSplitterBase::absorb_state(Element& old_element) {
   auto& old = static_cast<RateSplitterBase&>(old_element);
-  conforming_ += old.conforming_;
-  over_rate_ += old.over_rate_;
-  // Bucket state: pool the unspent tokens (capped at the configured
-  // burst) and keep the most recent refresh so merged shards never
-  // mint extra credit.
+  // Bucket state: pool the credit the predecessors really held (capped
+  // at the configured burst) and keep the most recent refresh, so a
+  // transition never mints extra credit.
   tokens_ = std::min(tokens_ + old.tokens_, burst_bits_);
   last_refresh_ = std::max(last_refresh_, old.last_refresh_);
   primed_ = primed_ || old.primed_;

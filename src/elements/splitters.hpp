@@ -11,6 +11,12 @@
 //
 // Conforming packets exit output 0; over-rate packets exit output 1
 // marked dropped (rate *limiting*, as the DDoS function requires).
+//
+// The bucket fills when it primes, on the first admitted packet, not
+// at configure. Hot-swap and reshard fold each predecessor's unspent
+// credit into its successor (absorb_state, capped at BURST), so a
+// transition hands the limiter only credit the old lanes really held,
+// never a fresh burst.
 #pragma once
 
 #include "click/element.hpp"
@@ -26,13 +32,12 @@ class RateSplitterBase : public click::Element {
 
   Status configure(const std::vector<std::string>& args) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
   void absorb_state(Element& old_element) override;
   int n_outputs() const override { return 2; }
 
   double rate_bps() const { return rate_bps_; }
-  std::uint64_t conforming() const { return conforming_; }
-  std::uint64_t over_rate() const { return over_rate_; }
+  std::uint64_t conforming() const { return counter(kConforming); }
+  std::uint64_t over_rate() const { return counter(kOverRate); }
 
  protected:
   /// Returns current time; subclasses decide how (and how often) to
@@ -46,17 +51,17 @@ class RateSplitterBase : public click::Element {
   std::uint64_t sample_interval_ = 1;  ///< packets between clock reads
 
  private:
+  enum Slot { kConforming, kOverRate };
+
   /// Token-bucket admission for one packet (reads the clock via
   /// acquire_time, refreshes tokens, tallies conforming/over-rate).
   bool admit(const net::Packet& packet);
 
   double rate_bps_ = 1e9;
   double burst_bits_ = 0;  ///< 0 = default to one second at rate
-  double tokens_ = 0;
+  double tokens_ = 0;      ///< filled to burst_bits_ when the bucket primes
   sim::Time last_refresh_ = 0;
-  bool primed_ = false;
-  std::uint64_t conforming_ = 0;
-  std::uint64_t over_rate_ = 0;
+  bool primed_ = false;    ///< first packet admitted (or folded in)
   click::PacketBatch over_scratch_;  ///< reused over-rate burst for output 1
 };
 

@@ -135,7 +135,7 @@ void TCPIn::release_parked(FlowContext& ctx) {
       packet.stream_len = len - overlap;
       ctx.expected_seq += packet.stream_len;
       ctx.stream_bytes += packet.stream_len;
-      in_order_bytes_ += packet.stream_len;
+      count(kInOrderBytes, packet.stream_len);
     }
     packet.stream_scan = true;
     emit(0, std::move(packet));
@@ -143,7 +143,7 @@ void TCPIn::release_parked(FlowContext& ctx) {
 }
 
 void TCPIn::process(net::Packet&& packet) {
-  ++packets_seen_;
+  count(kPacketsSeen);
   FlowContext* ctx = packet.flow_ctx;
   if (!ctx) {
     // Unclassified (non-TCP, or CTXManager at capacity): pass through
@@ -177,7 +177,7 @@ void TCPIn::process(net::Packet&& packet) {
   packet.stream_len = len - overlap;
   ctx->expected_seq += packet.stream_len;
   ctx->stream_bytes += packet.stream_len;
-  in_order_bytes_ += packet.stream_len;
+  count(kInOrderBytes, packet.stream_len);
   FlowContext& flow = *ctx;  // packet is moved next; keep the context
   emit(0, std::move(packet));
   release_parked(flow);
@@ -192,21 +192,9 @@ void TCPIn::push_batch(int /*port*/, click::PacketBatch&& batch) {
   drop_batch_.clear();
 }
 
-void TCPIn::take_state(Element& old_element) {
-  auto& old = static_cast<TCPIn&>(old_element);
-  packets_seen_ = old.packets_seen_;
-  in_order_bytes_ = old.in_order_bytes_;
-}
-
-void TCPIn::absorb_state(Element& old_element) {
-  auto& old = static_cast<TCPIn&>(old_element);
-  packets_seen_ += old.packets_seen_;
-  in_order_bytes_ += old.in_order_bytes_;
-}
-
 void TCPOut::scrub(net::Packet& packet) {
-  ++packets_out_;
-  stream_bytes_out_ += packet.stream_len;
+  count(kPacketsOut);
+  count(kStreamBytesOut, packet.stream_len);
   packet.flow_ctx = nullptr;
   packet.stream_off = 0;
   packet.stream_len = 0;
@@ -216,18 +204,6 @@ void TCPOut::scrub(net::Packet& packet) {
 void TCPOut::push_batch(int /*port*/, click::PacketBatch&& batch) {
   for (auto& packet : batch) scrub(packet);
   output_batch(0, std::move(batch));
-}
-
-void TCPOut::take_state(Element& old_element) {
-  auto& old = static_cast<TCPOut&>(old_element);
-  packets_out_ = old.packets_out_;
-  stream_bytes_out_ = old.stream_bytes_out_;
-}
-
-void TCPOut::absorb_state(Element& old_element) {
-  auto& old = static_cast<TCPOut&>(old_element);
-  packets_out_ += old.packets_out_;
-  stream_bytes_out_ += old.stream_bytes_out_;
 }
 
 }  // namespace endbox::elements

@@ -31,14 +31,14 @@ class TCPIn : public click::Element {
  public:
   std::string_view class_name() const override { return "TCPIn"; }
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
-  void absorb_state(Element& old_element) override;
   int n_outputs() const override { return 2; }
 
-  std::uint64_t packets_seen() const { return packets_seen_; }
-  std::uint64_t in_order_bytes() const { return in_order_bytes_; }
+  std::uint64_t packets_seen() const { return counter(kPacketsSeen); }
+  std::uint64_t in_order_bytes() const { return counter(kInOrderBytes); }
 
  private:
+  enum Slot { kPacketsSeen, kInOrderBytes };
+
   void process(net::Packet&& packet);
   /// Appends one packet to the output burst of `port` (flushed when
   /// full — parked releases can emit more packets than arrived).
@@ -52,25 +52,20 @@ class TCPIn : public click::Element {
 
   click::PacketBatch out_batch_;
   click::PacketBatch drop_batch_;
-  std::uint64_t packets_seen_ = 0;
-  std::uint64_t in_order_bytes_ = 0;
 };
 
 class TCPOut : public click::Element {
  public:
   std::string_view class_name() const override { return "TCPOut"; }
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
-  void absorb_state(Element& old_element) override;
 
-  std::uint64_t packets_out() const { return packets_out_; }
-  std::uint64_t stream_bytes_out() const { return stream_bytes_out_; }
+  std::uint64_t packets_out() const { return counter(kPacketsOut); }
+  std::uint64_t stream_bytes_out() const { return counter(kStreamBytesOut); }
 
  private:
-  void scrub(net::Packet& packet);
+  enum Slot { kPacketsOut, kStreamBytesOut };
 
-  std::uint64_t packets_out_ = 0;
-  std::uint64_t stream_bytes_out_ = 0;
+  void scrub(net::Packet& packet);
 };
 
 }  // namespace endbox::elements

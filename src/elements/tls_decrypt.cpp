@@ -13,7 +13,7 @@ Status TLSDecrypt::configure(const std::vector<std::string>& args) {
 void TLSDecrypt::process(net::Packet& packet) {
   auto record = tls::TlsRecord::parse(packet.payload);
   if (!record.ok() || record->content_type != 23) {
-    ++passthrough_;  // not TLS application data; forward untouched
+    count(kPassthrough);  // not TLS application data; forward untouched
     return;
   }
   // Sessions are resolved through the flow_hint annotation, which the
@@ -22,36 +22,22 @@ void TLSDecrypt::process(net::Packet& packet) {
   // by session id).
   auto keys = context_.key_store->get(packet.flow_hint);
   if (!keys) {
-    ++key_misses_;  // keys not forwarded (vanilla client): cannot inspect
+    count(kKeyMisses);  // keys not forwarded (vanilla client): cannot inspect
     return;
   }
   auto plaintext = tls::open_record(*keys, *record);
   if (!plaintext.ok()) {
-    ++key_misses_;
+    count(kKeyMisses);
     return;
   }
   packet.decrypted_payload = std::move(*plaintext);
-  ++decrypted_;
+  count(kDecrypted);
 }
 
 void TLSDecrypt::push_batch(int /*port*/, click::PacketBatch&& batch) {
   // Every outcome exits output 0, so the burst stays intact.
   for (net::Packet& packet : batch) process(packet);
   output_batch(0, std::move(batch));
-}
-
-void TLSDecrypt::take_state(Element& old_element) {
-  auto& old = static_cast<TLSDecrypt&>(old_element);
-  decrypted_ = old.decrypted_;
-  passthrough_ = old.passthrough_;
-  key_misses_ = old.key_misses_;
-}
-
-void TLSDecrypt::absorb_state(Element& old_element) {
-  auto& old = static_cast<TLSDecrypt&>(old_element);
-  decrypted_ += old.decrypted_;
-  passthrough_ += old.passthrough_;
-  key_misses_ += old.key_misses_;
 }
 
 }  // namespace endbox::elements

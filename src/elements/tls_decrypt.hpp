@@ -22,21 +22,20 @@ class TLSDecrypt : public click::Element {
   std::string_view class_name() const override { return "TLSDecrypt"; }
   Status configure(const std::vector<std::string>& args) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void take_state(Element& old_element) override;
-  void absorb_state(Element& old_element) override;
 
-  std::uint64_t decrypted() const { return decrypted_; }
-  std::uint64_t passthrough() const { return passthrough_; }
-  std::uint64_t key_misses() const { return key_misses_; }
+  std::uint64_t decrypted() const { return counter(kDecrypted); }
+  /// Not TLS, or non-app-data records.
+  std::uint64_t passthrough() const { return counter(kPassthrough); }
+  /// TLS but no session key forwarded.
+  std::uint64_t key_misses() const { return counter(kKeyMisses); }
 
  private:
+  enum Slot { kDecrypted, kPassthrough, kKeyMisses };
+
   /// The record-parse / key-lookup / decrypt step for one packet.
   void process(net::Packet& packet);
 
   ElementContext& context_;
-  std::uint64_t decrypted_ = 0;
-  std::uint64_t passthrough_ = 0;   ///< not TLS, or non-app-data records
-  std::uint64_t key_misses_ = 0;    ///< TLS but no session key forwarded
 };
 
 }  // namespace endbox::elements

@@ -176,7 +176,6 @@ class EndBoxEnclave : public sgx::Enclave {
   /// Prunes TLS keys idle past tls_key_idle_timeout (lifecycle sweep,
   /// driven between bursts like key forwarding). Returns the count.
   std::size_t ecall_expire_tls_keys(sim::Time now);
-  const tls::SessionKeyStore& tls_key_store() const { return key_store_; }
 
   /// Registers a named IDPS rule set available to IDSMatcher configs.
   void ecall_add_ruleset(const std::string& name,

@@ -92,9 +92,6 @@ class AdaptiveReshardController {
   double load_ewma() const { return ewma_; }
   /// Smoothed per-shard utilisation: load_ewma / (shards * capacity).
   double utilisation() const;
-  /// Smoothed load of the hottest lane (observe_lanes feed; the scalar
-  /// observe() assumes balance and tracks load / shards here).
-  double hot_lane_ewma() const { return hot_ewma_; }
   /// Smoothed utilisation of the hottest lane against one lane's
   /// capacity — the signal that triggers an imbalance-driven split.
   double hot_lane_utilisation() const;

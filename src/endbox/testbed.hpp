@@ -72,13 +72,6 @@ class Testbed {
   Rng& rng() { return rng_; }
   netsim::StarTopology& topology() { return topology_; }
   netsim::Link& bottleneck() { return topology_.uplink(); }
-  /// Applies one fault plan across the whole star (uplink and every
-  /// access link, including clients added later) — the chaos
-  /// experiments' one-liner. Per-link fault streams fork from the plan
-  /// seed and the link name, so runs are deterministic per seed.
-  void inject_faults(const netsim::FaultPlan& plan) {
-    topology_.set_fault_plan_all(plan);
-  }
   const std::vector<idps::SnortRule>& community_rules() const { return community_rules_; }
   const config::ConfigBundle& bundle() const { return bundle_; }
 

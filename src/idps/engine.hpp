@@ -151,9 +151,6 @@ class IdpsEngine {
   std::uint64_t packets_inspected() const { return packets_inspected_; }
   std::uint64_t alerts() const { return alerts_; }
   std::uint64_t drops() const { return drops_; }
-  std::size_t automaton_nodes() const {
-    return cs_automaton_.node_count() + ci_automaton_.node_count();
-  }
   /// True when both automatons compiled usable prefilters (every
   /// content literal is at least fragment-width bytes).
   bool prefilter_enabled() const { return prefilter_enabled_; }

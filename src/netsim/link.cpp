@@ -151,13 +151,6 @@ sim::Time Path::deliver(sim::Time now, std::size_t bytes) {
   return t;
 }
 
-sim::Time Path::deliver_burst(sim::Time now, std::size_t bytes,
-                              std::size_t frames) {
-  sim::Time t = now;
-  for (Link* link : links_) t = link->transmit_burst(t, bytes, frames);
-  return t;
-}
-
 FaultOutcome Path::deliver_faulty(sim::Time now, std::size_t bytes) {
   FaultOutcome copies;
   Delivery start;

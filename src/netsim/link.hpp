@@ -64,7 +64,6 @@ class Link {
   const std::string& name() const { return name_; }
   std::uint64_t frames() const { return frames_; }
   std::uint64_t bytes() const { return bytes_; }
-  double busy_ns() const { return busy_ns_; }
   /// Fraction of the window the transmitter was busy.
   double utilisation(sim::Time start, sim::Time end) const;
 
@@ -106,10 +105,6 @@ class Path {
 
   /// Delivers `bytes` across all links in sequence.
   sim::Time deliver(sim::Time now, std::size_t bytes);
-
-  /// Delivers a burst of `frames` frames totalling `bytes` across all
-  /// links in sequence (last-frame arrival).
-  sim::Time deliver_burst(sim::Time now, std::size_t bytes, std::size_t frames);
 
   /// Delivers one frame through every hop's fault plan. Each hop can
   /// drop, duplicate, corrupt or delay each surviving copy

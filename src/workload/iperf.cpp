@@ -48,7 +48,6 @@ IperfReport IperfHarness::run() {
                              ? config_.link->transmit(next.ready, wire.size())
                              : next.ready);
       }
-      if (burst_observer_) burst_observer_(sent.wire.size(), arrival);
       ServeBatchOutcome served = serve_batch_(sent.wire, arrival);
       server_done = std::max(server_done, served.done);
       delivered = served.delivered > 0;
@@ -60,7 +59,6 @@ IperfReport IperfHarness::run() {
                 ? source.path.deliver(next.ready, wire.size())
                 : (config_.link ? config_.link->transmit(next.ready, wire.size())
                                 : next.ready);
-        if (burst_observer_) burst_observer_(1, arrival);
         ServeOutcome served = serve_(wire, arrival);
         server_done = std::max(server_done, served.done);
         delivered |= served.delivered;

@@ -73,11 +73,6 @@ class IperfHarness {
   /// it has fully arrived (the last frame's arrival time).
   using ServeBatchFn =
       std::function<ServeBatchOutcome(std::span<const Bytes> wires, sim::Time now)>;
-  /// Observes every server-side drain: frame count and arrival time of
-  /// the train (1 frame for per-frame serves). This is the offered-load
-  /// signal an AdaptiveReshardController consumes — the driver
-  /// accumulates frames per control interval and feeds observe().
-  using BurstObserver = std::function<void(std::size_t frames, sim::Time now)>;
 
   IperfHarness(ServeFn serve, IperfConfig config)
       : serve_(std::move(serve)), config_(config) {}
@@ -88,11 +83,6 @@ class IperfHarness {
     serve_batch_ = std::move(serve_batch);
   }
 
-  /// Installs the per-drain load observer (see BurstObserver).
-  void set_burst_observer(BurstObserver observer) {
-    burst_observer_ = std::move(observer);
-  }
-
   void add_source(IperfSource source) { sources_.push_back(std::move(source)); }
 
   /// Runs all sources for the configured duration of virtual time.
@@ -101,7 +91,6 @@ class IperfHarness {
  private:
   ServeFn serve_;
   ServeBatchFn serve_batch_;
-  BurstObserver burst_observer_;
   IperfConfig config_;
   std::vector<IperfSource> sources_;
 };

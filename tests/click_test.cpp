@@ -2,6 +2,8 @@
 // router wiring, hot-swap with state transfer.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "click/parser.hpp"
 #include "click/router.hpp"
 #include "click/sharded_router.hpp"
@@ -371,7 +373,7 @@ TEST(Elements, RoundRobinIdlePinsExpireByPacketCount) {
 }
 
 TEST(Elements, RoundRobinAdoptionHonoursTheBound) {
-  // Hot-swap adoption: surviving pins migrate, but never past the new
+  // Pin migration: surviving pins move, but never past the new
   // element's MAX_FLOWS — the excess is shed as unpinned, not leaked.
   RoundRobinSwitch old_rr;
   ASSERT_TRUE(old_rr.configure({"2", "FLOW"}).ok());
@@ -386,7 +388,7 @@ TEST(Elements, RoundRobinAdoptionHonoursTheBound) {
 
   RoundRobinSwitch new_rr;
   ASSERT_TRUE(new_rr.configure({"2", "FLOW", "2"}).ok());
-  new_rr.take_state(old_rr);
+  old_rr.migrate_flows([&](const net::FlowKey&) -> Element* { return &new_rr; });
   EXPECT_EQ(new_rr.tracked_flows(), 2u);
   EXPECT_EQ(new_rr.unpinned_flows(), 1u);
 }
@@ -523,16 +525,45 @@ TEST(HotSwap, StateNotTransferredAcrossDifferentClasses) {
 }
 
 TEST(HotSwap, FlowTableSurvivesSwap) {
-  auto registry = ElementRegistry::with_standard_elements();
+  auto registry = registry_with_sink();
   const std::string config =
-      "lb :: RoundRobinSwitch(2, FLOW); c0 :: Counter; "
-      "c1 :: Counter; lb -> c0; lb[1] -> c1;";
+      "lb :: RoundRobinSwitch(2, FLOW); s0 :: CaptureSink; "
+      "s1 :: CaptureSink; lb -> s0; lb[1] -> s1;";
   auto router = one_lane(registry, config);
   auto* lb = router->shard(0).find_as<RoundRobinSwitch>("lb");
   lb->push(0, make_udp());
   EXPECT_EQ(lb->tracked_flows(), 1u);
   ASSERT_TRUE(router->hot_swap(config).ok());
   EXPECT_EQ(router->shard(0).find_as<RoundRobinSwitch>("lb")->tracked_flows(), 1u);
+
+  // Reshard 1 -> 2: each pin must move to the shard its flow hashes
+  // to, or the flow is pinned afresh there and may change output
+  // mid-connection.
+  constexpr std::uint16_t kFlows = 32;
+  auto burst = [] {
+    PacketBatch batch;
+    for (std::uint16_t f = 0; f < kFlows; ++f)
+      batch.push_back(Packet::udp(Ipv4(10, 8, 0, 2), Ipv4(10, 0, 0, 1),
+                                  static_cast<std::uint16_t>(7000 + f), 80, {}));
+    return batch;
+  };
+  // Output port per source port, read (and cleared) from every shard.
+  auto ports = [&router] {
+    std::map<std::uint16_t, int> out;
+    for (std::size_t i = 0; i < router->shard_count(); ++i)
+      for (int port : {0, 1}) {
+        auto* sink = router->shard(i).find_as<CaptureSink>(port == 0 ? "s0" : "s1");
+        for (const Packet& p : sink->packets) out[p.src_port] = port;
+        sink->packets.clear();
+      }
+    return out;
+  };
+  ASSERT_TRUE(router->push_batch_to("lb", burst()));
+  auto pinned = ports();
+  ASSERT_EQ(pinned.size(), kFlows);
+  ASSERT_TRUE(router->reshard(2).ok());
+  ASSERT_TRUE(router->push_batch_to("lb", burst()));
+  EXPECT_EQ(ports(), pinned);
 }
 
 }  // namespace

@@ -209,6 +209,16 @@ TEST_F(Fixture, SplitterStateSurvivesHotSwap) {
   EXPECT_EQ(s2->over_rate(), over_before);
   s2->push(0, benign(128));
   EXPECT_EQ(s2->over_rate(), over_before + 1);  // still over rate
+
+  // Reshard 1 -> 2 -> 1 with trusted time frozen: the new lane never
+  // primed, so the fold pools only the credit the old lane held and
+  // no transition hands the limiter a fresh burst.
+  ASSERT_TRUE((*router)->reshard(2).ok());
+  ASSERT_TRUE((*router)->reshard(1).ok());
+  auto* s3 = (*router)->shard(0).find_as<TrustedSplitter>("s");
+  EXPECT_EQ(s3->over_rate(), over_before + 1);
+  s3->push(0, benign(128));
+  EXPECT_EQ(s3->over_rate(), over_before + 2);  // still over rate
 }
 
 // ---- TLSDecrypt -------------------------------------------------------------

@@ -430,12 +430,29 @@ TEST(Reshard, HotSwapTransfersStatePerShard) {
   ShardHarness harness(config_a, 3);
   Rng rng(29);
   harness.run_burst(random_burst(rng, 60));
-  std::uint64_t before = harness.sum<click::Counter>(
-      "cnt", [](const click::Counter& c) { return c.packets(); });
+  auto counted = [&] {
+    return harness.sum<click::Counter>(
+        "cnt", [](const click::Counter& c) { return c.packets(); });
+  };
+  auto received = [&] {
+    return harness.sum<elements::FromDevice>(
+        "from_device", [](const elements::FromDevice& e) { return e.packets(); });
+  };
+  auto accepted = [&] {
+    return harness.sum<elements::ToDevice>(
+        "to_device", [](const elements::ToDevice& e) { return e.accepted(); });
+  };
+  std::uint64_t before = counted();
+  std::uint64_t received_before = received();
+  std::uint64_t accepted_before = accepted();
+  ASSERT_EQ(received_before, 60u);
+  ASSERT_GT(accepted_before, 0u);
   ASSERT_TRUE(harness.router->hot_swap(config_b).ok());
-  EXPECT_EQ(harness.sum<click::Counter>(
-                "cnt", [](const click::Counter& c) { return c.packets(); }),
-            before);
+  EXPECT_EQ(counted(), before);
+  // Every element's counter block survives the swap, not only the
+  // classes that used to carry a hot-swap hook.
+  EXPECT_EQ(received(), received_before);
+  EXPECT_EQ(accepted(), accepted_before);
   // The swapped-in graph processes traffic with the new element.
   auto delivered = harness.run_burst(random_burst(rng, 10));
   for (const auto& d : delivered)

@@ -640,8 +640,9 @@ struct StreamShardHarness {
   }
 };
 
-std::string sharded_stream_config() {
-  return "from_device :: FromDevice; ctx :: CTXManager; tin :: TCPIn;"
+std::string sharded_stream_config(const std::string& ctx_args = "") {
+  return "from_device :: FromDevice; ctx :: CTXManager(" + ctx_args +
+         "); tin :: TCPIn;"
          " ids :: IDSMatcher(RULESET strict, DROP); tout :: TCPOut;"
          " to_device :: ToDevice;"
          " from_device -> ctx -> tin -> ids -> tout -> to_device;"
@@ -649,36 +650,92 @@ std::string sharded_stream_config() {
 }
 
 TEST(StreamSharding, ReshardMigratesLiveStreamContexts) {
-  StreamShardHarness harness(sharded_stream_config(), 2);
-  constexpr std::uint16_t kFlows = 24;
+  // The IDLE_PKTS 64 cases first push the lane clocks past the idle
+  // horizon: a migrated context stamped on the new lane's clock before
+  // the fold raises that clock would expire on the next packet.
+  struct Case {
+    std::string ctx_args;
+    std::size_t from, to;
+    int warmup_bursts;  ///< 64 UDP packets each, one flow per packet
+  };
+  for (const Case& c : {Case{"", 2, 3, 0}, Case{"IDLE_PKTS 64", 1, 2, 4},
+                        Case{"IDLE_PKTS 64", 2, 3, 4},
+                        Case{"IDLE_PKTS 64", 2, 1, 4}}) {
+    SCOPED_TRACE("CTXManager(" + c.ctx_args + ") " + std::to_string(c.from) +
+                 " -> " + std::to_string(c.to));
+    StreamShardHarness harness(sharded_stream_config(c.ctx_args), c.from);
+    constexpr std::uint16_t kFlows = 24;
 
-  // First halves: every flow has "mal" pending mid-stream.
-  PacketBatch first;
-  for (std::uint16_t f = 0; f < kFlows; ++f)
-    first.push_back(seg(0, "xx mal", static_cast<std::uint16_t>(6000 + f)));
-  auto v1 = harness.run_burst(std::move(first));
-  EXPECT_TRUE(std::all_of(v1.begin(), v1.end(), [](bool a) { return a; }));
+    for (int b = 0; b < c.warmup_bursts; ++b) {
+      PacketBatch warm;
+      for (int i = 0; i < 64; ++i)
+        warm.push_back(Packet::udp(Ipv4(10, 8, 0, 3), Ipv4(10, 0, 0, 1),
+                                   static_cast<std::uint16_t>(9000 + 64 * b + i),
+                                   53, to_bytes("warm")));
+      harness.run_burst(std::move(warm));
+    }
 
-  // Reshard mid-stream: contexts must follow their flows to the lanes
-  // they hash to under the new count.
-  ASSERT_TRUE(harness.router->reshard(3).ok());
-  EXPECT_GE(harness.sum<CTXManager>("ctx", [](const CTXManager& c) {
-    return c.stream_stats().flows_migrated_in;
-  }), 1u);
+    // First halves: every flow has "mal" pending mid-stream.
+    PacketBatch first;
+    for (std::uint16_t f = 0; f < kFlows; ++f)
+      first.push_back(seg(0, "xx mal", static_cast<std::uint16_t>(6000 + f)));
+    auto v1 = harness.run_burst(std::move(first));
+    EXPECT_TRUE(std::all_of(v1.begin(), v1.end(), [](bool a) { return a; }));
 
-  // Second halves: the straddled pattern completes on the new lanes.
+    // Reshard mid-stream: contexts must follow their flows to the lanes
+    // they hash to under the new count.
+    ASSERT_TRUE(harness.router->reshard(c.to).ok());
+    EXPECT_GE(harness.sum<CTXManager>("ctx", [](const CTXManager& m) {
+      return m.stream_stats().flows_migrated_in;
+    }), 1u);
+
+    // Second halves: the straddled pattern completes on the new lanes.
+    PacketBatch second;
+    for (std::uint16_t f = 0; f < kFlows; ++f)
+      second.push_back(seg(6, "ware yy", static_cast<std::uint16_t>(6000 + f)));
+    auto v2 = harness.run_burst(std::move(second));
+    EXPECT_TRUE(std::none_of(v2.begin(), v2.end(), [](bool a) { return a; }));
+
+    EXPECT_EQ(harness.sum<IDSMatcher>("ids", [](const IDSMatcher& m) {
+      return m.matches();
+    }), kFlows);
+    EXPECT_EQ(harness.sum<IDSMatcher>("ids", [](const IDSMatcher& m) {
+      return m.stream_evasions();
+    }), kFlows);
+  }
+}
+
+TEST(StreamSharding, HotSwapMovesContextsIntoTheNewTable) {
+  // A hot-swap must build the successor's table with its own CAPACITY:
+  // the live contexts move into it and new flows are admitted up to
+  // the new bound.
+  StreamShardHarness harness(sharded_stream_config("CAPACITY 4"), 1);
+  auto ctx = [&] { return harness.router->shard(0).find_as<CTXManager>("ctx"); };
+  auto flows = [](std::uint16_t base, std::string_view data) {
+    PacketBatch batch;
+    for (std::uint16_t f = 0; f < 10; ++f)
+      batch.push_back(seg(0, data, static_cast<std::uint16_t>(base + f)));
+    return batch;
+  };
+  harness.run_burst(flows(6000, "xx mal"));  // flows 6000-6003 get contexts
+  ASSERT_EQ(ctx()->flows_tracked(), 4u);
+  ASSERT_EQ(ctx()->table_stats().rejected_full, 6u);
+
+  ASSERT_TRUE(harness.router->hot_swap(sharded_stream_config("CAPACITY 64")).ok());
+  EXPECT_EQ(ctx()->flows_tracked(), 4u);
+  harness.run_burst(flows(7000, "hello"));
+  EXPECT_EQ(ctx()->flows_tracked(), 14u);
+  EXPECT_EQ(ctx()->table_stats().rejected_full, 6u);
+
+  // The four contexts carried their pending "mal" across the swap.
   PacketBatch second;
-  for (std::uint16_t f = 0; f < kFlows; ++f)
+  for (std::uint16_t f = 0; f < 4; ++f)
     second.push_back(seg(6, "ware yy", static_cast<std::uint16_t>(6000 + f)));
-  auto v2 = harness.run_burst(std::move(second));
-  EXPECT_TRUE(std::none_of(v2.begin(), v2.end(), [](bool a) { return a; }));
-
-  EXPECT_EQ(harness.sum<IDSMatcher>("ids", [](const IDSMatcher& m) {
-    return m.matches();
-  }), kFlows);
+  auto v = harness.run_burst(std::move(second));
+  EXPECT_EQ(v, std::vector<bool>(4, false));
   EXPECT_EQ(harness.sum<IDSMatcher>("ids", [](const IDSMatcher& m) {
     return m.stream_evasions();
-  }), kFlows);
+  }), 4u);
 }
 
 TEST(StreamSharding, VerdictsDeterministicAcrossLaneCounts) {
