@@ -1,7 +1,5 @@
 #include "endbox/client.hpp"
 
-#include "common/hash.hpp"
-
 namespace endbox {
 
 EndBoxClient::EndBoxClient(std::string name, sgx::SgxPlatform& platform, Rng& rng,
@@ -59,48 +57,6 @@ Result<Bytes> EndBoxClient::start_connect(const crypto::RsaPublicKey& server_key
 
 Status EndBoxClient::finish_connect(ByteView reply_wire) {
   return enclave_->ecall_handshake_reply(reply_wire);
-}
-
-Status EndBoxClient::connect_resilient(
-    const crypto::RsaPublicKey& server_key,
-    std::function<void(ByteView, sim::Time)> send, sim::Time now,
-    vpn::ControlPlaneConfig config) {
-  vpn::ClientControlPlane::Hooks hooks;
-  // ecall_handshake_init re-emplaces a fresh enclave session (new
-  // nonce, old keys discarded), so the control plane calling make_init
-  // IS the re-key.
-  hooks.make_init = [this, server_key]() { return start_connect(server_key); };
-  hooks.on_reply = [this](ByteView wire) { return finish_connect(wire); };
-  hooks.make_ping = [this](Bytes& frame) {
-    return enclave_->ecall_create_ping_wire(frame);
-  };
-  hooks.on_ping = [this](ByteView wire, sim::Time t) -> Status {
-    auto outcome = handle_server_ping(wire, control_file_server_, t);
-    if (!outcome.ok()) return err(outcome.error());
-    return {};
-  };
-  // Every control frame leaving the host — first init, retransmits,
-  // keepalives — pays the control-message cost before transmission.
-  hooks.send = [this, user_send = std::move(send)](ByteView frame,
-                                                   sim::Time t) {
-    cpu_.charge(t, model_.vpn_control_msg_cycles);
-    user_send(frame, t);
-  };
-  // Decorrelate backoff jitter per client so a fleet re-connecting
-  // after a blackout doesn't thunder back in lock-step.
-  config.seed ^= hash_bytes(name_.data(), name_.size());
-  control_plane_ =
-      std::make_unique<vpn::ClientControlPlane>(config, std::move(hooks));
-  return control_plane_->start(now);
-}
-
-void EndBoxClient::advance_control(sim::Time now) {
-  if (control_plane_) control_plane_->advance(now);
-}
-
-Status EndBoxClient::deliver_control(ByteView wire, sim::Time now) {
-  if (!control_plane_) return err("control: connect_resilient not started");
-  return control_plane_->deliver(wire, now);
 }
 
 sim::Time EndBoxClient::charge_data_path(sim::Time now, std::size_t payload_bytes,
@@ -185,14 +141,7 @@ Result<EndBoxClient::SendResult> EndBoxClient::send_packet(net::Packet packet,
 Result<EndBoxClient::RecvResult> EndBoxClient::receive_wire(ByteView wire,
                                                             sim::Time now) {
   auto ingress = enclave_->ecall_process_ingress(wire);
-  if (!ingress.ok()) {
-    // A frame that fails to open while we believe we're established is
-    // epoch evidence: a streak of these re-keys (the server restarted
-    // and its ledger no longer has our session).
-    if (control_plane_) control_plane_->note_auth_failure(now);
-    return err(ingress.error());
-  }
-  if (control_plane_) control_plane_->note_peer_activity(now);
+  if (!ingress.ok()) return err(ingress.error());
 
   RecvResult result;
   result.complete = ingress->complete;
@@ -222,30 +171,6 @@ Result<EndBoxClient::BatchSendResult> EndBoxClient::send_batch(
   result.done = charge_data_path_batch(now, out.offered_bytes,
                                        std::max<std::size_t>(fragments, 1),
                                        packets, /*run_click=*/true);
-  return result;
-}
-
-Result<EndBoxClient::BatchRecvResult> EndBoxClient::receive_batch(
-    std::span<const Bytes> wires, IngressBatch& out, sim::Time now) {
-  auto status = enclave_->ecall_process_ingress_batch(wires, out);
-  if (!status.ok()) {
-    // Batch opening stops at the first unauthenticated frame — same
-    // epoch-change evidence as the per-frame path.
-    if (control_plane_) control_plane_->note_auth_failure(now);
-    return err(status.error());
-  }
-  if (control_plane_ && !wires.empty()) control_plane_->note_peer_activity(now);
-
-  BatchRecvResult result;
-  result.complete = out.complete;
-  result.accepted = out.accepted;
-  std::size_t payload_bytes = 0;
-  for (const Bytes& wire : wires) payload_bytes += wire.size();
-  std::size_t ran_click = out.complete - out.bypassed;
-  result.done = charge_data_path_batch(now, payload_bytes,
-                                       std::max<std::size_t>(wires.size(), 1),
-                                       std::max<std::size_t>(ran_click, 1),
-                                       /*run_click=*/ran_click > 0);
   return result;
 }
 

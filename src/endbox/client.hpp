@@ -17,7 +17,6 @@
 #include "endbox/pipeline_cost.hpp"
 #include "sim/cpu.hpp"
 #include "sim/perf_model.hpp"
-#include "vpn/control.hpp"
 
 namespace endbox {
 
@@ -64,35 +63,6 @@ class EndBoxClient {
   Status finish_connect(ByteView reply_wire);
   bool connected() const { return enclave_->connected(); }
 
-  // ---- Resilient connection -------------------------------------------
-  /// Connects through a ClientControlPlane instead of the one-shot
-  /// start/finish pair: the handshake retransmits with backoff until it
-  /// lands or the attempt cap fails the cycle, keepalive pings probe
-  /// the peer while established, and a silent or restarted server
-  /// triggers an automatic re-handshake (fresh nonce, fresh keys).
-  /// `send` transmits a finished control frame; each send charges
-  /// vpn_control_msg_cycles. Data-path outcomes feed the detector
-  /// automatically: receive_wire / receive_batch report authenticated
-  /// traffic and MAC failures to the control plane when one is active.
-  Status connect_resilient(const crypto::RsaPublicKey& server_key,
-                           std::function<void(ByteView, sim::Time)> send,
-                           sim::Time now, vpn::ControlPlaneConfig config = {});
-  /// Drives the control-plane timers; call whenever virtual time moves.
-  void advance_control(sim::Time now);
-  /// Routes a server->client control frame (HandshakeReply or Ping)
-  /// through the control plane. Corrupt frames are rejected with no
-  /// state change — the pending retry schedule keeps the cycle alive.
-  Status deliver_control(ByteView wire, sim::Time now);
-  /// The server pings announce config versions; handle_server_ping
-  /// fetches bundles from here when set (nullptr skips updates).
-  void set_config_file_server(const config::ConfigFileServer* file_server) {
-    control_file_server_ = file_server;
-  }
-  vpn::ClientControlPlane* control_plane() { return control_plane_.get(); }
-  const vpn::ClientControlPlane* control_plane() const {
-    return control_plane_.get();
-  }
-
   // ---- Data path ---------------------------------------------------------
   struct SendResult {
     bool accepted = false;
@@ -123,16 +93,6 @@ class EndBoxClient {
   };
   Result<BatchSendResult> send_batch(click::PacketBatch&& batch,
                                      EgressBatch& out, sim::Time now);
-
-  /// Receives a burst of wire frames through one batch ecall; accepted
-  /// packets come back in `out.packets` backed by the enclave pool.
-  struct BatchRecvResult {
-    std::uint32_t complete = 0;
-    std::uint32_t accepted = 0;
-    sim::Time done = 0;
-  };
-  Result<BatchRecvResult> receive_batch(std::span<const Bytes> wires,
-                                        IngressBatch& out, sim::Time now);
 
   // ---- Control channel ------------------------------------------------------
   /// Seals a keep-alive ping into `frame` (caller reuses the buffer,
@@ -177,8 +137,6 @@ class EndBoxClient {
   std::unique_ptr<EndBoxEnclave> enclave_;
   Bytes sealed_credentials_;
   std::vector<double> shard_cycles_scratch_;  ///< charge_parallel jobs, reused
-  std::unique_ptr<vpn::ClientControlPlane> control_plane_;
-  const config::ConfigFileServer* control_file_server_ = nullptr;
 };
 
 }  // namespace endbox

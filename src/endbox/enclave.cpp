@@ -16,8 +16,7 @@ EndBoxEnclave::EndBoxEnclave(sgx::SgxPlatform& platform, sgx::SgxMode mode,
       ca_public_key_(ca_public_key),
       options_(options),
       enclave_key_(crypto::rsa_generate(rng)),
-      key_store_(tls::SessionKeyStore::Options{options.tls_key_capacity,
-                                               options.tls_key_idle_timeout}) {
+      key_store_(tls::SessionKeyStore::Options{}) {
   if (options_.shards == 0) options_.shards = 1;
   ensure_shard_rigs(1);  // lane 0 also holds the registered rule sets
 }
@@ -260,6 +259,7 @@ Result<IngressResult> EndBoxEnclave::ecall_process_ingress(ByteView wire) {
   IngressBatch out;
   auto status = process_ingress_burst({&frame, 1}, out);
   if (!status.ok()) return err(status.error());
+  if (out.dropped > 0) return err("ingress: frame dropped");
   IngressResult result;
   result.complete = out.complete > 0;
   result.accepted = out.accepted > 0;
@@ -276,30 +276,40 @@ Status EndBoxEnclave::ecall_process_ingress_batch(std::span<const Bytes> wires,
 
 Status EndBoxEnclave::process_ingress_burst(std::span<const Bytes> wires,
                                             IngressBatch& out) {
-  out.complete = out.accepted = out.rejected = out.bypassed = 0;
+  out.complete = out.accepted = out.rejected = out.bypassed = out.dropped = 0;
   out.packets.clear();
   if (!connected()) return err("ingress: tunnel not established");
   if (wires.size() > click::PacketBatch::kMaxBurst)
     return err("ingress: burst larger than kMaxBurst");
 
   // Stage 1: open every frame (decrypt in place inside pooled scratch)
-  // and collect the completed packets into one burst for Click.
+  // and collect the completed packets into one burst for Click. A
+  // refused frame drops alone, so one forged frame cannot spend the
+  // replay slots of the frames opened before it or strand those after.
   ingress_stage_.clear();
   for (const Bytes& wire : wires) {
-    if (!wire.empty() && static_cast<vpn::MsgType>(wire[0]) == vpn::MsgType::Ping)
-      return err("ingress: ping on data path");
+    // Pings stay off the data path (strict interface separation).
+    if (!wire.empty() && static_cast<vpn::MsgType>(wire[0]) == vpn::MsgType::Ping) {
+      ++out.dropped;
+      continue;
+    }
+    // A failed open has already returned its body scratch to the pool.
     auto opened = session_->open_data_frame(wire, pool_.acquire_bytes());
-    if (!opened.ok()) return err(opened.error());
+    if (!opened.ok()) {
+      ++out.dropped;
+      continue;
+    }
     if (!opened->has_value()) continue;  // fragment pending
-    ++out.complete;
 
     net::Packet packet = pool_.acquire();
     auto parsed = net::Packet::parse_into(**opened, packet);
     pool_.release_bytes(std::move(**opened));
     if (!parsed.ok()) {
       pool_.release(std::move(packet));
-      return err("ingress: " + parsed.error());
+      ++out.dropped;
+      continue;
     }
+    ++out.complete;
 
     // Client-to-client optimisation (section IV-A): packets flagged as
     // already processed by the sender's EndBox bypass Click here.
@@ -366,11 +376,6 @@ Status EndBoxEnclave::ecall_forward_tls_key(const tls::SessionKeys& keys) {
     return err("forward key: malformed key material");
   if (!key_store_.put(keys)) return err("forward key: key store at capacity");
   return {};
-}
-
-std::size_t EndBoxEnclave::ecall_expire_tls_keys(sim::Time now) {
-  EcallGuard guard(*this);
-  return key_store_.expire_idle(now);
 }
 
 void EndBoxEnclave::ecall_add_ruleset(const std::string& name,

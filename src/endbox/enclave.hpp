@@ -71,6 +71,9 @@ struct IngressBatch {
   std::uint32_t accepted = 0;
   std::uint32_t rejected = 0;
   std::uint32_t bypassed = 0;   ///< skipped Click via the peer's QoS flag
+  /// Frames refused before Click: pings on the data path, frames that
+  /// fail to open (header, MAC, replay) and packets that do not parse.
+  std::uint32_t dropped = 0;
   click::PacketBatch packets;   ///< delivered (accepted) packets, in order
 };
 
@@ -79,11 +82,6 @@ struct EnclaveOptions {
   bool c2c_flagging = true;  ///< set/honour the QoS 0xeb flag
   std::uint16_t min_version = vpn::kVersionTls12;
   std::size_t mtu = 9000;
-  /// Bound + idle horizon for the in-enclave TLS key store: forwarded
-  /// keys beyond the capacity are refused, and keys unused for the
-  /// timeout are pruned by ecall_expire_tls_keys (0 = teardown-only).
-  std::size_t tls_key_capacity = std::size_t{1} << 20;
-  sim::Time tls_key_idle_timeout = 0;
   /// Element-graph lanes the middlebox functions run on (RSS flow
   /// sharding, one worker thread per busy lane beyond the caller — SGX
   /// enclaves are multi-threaded via multiple TCSs). One lane is the
@@ -143,7 +141,7 @@ class EndBoxEnclave : public sgx::Enclave {
   Result<EgressResult> ecall_process_egress(net::Packet packet);
   /// One ecall: open, Click (unless the peer's QoS flag says it was
   /// already processed), deliver. A batch of one through the ingress
-  /// batch body.
+  /// batch body; fails when the body drops the frame.
   Result<IngressResult> ecall_process_ingress(ByteView wire);
 
   // ---- Batched data path (one ecall per burst) -------------------------
@@ -155,8 +153,10 @@ class EndBoxEnclave : public sgx::Enclave {
   Status ecall_process_egress_batch(click::PacketBatch&& batch, EgressBatch& out);
   /// Opens a burst of data frames, runs Click once over the completed
   /// packets and returns the accepted ones (backed by pool buffers).
-  /// Fails on the first malformed frame, mirroring the hardened
-  /// per-packet interface.
+  /// A frame that fails to open or parse is dropped alone: its buffers
+  /// return to the pool, it counts in `out.dropped`, and the rest of
+  /// the burst goes on. Fails only when the tunnel is down, the burst
+  /// exceeds kMaxBurst or Click fans out past the batch capacity.
   Status ecall_process_ingress_batch(std::span<const Bytes> wires,
                                      IngressBatch& out);
   /// The payload-buffer free list the batch path recycles through;
@@ -173,9 +173,6 @@ class EndBoxEnclave : public sgx::Enclave {
   /// Receives session keys forwarded by the instrumented TLS library
   /// via the management interface.
   Status ecall_forward_tls_key(const tls::SessionKeys& keys);
-  /// Prunes TLS keys idle past tls_key_idle_timeout (lifecycle sweep,
-  /// driven between bursts like key forwarding). Returns the count.
-  std::size_t ecall_expire_tls_keys(sim::Time now);
 
   /// Registers a named IDPS rule set available to IDSMatcher configs.
   void ecall_add_ruleset(const std::string& name,

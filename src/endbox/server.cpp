@@ -286,13 +286,6 @@ Bytes EndBoxServer::create_ping(std::uint32_t session_id) {
   return vpn_.create_ping(session_id);
 }
 
-std::size_t EndBoxServer::restart() {
-  // The close hooks clear the per-session ledgers as each session
-  // drops, so the maps are empty (not leaked) when the "new" process
-  // comes up.
-  return vpn_.restart();
-}
-
 Result<config::ConfigBundle> EndBoxServer::publish_config(
     std::uint32_t version, const std::string& click_config, bool encrypt,
     std::uint32_t grace_secs, sim::Time now) {

@@ -81,15 +81,6 @@ class EndBoxServer {
 
   Bytes create_ping(std::uint32_t session_id);
 
-  /// Simulated crash + restart: every VPN session closes, firing the
-  /// close hooks so the per-session ledgers (router instances, process
-  /// ledger, traffic counters) re-seed empty, and the handshake dedupe
-  /// cache empties. The signing key survives — reconnecting clients
-  /// see the same server identity but a new session epoch, so their
-  /// old keys fail MACs until they re-handshake. Returns the number of
-  /// sessions dropped.
-  std::size_t restart();
-
   // ---- Administrator workflow (section III-E) -------------------------
   /// Steps 1-3: sign + (optionally) encrypt the config, upload it to
   /// the file server, announce the version with a grace period.

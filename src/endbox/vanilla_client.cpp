@@ -51,20 +51,4 @@ Result<VanillaVpnClient::SendResult> VanillaVpnClient::send_packet(
   return send_bytes(packet_scratch_, now);
 }
 
-Result<VanillaVpnClient::RecvResult> VanillaVpnClient::receive_wire(ByteView wire,
-                                                                    sim::Time now) {
-  if (!connected()) return err("vanilla client: not connected");
-  auto opened = session_->open_data_frame(wire, Bytes{});
-  if (!opened.ok()) return err(opened.error());
-  RecvResult result;
-  double cycles = model_.vpn_packet_cycles +
-                  model_.vpn_crypto_cycles_per_byte * static_cast<double>(wire.size());
-  result.done = cpu_.charge(now, cycles);
-  if (opened->has_value()) {
-    result.complete = true;
-    result.ip_packet = std::move(**opened);
-  }
-  return result;
-}
-
 }  // namespace endbox

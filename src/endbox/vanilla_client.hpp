@@ -1,6 +1,6 @@
 // Baseline client: unmodified OpenVPN ("vanilla OpenVPN" in the
 // evaluation set-ups). No enclave, no Click — just the tunnel, enrolled
-// via the conventional PKI path. Shares the send/receive API shape with
+// via the conventional PKI path. Shares the send API shape with
 // EndBoxClient so benches can swap set-ups.
 #pragma once
 
@@ -34,13 +34,6 @@ class VanillaVpnClient {
   Result<SendResult> send_packet(const net::Packet& packet, sim::Time now);
   /// Raw IP payload variant used by the throughput harness.
   Result<SendResult> send_bytes(ByteView ip_packet, sim::Time now);
-
-  struct RecvResult {
-    bool complete = false;
-    Bytes ip_packet;
-    sim::Time done = 0;
-  };
-  Result<RecvResult> receive_wire(ByteView wire, sim::Time now);
 
  private:
   std::string name_;

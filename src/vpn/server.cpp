@@ -441,7 +441,6 @@ void VpnServer::note_lane_peaks() {
 
 void VpnServer::open_lane_frames(SessionShard& shard,
                                  std::span<const Bytes> wires, sim::Time now) {
-  shard.lane_frames += shard.lane.size();
   for (std::uint32_t idx : shard.lane) open_frame_on_shard(shard, wires[idx], idx, now);
 }
 
@@ -588,7 +587,7 @@ Status VpnServer::reshard_sessions(std::size_t new_shards) {
     // Sessions move wholesale to the shard their id now hashes to:
     // keys, replay window, pending fragment groups and seal scratch all
     // travel, so in-flight reassembly and anti-replay survive the
-    // transition (the lossless property the adaptive controller needs).
+    // transition.
     // Activity stamps travel too, and insert_migrated re-arms each
     // session's idle timer at last_activity + timeout on the new
     // shard's wheel — a reshard neither expires a session early nor

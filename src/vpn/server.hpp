@@ -21,9 +21,7 @@
 // lane is the N = 1 case and keeps exact arrival order. No mutable
 // state is shared between lanes, so per-session order needs no locks.
 // reshard_sessions() changes the lane count at runtime without losing
-// replay windows or pending fragment groups — the hook an adaptive load
-// controller drives (fed per-lane backlog peaks and busy imbalance so
-// it can split a hot lane).
+// replay windows or pending fragment groups.
 //
 // Sealing has two entry points: seal_packet_wire_at for one session
 // and seal_jobs for a burst. The per-frame handle() stays as the
@@ -231,18 +229,13 @@ class VpnServer {
   /// Worker threads backing the shard pool (0 = single-shard inline).
   std::size_t worker_threads() const { return pool_ ? pool_->worker_count() : 0; }
 
-  // ---- Lane introspection (the reshard controller's imbalance feed) --
+  // ---- Lane introspection ---------------------------------------------
   /// Largest per-burst index list (open frames or seal jobs) `lane`
   /// received since the last reset_lane_stats(): the deepest backlog
   /// dispatch ever built on that lane. A hot lane shows a peak near the
   /// burst size while its siblings stay shallow.
   std::uint64_t lane_ring_peak(std::size_t lane) const {
     return shards_.at(lane)->lane_peak;
-  }
-  /// Frames this lane processed run-to-completion (open path) since
-  /// the last reset_lane_stats() — the lane's busy proxy.
-  std::uint64_t lane_frames(std::size_t lane) const {
-    return shards_.at(lane)->lane_frames;
   }
   /// Lane-local PacketPool starvation count: acquires that found the
   /// pool empty and heap-allocated (cumulative; see PacketPool).
@@ -258,10 +251,10 @@ class VpnServer {
   std::size_t lane_pool_buffers(std::size_t lane) const {
     return shards_.at(lane)->pool.pooled();
   }
-  /// Zeroes every lane's backlog peak and frame counter (one
-  /// controller observation interval ends, the next begins).
+  /// Zeroes every lane's backlog peak, so the next peak covers only
+  /// the bursts that follow.
   void reset_lane_stats() {
-    for (auto& shard : shards_) shard->lane_peak = shard->lane_frames = 0;
+    for (auto& shard : shards_) shard->lane_peak = 0;
   }
 
   /// Changes the session-shard count at runtime: every session moves
@@ -270,9 +263,8 @@ class VpnServer {
   /// buffers are adopted into the new shards, and per-shard statistics
   /// fold into the new shard set, so nothing is lost or double-counted
   /// across the transition. The worker pool is reused when shrinking
-  /// (see ShardWorkerPool's hand-off protocol). This is the server
-  /// half of what an adaptive reshard controller drives; the client
-  /// half is EndBoxEnclave::ecall_reshard.
+  /// (see ShardWorkerPool's hand-off protocol). The client half is
+  /// EndBoxEnclave::ecall_reshard.
   Status reshard_sessions(std::size_t new_shards);
 
   /// Builds the periodic server ping announcing the current config
@@ -341,8 +333,7 @@ class VpnServer {
   std::uint64_t sessions_expired() const;
   /// Handshakes refused because the target shard was at capacity.
   std::uint64_t sessions_rejected_full() const;
-  /// Sessions evicted by the LRU admission policy (capacity pressure —
-  /// the AdaptiveReshardController reads this as an overload signal).
+  /// Sessions evicted by the LRU admission policy (capacity pressure).
   std::uint64_t sessions_evicted_lru() const;
   /// Duplicate HandshakeInits answered from the dedupe cache.
   std::uint64_t handshakes_deduped() const { return handshakes_deduped_; }
@@ -392,7 +383,6 @@ class VpnServer {
     std::uint64_t stale_config_drops = 0;
     std::vector<std::uint32_t> lane;  ///< this burst's frame/job indices
     std::uint64_t lane_peak = 0;      ///< largest `lane` since reset_lane_stats
-    std::uint64_t lane_frames = 0;  ///< frames opened run-to-completion
     std::uint64_t starved_mark = 0;  ///< pool.starved() at last rebalance
     OpenBatch scratch;                     ///< per-shard open results
   };

@@ -17,7 +17,6 @@
 #include "endbox/vanilla_client.hpp"
 #include "idps/snort_rules.hpp"
 #include "netsim/topology.hpp"
-#include "sim/event_queue.hpp"
 
 namespace endbox::testing {
 
@@ -58,7 +57,6 @@ struct World {
   WorldOptions options;
   Rng rng;
   sim::Clock clock;
-  sim::EventQueue events{clock};
   sim::PerfModel model;
   netsim::StarTopology topology;
   sgx::AttestationService ias{rng};

@@ -603,8 +603,9 @@ TEST_F(FragmentedLoopFixture, SteadyStateFragmentedIngressRoundTripDoesNotAlloca
 }
 
 TEST_F(EnclaveLoopFixture, RejectedIngressFramesReturnTheirPooledBuffers) {
-  // Every frame the enclave refuses hands back the buffers it drew:
-  // the pool keeps its size and no reject falls back to the heap.
+  // Every frame the enclave refuses is dropped alone and hands back the
+  // buffers it drew: the pool keeps its size and no reject falls back
+  // to the heap.
   auto& enclave = client->enclave();
   net::PacketPool& pool = enclave.packet_pool();
   std::uint32_t session = enclave.session()->session_id();
@@ -640,10 +641,54 @@ TEST_F(EnclaveLoopFixture, RejectedIngressFramesReturnTheirPooledBuffers) {
   for (const auto& [kind, wires] : rejects) {
     std::size_t pooled = pool.pooled();
     std::uint64_t starved = pool.starved();
-    for (const Bytes& wire : wires) EXPECT_FALSE(deliver(wire).ok()) << kind;
+    for (const Bytes& wire : wires) {
+      EXPECT_TRUE(deliver(wire).ok()) << kind;
+      EXPECT_EQ(in.dropped, 1u) << kind;
+      EXPECT_EQ(in.accepted, 0u) << kind;
+    }
     EXPECT_EQ(pool.pooled(), pooled) << kind;
     EXPECT_EQ(pool.starved(), starved) << kind;
   }
+}
+
+TEST_F(EnclaveLoopFixture, OneBadFrameDropsOnlyItselfFromAnIngressBurst) {
+  // A tampered frame in mid-burst costs only itself: the frames before
+  // it keep the replay slots they spent, the frames after it still
+  // open, and every buffer the bad frame drew returns to the pool.
+  auto& enclave = client->enclave();
+  net::PacketPool& pool = enclave.packet_pool();
+  std::uint32_t session = enclave.session()->session_id();
+  Bytes ip_packet = world.benign_packet(200).serialize();
+  std::vector<Bytes> wires;
+  IngressBatch in;
+  auto deliver = [&](std::size_t frames) {
+    auto status = enclave.ecall_process_ingress_batch(
+        std::span<const Bytes>(wires.data(), frames), in);
+    for (net::Packet& packet : in.packets) pool.release(std::move(packet));
+    in.packets.clear();
+    return status;
+  };
+  for (int warm = 0; warm < 4; ++warm) {
+    std::size_t n = 0;
+    for (int k = 0; k < 4; ++k)
+      n = world.server.vpn().seal_packet_wire_at(session, ip_packet, wires, n);
+    ASSERT_TRUE(deliver(n).ok());
+    ASSERT_EQ(in.accepted, 4u);
+  }
+
+  std::size_t n = 0;
+  for (int k = 0; k < 4; ++k)
+    n = world.server.vpn().seal_packet_wire_at(session, ip_packet, wires, n);
+  ASSERT_EQ(n, 4u);
+  wires[2][wires[2].size() / 2] ^= 0x01;
+  std::size_t pooled = pool.pooled();
+  std::uint64_t starved = pool.starved();
+  ASSERT_TRUE(deliver(n).ok());
+  EXPECT_EQ(in.complete, 3u);
+  EXPECT_EQ(in.accepted, 3u);
+  EXPECT_EQ(in.dropped, 1u);
+  EXPECT_EQ(pool.pooled(), pooled);
+  EXPECT_EQ(pool.starved(), starved);
 }
 
 TEST_F(EnclaveLoopFixture, SteadyStatePingPathDoesNotAllocate) {

@@ -2,9 +2,8 @@
 // (N-lane open_batch / seal_jobs byte-identical to per-frame handle()
 // and to sequential seals, tests/oracle/gateway.hpp), the per-lane
 // bench hooks, lossless reshard under load
-// (replay windows and pending fragment groups migrate intact), worker
-// pool reuse across reshards, the EndBoxServer ledger rule, and the
-// AdaptiveReshardController's hysteresis behaviour.
+// (replay windows, pending fragment groups and expiry deadlines
+// migrate intact) and worker pool reuse across reshards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 
 #include "ca/authority.hpp"
 #include "common/rng.hpp"
-#include "endbox/reshard_controller.hpp"
 #include "oracle/gateway.hpp"
 #include "seal_frames.hpp"
 #include "sgx/enclave.hpp"
@@ -498,13 +496,13 @@ TEST(ServerShard, OpenBatchShardHookCoversTheWholeBurst) {
   // The seal half: each lane fills exactly its jobs' precomputed slots,
   // so sealing lane by lane into one frame vector reproduces seal_jobs
   // byte for byte.
-  std::vector<Bytes> lane_frames, twin_sealed;
+  std::vector<Bytes> lane_sealed, twin_sealed;
   std::size_t total = 0;
   for (std::size_t l = 0; l < rig.server.session_shard_count(); ++l)
-    total = rig.server.seal_jobs_lane(l, jobs, lane_frames);
+    total = rig.server.seal_jobs_lane(l, jobs, lane_sealed);
   ASSERT_EQ(total, twin.server.seal_jobs(jobs, twin_sealed));
   for (std::size_t f = 0; f < total; ++f)
-    EXPECT_EQ(lane_frames[f], twin_sealed[f]) << "frame " << f;
+    EXPECT_EQ(lane_sealed[f], twin_sealed[f]) << "frame " << f;
 
   // reset_replay_windows makes the identical burst fresh again — the
   // contract the bench relies on for repeatable timing.
@@ -513,89 +511,6 @@ TEST(ServerShard, OpenBatchShardHookCoversTheWholeBurst) {
   rig.server.open_batch(frames, 0, again);
   EXPECT_EQ(again.complete, 24u);
   EXPECT_EQ(again.rejected, 0u);
-}
-
-// ---- AdaptiveReshardController ------------------------------------------
-
-ReshardPolicy test_policy() {
-  ReshardPolicy policy;
-  policy.min_shards = 1;
-  policy.max_shards = 8;
-  policy.shard_capacity = 100;  // load units per interval per shard
-  policy.ewma_alpha = 0.5;
-  policy.grow_above = 0.85;
-  policy.shrink_below = 0.35;
-  policy.cooldown_intervals = 2;
-  return policy;
-}
-
-TEST(ReshardController, SteadyLoadNeverOscillates) {
-  // Any steady offered load settles on one shard count and stays
-  // there: the hysteresis band plus the projection guards make the
-  // decision a fixed point.
-  for (double load : {10.0, 60.0, 90.0, 150.0, 340.0, 700.0, 2000.0}) {
-    AdaptiveReshardController ctl(test_policy(), 1);
-    for (int i = 0; i < 30; ++i) ctl.observe(load);
-    std::size_t settled = ctl.shards();
-    std::uint64_t decisions = ctl.grow_decisions() + ctl.shrink_decisions();
-    for (int i = 0; i < 50; ++i) EXPECT_EQ(ctl.observe(load), settled) << load;
-    EXPECT_EQ(ctl.grow_decisions() + ctl.shrink_decisions(), decisions)
-        << "controller kept resharding under steady load " << load;
-  }
-}
-
-TEST(ReshardController, GrowsUnderRisingLoadAndShrinksBack) {
-  AdaptiveReshardController ctl(test_policy(), 1);
-  for (int i = 0; i < 10; ++i) ctl.observe(40);
-  EXPECT_EQ(ctl.shards(), 1u);
-  for (int i = 0; i < 20; ++i) ctl.observe(300);
-  EXPECT_EQ(ctl.shards(), 4u);  // 300/100: 4 shards sit inside the band
-  for (int i = 0; i < 20; ++i) ctl.observe(40);
-  EXPECT_EQ(ctl.shards(), 1u);
-  EXPECT_GE(ctl.grow_decisions(), 2u);
-  EXPECT_GE(ctl.shrink_decisions(), 2u);
-}
-
-TEST(ReshardController, CooldownSpacesDecisions) {
-  ReshardPolicy policy = test_policy();
-  policy.cooldown_intervals = 3;
-  AdaptiveReshardController ctl(policy, 1);
-  // A huge step of load: the controller may only double every
-  // cooldown+1 observations, not race straight to max_shards.
-  EXPECT_EQ(ctl.observe(5000), 2u);
-  EXPECT_EQ(ctl.observe(5000), 2u);  // cooldown
-  EXPECT_EQ(ctl.observe(5000), 2u);  // cooldown
-  EXPECT_EQ(ctl.observe(5000), 2u);  // cooldown
-  EXPECT_EQ(ctl.observe(5000), 4u);
-}
-
-TEST(ReshardController, RespectsBoundsAndValidatesPolicy) {
-  ReshardPolicy policy = test_policy();
-  policy.max_shards = 4;
-  AdaptiveReshardController ctl(policy, 1);
-  for (int i = 0; i < 40; ++i) ctl.observe(100000);
-  EXPECT_EQ(ctl.shards(), 4u);
-  for (int i = 0; i < 40; ++i) ctl.observe(0);
-  EXPECT_EQ(ctl.shards(), 1u);
-
-  ctl.note_applied(3);
-  EXPECT_EQ(ctl.shards(), 3u);
-
-  ReshardPolicy bad = test_policy();
-  bad.shard_capacity = 0;
-  EXPECT_THROW(AdaptiveReshardController{bad}, std::invalid_argument);
-  bad = test_policy();
-  bad.shrink_below = bad.grow_above;
-  EXPECT_THROW(AdaptiveReshardController{bad}, std::invalid_argument);
-  // A narrow band (shrink_below > grow_above / 2) would let the grow
-  // projection guard veto growth forever under sustained overload.
-  bad = test_policy();
-  bad.grow_above = 0.6;
-  bad.shrink_below = 0.5;
-  EXPECT_THROW(AdaptiveReshardController{bad}, std::invalid_argument);
-  bad = test_policy();
-  bad.ewma_alpha = 1.5;
-  EXPECT_THROW(AdaptiveReshardController{bad}, std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Unit tests for the discrete-event core: clock, event queue, CPU
-// model, timer wheel.
+// Unit tests for the discrete-event core: clock, CPU model, timer
+// wheel.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -10,7 +11,6 @@
 #include "common/rng.hpp"
 #include "sim/clock.hpp"
 #include "sim/cpu.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/perf_model.hpp"
 #include "sim/timer_wheel.hpp"
 
@@ -34,85 +34,6 @@ TEST(TimeUnits, Conversions) {
   EXPECT_EQ(from_millis(1.5), 1500 * kMicrosecond);
   EXPECT_DOUBLE_EQ(to_seconds(2 * kSecond), 2.0);
   EXPECT_DOUBLE_EQ(to_millis(kSecond), 1000.0);
-}
-
-TEST(EventQueue, RunsInTimeOrder) {
-  Clock clock;
-  EventQueue q(clock);
-  std::vector<int> order;
-  q.schedule_at(30, [&] { order.push_back(3); });
-  q.schedule_at(10, [&] { order.push_back(1); });
-  q.schedule_at(20, [&] { order.push_back(2); });
-  q.run_until(100);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(clock.now(), 100u);
-}
-
-TEST(EventQueue, EqualTimesRunInScheduleOrder) {
-  Clock clock;
-  EventQueue q(clock);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) q.schedule_at(42, [&order, i] { order.push_back(i); });
-  q.run_until(42);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, ScheduleAfterUsesNow) {
-  Clock clock;
-  EventQueue q(clock);
-  Time fired_at = 0;
-  q.schedule_at(100, [&] {
-    q.schedule_after(50, [&] { fired_at = clock.now(); });
-  });
-  q.run_until(1000);
-  EXPECT_EQ(fired_at, 150u);
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  Clock clock;
-  EventQueue q(clock);
-  bool late_ran = false;
-  q.schedule_at(10, [] {});
-  q.schedule_at(200, [&] { late_ran = true; });
-  std::size_t n = q.run_until(100);
-  EXPECT_EQ(n, 1u);
-  EXPECT_FALSE(late_ran);
-  EXPECT_EQ(clock.now(), 100u);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  Clock clock;
-  EventQueue q(clock);
-  bool ran = false;
-  auto id = q.schedule_at(10, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // second cancel is a no-op
-  q.run_until(100);
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, EventsScheduledInPastRunNow) {
-  Clock clock;
-  EventQueue q(clock);
-  clock.advance_to(500);
-  Time fired = 0;
-  q.schedule_at(100, [&] { fired = clock.now(); });
-  q.run_until(1000);
-  EXPECT_EQ(fired, 500u);
-}
-
-TEST(EventQueue, NestedSchedulingDrains) {
-  Clock clock;
-  EventQueue q(clock);
-  int count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < 10) q.schedule_after(10, chain);
-  };
-  q.schedule_at(0, chain);
-  q.run_until(kSecond);
-  EXPECT_EQ(count, 10);
-  EXPECT_TRUE(q.empty());
 }
 
 // ---- CPU model -----------------------------------------------------------
