@@ -78,10 +78,10 @@ class Element {
   void connect_output(int port, Element* target, int target_port);
   bool output_connected(int port) const;
 
-  /// Counter slots every element carries (sized for IDSMatcher's five).
+  /// Counter slots every element carries (sized for IDSMatcher's ten).
   /// Each class names its slots with a private enum; ShardedRouter sums
   /// the block across hot-swap and reshard.
-  static constexpr std::size_t kCounterSlots = 5;
+  static constexpr std::size_t kCounterSlots = 10;
   std::uint64_t counter(std::size_t slot) const {
     assert(slot < kCounterSlots);
     return counters_[slot];

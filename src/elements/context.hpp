@@ -4,17 +4,16 @@
 // installation, so they cannot receive constructor arguments from the
 // host directly. The context carries the enclave-resident services
 // they need: IDPS rule sets, the TLS session-key store, trusted and
-// untrusted time sources, and the ToDevice delivery callback.
+// untrusted time sources, and the ToDevice delivery callback. Each lane
+// has its own context; the compiled rule sets and the key store are
+// the enclave's, one of each for all lanes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "click/registry.hpp"
-#include "idps/snort_rules.hpp"
+#include "idps/engine.hpp"
 #include "net/packet.hpp"
 #include "sim/clock.hpp"
 #include "tls/keystore.hpp"
@@ -22,8 +21,9 @@
 namespace endbox::elements {
 
 struct ElementContext {
-  /// Named IDPS rule sets referenced by IDSMatcher(RULESET <name>).
-  std::map<std::string, std::vector<idps::SnortRule>> rulesets;
+  /// Named IDPS rule sets referenced by IDSMatcher(RULESET <name>);
+  /// every lane context holds a copy of the enclave's handle.
+  idps::RuleSets rulesets;
 
   /// In-enclave TLS session keys for TLSDecrypt.
   tls::SessionKeyStore* key_store = nullptr;

@@ -24,10 +24,8 @@ Status IDSMatcher::configure(const std::vector<std::string>& args) {
     }
   }
   if (ruleset_name.empty()) return err("IDSMatcher: RULESET argument required");
-  auto it = context_.rulesets.find(ruleset_name);
-  if (it == context_.rulesets.end())
-    return err("IDSMatcher: unknown ruleset '" + ruleset_name + "'");
-  engine_ = std::make_shared<idps::IdpsEngine>(it->second);
+  engine_ = context_.rulesets.engine(ruleset_name);
+  if (!engine_) return err("IDSMatcher: unknown ruleset '" + ruleset_name + "'");
   return {};
 }
 
@@ -113,6 +111,13 @@ void IDSMatcher::push_batch(int /*port*/, click::PacketBatch&& batch) {
       keep[back[k]] = !drop;
     }
   }
+  idps::InspectStats& stats = scratch_.rules.stats;
+  count(kAlerts, stats.alerts);
+  count(kDrops, stats.drops);
+  count(kPrefilteredBytes, stats.prefiltered_bytes);
+  count(kConfirmedWindows, stats.confirmed_windows);
+  count(kFallbackScans, stats.fallback_scans);
+  stats = {};
 
   std::size_t index = 0;
   click::partition_batch(batch, drop_scratch_,
@@ -120,18 +125,6 @@ void IDSMatcher::push_batch(int /*port*/, click::PacketBatch&& batch) {
   output_batch(0, std::move(batch));
   output_batch(1, std::move(drop_scratch_));
   drop_scratch_.clear();
-}
-
-void IDSMatcher::absorb_state(Element& old_element) {
-  // This element's engine is freshly built (configure), so the old
-  // element's running prefilter totals fold into this one's base. The
-  // automaton itself stays per-shard (each engine carries mutable
-  // inspection counters, so sharing one across worker threads would
-  // race).
-  auto& old = static_cast<IDSMatcher&>(old_element);
-  base_prefilter_.prefiltered_bytes += old.prefiltered_bytes();
-  base_prefilter_.confirmed_windows += old.confirmed_windows();
-  base_prefilter_.fallback_scans += old.fallback_scans();
 }
 
 }  // namespace endbox::elements

@@ -20,6 +20,11 @@
 // packet). Packets without a context (non-TCP, CTX table full) are
 // inspected per packet, which gives single-segment flows the same
 // verdicts as the stream path.
+//
+// The engine is the context's compiled rule set, shared by every lane,
+// hot-swap and reshard. Each burst folds the engine's tally (alerts,
+// drops, scan counts) from the matcher's scratch into the counter
+// block, which the router sums, so the matcher needs no state hook.
 #pragma once
 
 #include <memory>
@@ -38,7 +43,6 @@ class IDSMatcher : public click::Element {
   std::string_view class_name() const override { return "IDSMatcher"; }
   Status configure(const std::vector<std::string>& args) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
-  void absorb_state(Element& old_element) override;
   int n_outputs() const override { return 2; }
 
   const idps::IdpsEngine* engine() const { return engine_.get(); }
@@ -51,25 +55,18 @@ class IDSMatcher : public click::Element {
   std::uint64_t stream_evasions() const { return counter(kStreamEvasions); }
   /// Flows put into drop_flow.
   std::uint64_t flows_killed() const { return counter(kFlowsKilled); }
-  /// Two-tier scanning stats: live engine counters plus the totals
-  /// inherited from hot-swap and reshard predecessors (the engine is
-  /// rebuilt per configure, so continuity lives in base_prefilter_).
-  std::uint64_t prefiltered_bytes() const {
-    return base_prefilter_.prefiltered_bytes +
-           (engine_ ? engine_->prefilter_stats().prefiltered_bytes : 0);
-  }
-  std::uint64_t confirmed_windows() const {
-    return base_prefilter_.confirmed_windows +
-           (engine_ ? engine_->prefilter_stats().confirmed_windows : 0);
-  }
-  std::uint64_t fallback_scans() const {
-    return base_prefilter_.fallback_scans +
-           (engine_ ? engine_->prefilter_stats().fallback_scans : 0);
-  }
+  /// Alert-rule firings and drop verdicts (idps::InspectStats).
+  std::uint64_t alerts() const { return counter(kAlerts); }
+  std::uint64_t drops() const { return counter(kDrops); }
+  /// Two-tier scanning stats (idps::InspectStats).
+  std::uint64_t prefiltered_bytes() const { return counter(kPrefilteredBytes); }
+  std::uint64_t confirmed_windows() const { return counter(kConfirmedWindows); }
+  std::uint64_t fallback_scans() const { return counter(kFallbackScans); }
 
  private:
   enum Slot { kBytesScanned, kMatches, kStreamChunks, kStreamEvasions,
-              kFlowsKilled };
+              kFlowsKilled, kAlerts, kDrops, kPrefilteredBytes,
+              kConfirmedWindows, kFallbackScans };
 
   /// True when the packet must take the resumable stream path.
   static bool stream_packet(const net::Packet& packet) {
@@ -82,10 +79,9 @@ class IDSMatcher : public click::Element {
                             const idps::IdpsVerdict& verdict);
 
   ElementContext& context_;
-  std::shared_ptr<idps::IdpsEngine> engine_;  ///< built anew by every configure
+  std::shared_ptr<const idps::IdpsEngine> engine_;  ///< the context's compiled set
   bool drop_mode_ = false;
   bool mask_mode_ = false;
-  idps::PrefilterStats base_prefilter_;  ///< totals from replaced elements
   idps::IdpsEngine::BatchScratch scratch_;    ///< reused across bursts
   click::PacketBatch drop_scratch_;           ///< reused matched burst for output 1
 };

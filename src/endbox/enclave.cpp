@@ -18,14 +18,14 @@ EndBoxEnclave::EndBoxEnclave(sgx::SgxPlatform& platform, sgx::SgxMode mode,
       enclave_key_(crypto::rsa_generate(rng)),
       key_store_(tls::SessionKeyStore::Options{}) {
   if (options_.shards == 0) options_.shards = 1;
-  ensure_shard_rigs(1);  // lane 0 also holds the registered rule sets
+  ensure_shard_rigs(1);
 }
 
 void EndBoxEnclave::ensure_shard_rigs(std::size_t count) {
   while (shard_rigs_.size() < count) {
     auto rig = std::make_unique<ShardRig>();
     rig->context.key_store = &key_store_;
-    if (!shard_rigs_.empty()) rig->context.rulesets = shard_rigs_[0]->context.rulesets;
+    rig->context.rulesets = rulesets_;
     // sgx_get_trusted_time is an ocall into the platform service. Lane
     // threads must not touch the shared enclave statistics, so the
     // reads tally in context.trusted_time_calls and run_click_burst
@@ -381,11 +381,8 @@ Status EndBoxEnclave::ecall_forward_tls_key(const tls::SessionKeys& keys) {
 void EndBoxEnclave::ecall_add_ruleset(const std::string& name,
                                       std::vector<idps::SnortRule> rules) {
   EcallGuard guard(*this);
-  // Every lane keeps its own copy (lane graphs share no mutable state);
-  // lanes created later copy lane 0's at creation.
-  for (std::size_t i = 1; i < shard_rigs_.size(); ++i)
-    shard_rigs_[i]->context.rulesets[name] = rules;
-  shard_rigs_[0]->context.rulesets[name] = std::move(rules);
+  // One store for every lane: graphs already running keep their engine.
+  rulesets_[name] = std::move(rules);
 }
 
 EndBoxEnclave::StreamStatsSnapshot EndBoxEnclave::stream_stats() const {

@@ -174,9 +174,11 @@ class EndBoxEnclave : public sgx::Enclave {
   /// via the management interface.
   Status ecall_forward_tls_key(const tls::SessionKeys& keys);
 
-  /// Registers a named IDPS rule set available to IDSMatcher configs.
+  /// Registers (or replaces) a named IDPS rule set available to
+  /// IDSMatcher configs; the first install that names it compiles it.
   void ecall_add_ruleset(const std::string& name,
                          std::vector<idps::SnortRule> rules);
+  const idps::RuleSets& rulesets() const { return rulesets_; }
 
   // ---- Introspection ----------------------------------------------------
   /// Aggregated CTX-chain (stream inspection) state across every lane:
@@ -253,6 +255,7 @@ class EndBoxEnclave : public sgx::Enclave {
   std::uint64_t config_key_ = 0;
 
   tls::SessionKeyStore key_store_;
+  idps::RuleSets rulesets_;  ///< one compiled engine per set, all lanes
   // The graphs: one per lane in sharded_ (created by the first install),
   // wired to the per-lane rigs (lane 0's rig exists from construction).
   std::vector<std::unique_ptr<ShardRig>> shard_rigs_;

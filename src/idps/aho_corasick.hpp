@@ -72,7 +72,6 @@ class AhoCorasick {
   /// some pattern is too short for a fragment — the caller must then
   /// run the full walk over every byte.
   const LiteralPrefilter& prefilter() const { return prefilter_; }
-  LiteralPrefilter& prefilter() { return prefilter_; }
 
  private:
   struct Node {

@@ -84,39 +84,50 @@ void IdpsEngine::record_hit(InspectScratch& scratch, int pattern_id) {
   bits |= 1ull << content_index;
 }
 
-IdpsVerdict IdpsEngine::evaluate_hits(const net::Packet& packet,
-                                      const InspectScratch& scratch,
-                                      bool any_hit) {
+IdpsVerdict IdpsEngine::evaluate(const net::Packet& packet,
+                                 InspectScratch& scratch,
+                                 StreamMatchState* state) const {
+  // Only touched rules can be complete; walking them in ascending
+  // rule-index order makes the lowest complete rule name the verdict.
   IdpsVerdict verdict;
-  if (!any_hit) return verdict;
-  const std::vector<std::uint64_t>& content_hits = scratch.content_hits;
-  for (std::size_t r = 0; r < rules_.size(); ++r) {
+  std::sort(scratch.touched.begin(), scratch.touched.end());
+  for (std::uint32_t r : scratch.touched) {
     const SnortRule& rule = rules_[r];
-    if (rule.contents.empty()) continue;
     std::uint64_t want =
         rule.contents.size() >= 64 ? ~0ull : (1ull << rule.contents.size()) - 1;
-    if ((content_hits[r] & want) != want) continue;
+    if ((scratch.content_hits[r] & want) != want) continue;
+    if (state) {
+      if (std::find(state->completed.begin(), state->completed.end(), r) !=
+          state->completed.end())
+        continue;
+      // Record completion even when the header check fails: header
+      // constraints are flow-constant, so the rule can never fire later
+      // in this flow and need not be re-evaluated per segment.
+      state->completed.push_back(r);
+    }
     if (!header_matches(rule, packet)) continue;
     if (!verdict.matched) {
       verdict.matched = true;
       verdict.sid = rule.sid;
     }
     if (rule.action == RuleAction::Drop) verdict.drop = true;
-    if (rule.action == RuleAction::Alert) ++alerts_;
+    if (rule.action == RuleAction::Alert) ++scratch.stats.alerts;
   }
-  if (verdict.drop) ++drops_;
+  if (verdict.drop) ++scratch.stats.drops;
   return verdict;
 }
 
-void IdpsEngine::count_scan(std::size_t bytes) {
+void IdpsEngine::count_scan(std::size_t bytes, InspectStats& stats) const {
+  ++stats.packets_inspected;
   if (prefilter_enabled_)
-    prefilter_stats_.prefiltered_bytes += bytes;
+    stats.prefiltered_bytes += bytes;
   else
-    ++prefilter_stats_.fallback_scans;
+    ++stats.fallback_scans;
 }
 
 void IdpsEngine::find_runs(const AhoCorasick& automaton, ByteView text,
-                           std::vector<CandidateRun>& runs) {
+                           InspectScratch& scratch) const {
+  std::vector<CandidateRun>& runs = scratch.runs;
   runs.clear();
   if (automaton.pattern_count() == 0) return;
   if (!prefilter_enabled_) {
@@ -126,22 +137,22 @@ void IdpsEngine::find_runs(const AhoCorasick& automaton, ByteView text,
     return;
   }
   automaton.prefilter().find_runs(text, runs);
-  prefilter_stats_.confirmed_windows += runs.size();
+  scratch.stats.confirmed_windows += runs.size();
 }
 
 void IdpsEngine::confirm_runs(ByteView text, InspectScratch& scratch,
                               const std::function<bool(const AcMatch&)>& record,
-                              std::size_t* bias) {
+                              std::size_t* bias) const {
   // Each run contains every match it witnesses whole, so it is walked
   // from the root — no cross-run automaton state is needed.
-  find_runs(cs_automaton_, text, scratch.runs);
+  find_runs(cs_automaton_, text, scratch);
   for (const CandidateRun& run : scratch.runs) {
     if (bias) *bias = run.begin;
     cs_automaton_.match(text.subspan(run.begin, run.end - run.begin), record);
   }
   // The nocase prefilter screened the raw text; only its runs are
   // lowered for the confirm walk.
-  find_runs(ci_automaton_, text, scratch.runs);
+  find_runs(ci_automaton_, text, scratch);
   for (const CandidateRun& run : scratch.runs) {
     if (bias) *bias = run.begin;
     to_lower_into(text.subspan(run.begin, run.end - run.begin), scratch.lowered);
@@ -149,39 +160,33 @@ void IdpsEngine::confirm_runs(ByteView text, InspectScratch& scratch,
   }
 }
 
-IdpsVerdict IdpsEngine::inspect(const net::Packet& packet) {
+IdpsVerdict IdpsEngine::inspect(const net::Packet& packet) const {
   InspectScratch scratch;
   return inspect(packet, packet.payload, scratch);
 }
 
 IdpsVerdict IdpsEngine::inspect(const net::Packet& packet, ByteView payload,
-                                InspectScratch& scratch) {
-  ++packets_inspected_;
-  count_scan(payload.size());
+                                InspectScratch& scratch) const {
+  count_scan(payload.size(), scratch.stats);
   reset_hits(scratch);
   // Single-pointer capture keeps the callback inside std::function's
   // small-object buffer — no allocation per scan. Rule evaluation only
   // consumes the hit set, so slice-relative offsets need no rebasing.
-  struct RecordCtx {
-    InspectScratch* scratch;
-    bool any_hit = false;
-  } ctx{&scratch};
-  confirm_runs(payload, scratch, [&ctx](const AcMatch& m) {
-    record_hit(*ctx.scratch, m.pattern_id);
-    ctx.any_hit = true;
+  InspectScratch* hits = &scratch;
+  confirm_runs(payload, scratch, [hits](const AcMatch& m) {
+    record_hit(*hits, m.pattern_id);
     return true;
   });
-  return evaluate_hits(packet, scratch, ctx.any_hit);
+  return evaluate(packet, scratch);
 }
 
 void IdpsEngine::inspect_batch(std::span<const net::Packet* const> packets,
                                std::span<const ByteView> payloads,
-                               BatchScratch& scratch, IdpsVerdict* verdicts) {
+                               BatchScratch& scratch, IdpsVerdict* verdicts) const {
   std::size_t n = packets.size();
-  packets_inspected_ += n;
   if (scratch.matches.size() < n) scratch.matches.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    count_scan(payloads[i].size());
+    count_scan(payloads[i].size(), scratch.rules.stats);
     scratch.matches[i].clear();
   }
 
@@ -202,7 +207,7 @@ void IdpsEngine::inspect_batch(std::span<const net::Packet* const> packets,
     scratch.owner.clear();
     std::size_t slice = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      find_runs(automaton, payloads[i], scratch.rules.runs);
+      find_runs(automaton, payloads[i], scratch.rules);
       for (const CandidateRun& run : scratch.rules.runs) {
         ByteView view = payloads[i].subspan(run.begin, run.end - run.begin);
         if (lower) {
@@ -226,8 +231,7 @@ void IdpsEngine::inspect_batch(std::span<const net::Packet* const> packets,
     reset_hits(scratch.rules);
     for (const AcMatch& m : scratch.matches[i])
       record_hit(scratch.rules, m.pattern_id);
-    verdicts[i] =
-        evaluate_hits(*packets[i], scratch.rules, !scratch.matches[i].empty());
+    verdicts[i] = evaluate(*packets[i], scratch.rules);
   }
 }
 
@@ -248,50 +252,11 @@ void IdpsEngine::persist_stream_hits(StreamMatchState& state,
   }
 }
 
-IdpsVerdict IdpsEngine::evaluate_stream(const net::Packet& packet,
-                                        StreamMatchState& state,
-                                        InspectScratch& scratch, bool new_hit) {
-  IdpsVerdict verdict;
-  // A rule can only newly complete when this chunk produced a hit.
-  if (!new_hit) return verdict;
-  // Ascending rule-index order preserves the per-packet path's
-  // first-sid determinism (evaluate_hits walks all rules in order;
-  // untouched rules cannot match, so sorted-touched is equivalent).
-  std::sort(scratch.touched.begin(), scratch.touched.end());
-  for (std::uint32_t r : scratch.touched) {
-    const SnortRule& rule = rules_[r];
-    if (rule.contents.empty()) continue;
-    std::uint64_t want =
-        rule.contents.size() >= 64 ? ~0ull : (1ull << rule.contents.size()) - 1;
-    if ((scratch.content_hits[r] & want) != want) continue;
-    if (std::find(state.completed.begin(), state.completed.end(), r) !=
-        state.completed.end())
-      continue;
-    // Record completion even when the header check fails: header
-    // constraints are flow-constant, so the rule can never fire later
-    // in this flow and need not be re-evaluated per segment.
-    state.completed.push_back(r);
-    if (!header_matches(rule, packet)) continue;
-    if (!verdict.matched) {
-      verdict.matched = true;
-      verdict.sid = rule.sid;
-    }
-    if (rule.action == RuleAction::Drop) verdict.drop = true;
-    if (rule.action == RuleAction::Alert) ++alerts_;
-  }
-  if (verdict.drop) ++drops_;
-  // Flow-kill policy (state.drop_flow) belongs to the caller: the
-  // element also kills flows on DROP-mode alert matches, and owns the
-  // once-per-flow kill accounting.
-  return verdict;
-}
-
 IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk,
                                        StreamMatchState& state,
                                        InspectScratch& scratch,
-                                       std::span<std::uint8_t> mask) {
-  ++packets_inspected_;
-  count_scan(chunk.size());
+                                       std::span<std::uint8_t> mask) const {
+  count_scan(chunk.size(), scratch.stats);
   reset_hits(scratch);
   load_stream_hits(state, scratch);
 
@@ -309,7 +274,7 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
   scratch.combined.insert(scratch.combined.end(), chunk.begin(), chunk.end());
 
   struct RecordCtx {
-    IdpsEngine* self;
+    const IdpsEngine* self;
     InspectScratch* scratch;
     StreamMatchState* state;
     std::uint8_t* mask_data;
@@ -344,7 +309,10 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
                                   static_cast<std::ptrdiff_t>(keep),
                               scratch.combined.end());
 
-  IdpsVerdict verdict = evaluate_stream(packet, state, scratch, ctx.new_hit);
+  // A rule can only newly complete when this chunk produced a hit.
+  // Flow-kill policy (state.drop_flow) belongs to the caller.
+  IdpsVerdict verdict =
+      ctx.new_hit ? evaluate(packet, scratch, &state) : IdpsVerdict{};
   persist_stream_hits(state, scratch);
   return verdict;
 }
@@ -352,12 +320,27 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
 void IdpsEngine::inspect_stream_batch(
     std::span<const net::Packet* const> packets, std::span<const ByteView> chunks,
     std::span<StreamMatchState* const> states, BatchScratch& scratch,
-    IdpsVerdict* verdicts, std::span<const std::span<std::uint8_t>> masks) {
+    IdpsVerdict* verdicts, std::span<const std::span<std::uint8_t>> masks) const {
   for (std::size_t i = 0; i < packets.size(); ++i)
     verdicts[i] = inspect_stream(*packets[i], chunks[i], *states[i],
                                  scratch.rules,
                                  masks.empty() ? std::span<std::uint8_t>{}
                                                : masks[i]);
+}
+
+std::shared_ptr<const IdpsEngine> RuleSets::engine(const std::string& name) {
+  auto it = sets_->find(name);
+  if (it == sets_->end()) return nullptr;
+  if (auto* rules = std::get_if<std::vector<SnortRule>>(&it->second))
+    it->second = std::make_shared<const IdpsEngine>(std::move(*rules));
+  return std::get<std::shared_ptr<const IdpsEngine>>(it->second);
+}
+
+const IdpsEngine* RuleSets::compiled(const std::string& name) const {
+  auto it = sets_->find(name);
+  if (it == sets_->end()) return nullptr;
+  auto* engine = std::get_if<std::shared_ptr<const IdpsEngine>>(&it->second);
+  return engine ? engine->get() : nullptr;
 }
 
 }  // namespace endbox::idps

@@ -4,6 +4,10 @@
 // its content patterns occur in the payload. Drop rules mark the
 // packet; alert rules record an event.
 //
+// A compiled engine is immutable, as in Hyperscan (one read-only
+// database, one scratch per thread): inspection tallies what it did in
+// the caller's scratch, so lanes share one engine per RuleSets entry.
+//
 // Scanning is two-tier: each automaton's Teddy-style literal
 // prefilter (built at AhoCorasick::build() time) reports candidate
 // windows — positions where some pattern's rarest fragment may start,
@@ -18,7 +22,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <span>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "idps/aho_corasick.hpp"
@@ -58,11 +66,15 @@ struct StreamMatchState {
   std::vector<std::uint32_t> completed;
 };
 
-/// Two-tier scanning statistics: how much traffic the prefilter
-/// cleared without automaton work, how many candidate windows needed
-/// confirming, and how many scans fell back to one whole-buffer run
-/// (rule sets with sub-fragment-width literals).
-struct PrefilterStats {
+/// What inspection did, tallied in the caller's scratch: packets and
+/// rule firings, plus the two-tier scanning counts — how much traffic
+/// the prefilter cleared without automaton work, how many candidate
+/// windows needed confirming, and how many scans fell back to one
+/// whole-buffer run (rule sets with sub-fragment-width literals).
+struct InspectStats {
+  std::uint64_t packets_inspected = 0;
+  std::uint64_t alerts = 0;              ///< alert-rule firings
+  std::uint64_t drops = 0;               ///< packets with a drop verdict
   std::uint64_t prefiltered_bytes = 0;   ///< bytes screened by tier 1
   std::uint64_t confirmed_windows = 0;   ///< candidate runs walked by tier 2
   std::uint64_t fallback_scans = 0;      ///< whole-buffer runs (prefilter unusable)
@@ -84,6 +96,7 @@ class IdpsEngine {
     Bytes lowered;
     std::vector<CandidateRun> runs;  ///< prefilter candidate windows
     Bytes combined;                  ///< stream path: tail + chunk
+    InspectStats stats;
   };
 
   /// Working memory for inspect_batch: per-stream match lists and
@@ -96,8 +109,8 @@ class IdpsEngine {
     InspectScratch rules;
   };
 
-  /// Evaluates one packet; also tallies alert/drop statistics.
-  IdpsVerdict inspect(const net::Packet& packet);
+  /// Evaluates one packet with a throwaway scratch.
+  IdpsVerdict inspect(const net::Packet& packet) const;
 
   /// Scratch-reusing variant: headers come from `packet`, content is
   /// scanned from `payload` (the decrypted payload when TLSDecrypt ran
@@ -105,7 +118,7 @@ class IdpsEngine {
   /// Two-tier: the prefilter screens the payload and only candidate
   /// windows reach the automaton.
   IdpsVerdict inspect(const net::Packet& packet, ByteView payload,
-                      InspectScratch& scratch);
+                      InspectScratch& scratch) const;
 
   /// Burst variant: screens every payload, then confirms the burst's
   /// candidate slices with the interleaved multi-stream Aho-Corasick
@@ -113,10 +126,10 @@ class IdpsEngine {
   /// system, hiding the table-walk latency a single scan is bound by)
   /// and evaluates each packet's rules exactly as inspect().
   /// `verdicts[i]` corresponds to `packets[i]`; verdicts and statistics
-  /// are identical to per-packet inspection.
+  /// (in `scratch.rules.stats`) are identical to per-packet inspection.
   void inspect_batch(std::span<const net::Packet* const> packets,
                      std::span<const ByteView> payloads, BatchScratch& scratch,
-                     IdpsVerdict* verdicts);
+                     IdpsVerdict* verdicts) const;
 
   /// Stream inspection: scans `chunk` (the flow's next run of
   /// in-order stream bytes) continuing from `state`, so content split
@@ -135,7 +148,7 @@ class IdpsEngine {
   /// rewritten).
   IdpsVerdict inspect_stream(const net::Packet& packet, ByteView chunk,
                              StreamMatchState& state, InspectScratch& scratch,
-                             std::span<std::uint8_t> mask = {});
+                             std::span<std::uint8_t> mask = {}) const;
 
   /// Burst variant of inspect_stream, run sequentially in burst order:
   /// each chunk's scan needs the tail its same-flow predecessor leaves
@@ -145,48 +158,40 @@ class IdpsEngine {
                             std::span<const ByteView> chunks,
                             std::span<StreamMatchState* const> states,
                             BatchScratch& scratch, IdpsVerdict* verdicts,
-                            std::span<const std::span<std::uint8_t>> masks = {});
+                            std::span<const std::span<std::uint8_t>> masks = {}) const;
 
   std::size_t rule_count() const { return rules_.size(); }
-  std::uint64_t packets_inspected() const { return packets_inspected_; }
-  std::uint64_t alerts() const { return alerts_; }
-  std::uint64_t drops() const { return drops_; }
   /// True when both automatons compiled usable prefilters (every
   /// content literal is at least fragment-width bytes).
   bool prefilter_enabled() const { return prefilter_enabled_; }
-  const PrefilterStats& prefilter_stats() const { return prefilter_stats_; }
   const AhoCorasick& cs_automaton() const { return cs_automaton_; }
   const AhoCorasick& ci_automaton() const { return ci_automaton_; }
 
  private:
   bool header_matches(const SnortRule& rule, const net::Packet& packet) const;
-  /// Tallies one scan of `bytes` in the two-tier statistics.
-  void count_scan(std::size_t bytes);
-  /// Tier 1 for `automaton` over `text`: the prefilter's candidate runs,
-  /// or one run covering all of `text` when the prefilter is unusable.
+  /// Tallies one inspected packet of `bytes` payload in `stats`.
+  void count_scan(std::size_t bytes, InspectStats& stats) const;
+  /// Tier 1 for `automaton` over `text` into `scratch.runs`: the
+  /// prefilter's candidate runs, or one run covering all of `text` when
+  /// the prefilter is unusable.
   void find_runs(const AhoCorasick& automaton, ByteView text,
-                 std::vector<CandidateRun>& runs);
+                 InspectScratch& scratch) const;
   /// Tier 2 over `text`: walks both automatons' candidate runs from the
   /// root (nocase runs lowered first) and reports every match to
   /// `record`. `*bias` (when given) is set to each run's offset in
   /// `text` before the run is walked.
   void confirm_runs(ByteView text, InspectScratch& scratch,
                     const std::function<bool(const AcMatch&)>& record,
-                    std::size_t* bias = nullptr);
+                    std::size_t* bias = nullptr) const;
   /// Sparse hit-table reset: zero only the rules touched last time.
   void reset_hits(InspectScratch& scratch) const;
   /// Sets the content bit for one pattern hit (tracks touched rules).
   static void record_hit(InspectScratch& scratch, int pattern_id);
   /// First-match rule evaluation over a populated hit table; tallies
-  /// alert/drop statistics.
-  IdpsVerdict evaluate_hits(const net::Packet& packet,
-                            const InspectScratch& scratch, bool any_hit);
-  /// Stream variant: evaluates only the touched rules (sorted to keep
-  /// the per-packet path's first-sid rule-index order), fires each rule
-  /// at most once per flow, and records completions in `state`.
-  IdpsVerdict evaluate_stream(const net::Packet& packet,
-                              StreamMatchState& state, InspectScratch& scratch,
-                              bool new_hit);
+  /// alerts and drops in `scratch.stats`. With a flow `state`, each
+  /// rule fires at most once per flow and completions are recorded.
+  IdpsVerdict evaluate(const net::Packet& packet, InspectScratch& scratch,
+                       StreamMatchState* state = nullptr) const;
   /// Seeds the sparse hit table from the flow's persisted hits (call
   /// right after reset_hits).
   void load_stream_hits(const StreamMatchState& state,
@@ -209,10 +214,29 @@ class IdpsEngine {
   /// minus one — the longest prefix of a match that can live in
   /// earlier chunks.
   std::size_t stream_tail_len_ = 0;
-  PrefilterStats prefilter_stats_;
-  std::uint64_t packets_inspected_ = 0;
-  std::uint64_t alerts_ = 0;
-  std::uint64_t drops_ = 0;
+};
+
+/// Named rule sets, each compiled once, on first use: a set that no
+/// config names costs no trusted memory. A handle — copies share one
+/// store, so every lane context of an enclave gets the same engine per
+/// set, and hot-swap and reshard reuse it. Graphs are built on one
+/// thread; lanes only read the engines.
+class RuleSets {
+ public:
+  /// A set's rules until engine() compiles them. Assigning new rules
+  /// replaces a compiled set; graphs built earlier keep their engine.
+  using Set = std::variant<std::vector<SnortRule>, std::shared_ptr<const IdpsEngine>>;
+
+  Set& operator[](const std::string& name) { return (*sets_)[name]; }
+  /// Set `name`'s engine, compiled by this call if no earlier one did;
+  /// nullptr when no set has that name.
+  std::shared_ptr<const IdpsEngine> engine(const std::string& name);
+  /// Set `name`'s engine if it is compiled, else nullptr.
+  const IdpsEngine* compiled(const std::string& name) const;
+
+ private:
+  std::shared_ptr<std::map<std::string, Set>> sets_ =
+      std::make_shared<std::map<std::string, Set>>();
 };
 
 }  // namespace endbox::idps

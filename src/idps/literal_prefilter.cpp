@@ -49,7 +49,7 @@ void LiteralPrefilter::admit_byte(std::size_t j, std::uint8_t b,
 }
 
 void LiteralPrefilter::build(std::span<const ByteView> patterns,
-                             bool case_insensitive) {
+                             bool case_insensitive, Kernel kernel) {
   usable_ = false;
   empty_ = true;
   width_ = 0;
@@ -57,7 +57,7 @@ void LiteralPrefilter::build(std::span<const ByteView> patterns,
   std::memset(lo_, 0, sizeof(lo_));
   std::memset(hi_, 0, sizeof(hi_));
   std::memset(tbl32_, 0, sizeof(tbl32_));
-  kernel_ = common::current_simd_level();
+  kernel_ = kernel;
 
   if (patterns.empty()) {
     usable_ = true;  // nothing can match: every payload is clean

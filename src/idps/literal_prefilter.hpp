@@ -53,8 +53,10 @@ class LiteralPrefilter {
   /// — only confirm slices pay for lowering. Any pattern shorter than
   /// 2 bytes makes the filter unusable (a 1-byte literal has no
   /// fragment; the engine must fall back to the full walk). An empty
-  /// pattern set is usable and reports no candidates.
-  void build(std::span<const ByteView> patterns, bool case_insensitive);
+  /// pattern set is usable and reports no candidates. `kernel` (one the
+  /// hardware has) is fixed for the filter's life; tests pin each level.
+  void build(std::span<const ByteView> patterns, bool case_insensitive,
+             Kernel kernel = common::current_simd_level());
 
   /// False when some pattern is too short for a fragment; the caller
   /// must then scan everything with the full automaton walk.
@@ -64,9 +66,6 @@ class LiteralPrefilter {
   std::size_t max_pattern_length() const { return max_len_; }
 
   Kernel kernel() const { return kernel_; }
-  /// Pins the scan kernel (tests/benches); caller must not force a
-  /// level the hardware lacks.
-  void force_kernel(Kernel kernel) { kernel_ = kernel; }
 
   /// Scans `text` and appends the merged candidate runs (ascending,
   /// disjoint, clamped to the text). Returns the raw candidate count

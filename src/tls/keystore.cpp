@@ -4,8 +4,7 @@ namespace endbox::tls {
 
 bool SessionKeyStore::put(const SessionKeys& keys) {
   SessionKeys copy = keys;
-  return keys_.insert(keys.session_id, std::move(copy),
-                      now_hint_.load(std::memory_order_relaxed)) != nullptr;
+  return keys_.insert(keys.session_id, std::move(copy), tick()) != nullptr;
 }
 
 std::optional<SessionKeys> SessionKeyStore::get(std::uint64_t session_id) const {
@@ -17,7 +16,7 @@ std::optional<SessionKeys> SessionKeyStore::get(std::uint64_t session_id) const 
   }
   // Activity stamp only — a relaxed store, safe from concurrent shard
   // readers; the wheel is re-armed lazily by the next expire_idle.
-  keys_.touch(*entry, now_hint_.load(std::memory_order_relaxed));
+  keys_.touch(*entry, tick());
   return entry->value;
 }
 

@@ -8,13 +8,13 @@
 // connection 5-tuple).
 //
 // The store is bounded lifecycle state (common/lifecycle_table.hpp):
-// keys are pruned on session teardown (erase) or after sitting unused
-// for the configured idle timeout (expire_idle, driven between bursts
-// from the enclave), so a long-lived enclave cannot leak one entry per
-// TLS session ever negotiated. Each successful get() refreshes the
-// key's activity stamp with a relaxed store — safe under the shard
-// model where writes (put/erase/expire) happen via ecalls between
-// bursts and shards only read during one.
+// keys go on session teardown (erase), after the idle timeout
+// (expire_idle), or when a new key at capacity evicts the idle-longest
+// one. Stamps come from the store's own clock, one tick per put() and
+// get() (no ocall for the time). Each successful get() restamps with
+// relaxed atomics — safe under the shard model where writes
+// (put/erase/expire) happen via ecalls between bursts and shards only
+// read during one.
 #pragma once
 
 #include <atomic>
@@ -33,21 +33,22 @@ class SessionKeyStore {
     sim::Time idle_timeout = 0;  ///< 0: prune on teardown only
   };
 
-  SessionKeyStore() = default;
+  SessionKeyStore() : SessionKeyStore(Options{}) {}
   explicit SessionKeyStore(Options options)
-      : keys_(KeyTable::Options{options.capacity, options.idle_timeout, {}}) {}
+      : keys_(KeyTable::Options{options.capacity, options.idle_timeout, {},
+                                EvictionPolicy::EvictIdleLongest}) {}
 
-  /// Inserts or refreshes a key. Returns false (and counts the
-  /// rejection) when a new session would exceed capacity.
+  /// Inserts or refreshes a key; a new key at capacity evicts the
+  /// idle-longest one. Returns false only when nothing can be evicted.
   bool put(const SessionKeys& keys);
   std::optional<SessionKeys> get(std::uint64_t session_id) const;
   bool erase(std::uint64_t session_id);
 
-  /// Advances the store's view of virtual time: get() stamps activity
-  /// at this time, and expire_idle() evicts keys idle past the
-  /// timeout. Call between bursts (single-threaded), like put/erase.
+  /// Moves the store's clock forward to virtual time `now`. Call
+  /// between bursts (single-threaded), like put/erase.
   void note_time(sim::Time now) {
-    now_hint_.store(now, std::memory_order_relaxed);
+    if (clock_.load(std::memory_order_relaxed) < now)
+      clock_.store(now, std::memory_order_relaxed);
   }
   /// Prunes keys idle past the timeout (no-op with idle_timeout 0).
   /// A pruned key looked up later counts as an honest miss.
@@ -62,8 +63,11 @@ class SessionKeyStore {
  private:
   using KeyTable = LifecycleTable<std::uint64_t, SessionKeys>;
 
+  /// The stamp of a put or get: one tick of the store's clock.
+  sim::Time tick() const { return clock_.fetch_add(1, std::memory_order_relaxed) + 1; }
+
   KeyTable keys_;
-  std::atomic<sim::Time> now_hint_{0};
+  mutable std::atomic<sim::Time> clock_{0};
   // The store is shared by every element-graph shard (keys arrive via
   // ecalls between bursts; shards only read the map during one), so the
   // lookup statistics must tolerate concurrent get() calls.

@@ -29,6 +29,7 @@ struct Fixture : ::testing::Test {
   tls::SessionKeyStore key_store;
   ElementContext context;
   std::vector<std::pair<Packet, bool>> delivered;
+  std::vector<idps::SnortRule> community, strict;  ///< as registered below
 
   Fixture() {
     context.key_store = &key_store;
@@ -37,10 +38,12 @@ struct Fixture : ::testing::Test {
     context.to_device = [this](Packet&& p, bool accepted) {
       delivered.emplace_back(std::move(p), accepted);
     };
-    context.rulesets["community"] = idps::generate_community_ruleset(377, rng);
-    context.rulesets["strict"] = *idps::parse_snort_ruleset(
+    community = idps::generate_community_ruleset(377, rng);
+    strict = *idps::parse_snort_ruleset(
         "drop ip any any -> any any (content:\"malware\"; sid:1;)\n"
         "alert ip any any -> any any (content:\"suspicious\"; sid:2;)\n");
+    context.rulesets["community"] = community;
+    context.rulesets["strict"] = strict;
   }
 
   Packet benign(std::size_t size = 100) {
@@ -633,7 +636,7 @@ TEST_F(Fixture, IDSMatcherBatchMatchesPerPacket) {
   EXPECT_GT(a.matches(), 0u);  // the stream embeds "malware" payloads
   EXPECT_EQ(a.matches(), c.matches());
   EXPECT_EQ(a.bytes_scanned(), c.bytes_scanned());
-  expect_ids_oracle(context.rulesets["strict"], true, traffic, arrivals, a.matches());
+  expect_ids_oracle(strict, true, traffic, arrivals, a.matches());
 }
 
 TEST_F(Fixture, IDSMatcherBatchMatchesPerPacketOnCommunityRuleset) {
@@ -644,7 +647,7 @@ TEST_F(Fixture, IDSMatcherBatchMatchesPerPacketOnCommunityRuleset) {
   // carries one rule's contents (nocase ones upper-cased): rules fire,
   // miss on their header constraints, or stay incomplete when the
   // payload is too short for every content.
-  const auto& rules = context.rulesets["community"];
+  const auto& rules = community;
   auto traffic = mixed_traffic(150);
   for (std::size_t k = 0; k < traffic.size(); k += 3) {
     Bytes& payload = traffic[k].payload;
@@ -661,8 +664,7 @@ TEST_F(Fixture, IDSMatcherBatchMatchesPerPacketOnCommunityRuleset) {
   EXPECT_GT(a.matches(), 0u);
   EXPECT_EQ(a.matches(), c.matches());
   EXPECT_EQ(a.bytes_scanned(), c.bytes_scanned());
-  expect_ids_oracle(context.rulesets["community"], false, traffic, arrivals,
-                    a.matches());
+  expect_ids_oracle(community, false, traffic, arrivals, a.matches());
 }
 
 TEST_F(Fixture, RateSplitterBatchMatchesPerPacket) {

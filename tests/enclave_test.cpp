@@ -1,8 +1,10 @@
 // Focused tests for EndBoxEnclave's ecall surface: provisioning checks,
 // sealed-credential restore, config install edge cases, data-path
-// guards, EPC accounting.
+// guards, EPC accounting, and the enclave's one compiled rule set per
+// rule name (shared by lanes, hot-swap and reshard; compiled lazily).
 #include <gtest/gtest.h>
 
+#include "elements/ids_matcher.hpp"
 #include "endbox_world.hpp"
 
 namespace endbox {
@@ -164,6 +166,72 @@ TEST_F(EnclaveFixture, RulesetRegistrationIsEcall) {
   auto ecalls_before = enclave.transitions().ecalls;
   enclave.ecall_add_ruleset("extra", world.community_rules);
   EXPECT_EQ(enclave.transitions().ecalls, ecalls_before + 1);
+}
+
+/// The engine of every IDSMatcher on every lane, in lane order.
+std::vector<const idps::IdpsEngine*> lane_engines(const EndBoxEnclave& enclave) {
+  std::vector<const idps::IdpsEngine*> engines;
+  const click::ShardedRouter* sharded = enclave.sharded_router();
+  for (std::size_t s = 0; s < sharded->shard_count(); ++s)
+    for (const click::Element* element : sharded->shard(s).elements())
+      if (auto* ids = dynamic_cast<const elements::IDSMatcher*>(element))
+        engines.push_back(ids->engine());
+  return engines;
+}
+
+TEST_F(EnclaveFixture, LanesHotSwapAndReshardShareOneCompiledRuleSet) {
+  EndBoxClientOptions options;
+  options.shards = 4;
+  auto& enclave =
+      world.add_client(world.publish(UseCase::Idps, 3), options).enclave();
+  std::vector<const idps::IdpsEngine*> engines = lane_engines(enclave);
+  ASSERT_EQ(engines.size(), 4u);
+  const idps::IdpsEngine* shared = engines[0];
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(engines, std::vector(4, shared)) << "each lane compiled its own set";
+
+  // A same-config hot-swap and a reshard 1 -> 4 -> 2 reuse it.
+  ASSERT_TRUE(enclave.ecall_install_config(world.publish(UseCase::Idps, 4)).ok());
+  EXPECT_EQ(lane_engines(enclave), std::vector(4, shared)) << "hot-swap";
+  for (std::size_t lanes : {1u, 4u, 2u}) {
+    ASSERT_TRUE(enclave.ecall_reshard(lanes).ok());
+    EXPECT_EQ(lane_engines(enclave), std::vector(lanes, shared))
+        << "reshard to " << lanes;
+  }
+}
+
+TEST_F(EnclaveFixture, RuleSetNamedByNoConfigIsNeverCompiled) {
+  // Every client holds the community set; the FW config names no rule
+  // set, so installing it compiles nothing. The first config that
+  // names the set compiles it.
+  auto& enclave = world.add_client(world.publish(UseCase::Fw, 3)).enclave();
+  EXPECT_EQ(enclave.rulesets().compiled("community"), nullptr);
+  ASSERT_TRUE(enclave.ecall_install_config(world.publish(UseCase::Idps, 4)).ok());
+  const idps::IdpsEngine* compiled = enclave.rulesets().compiled("community");
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->rule_count(), world.community_rules.size());
+}
+
+TEST_F(EnclaveFixture, ReplacedRuleSetScansFromTheNextInstall) {
+  auto& client = world.add_client(world.publish(UseCase::Idps, 3));
+  auto& enclave = client.enclave();
+  auto fresh = idps::parse_snort_ruleset(
+      "drop udp any any -> any any (content:\"fresh-signature\"; sid:77;)\n");
+  ASSERT_TRUE(fresh.ok());
+  auto probe = [&] {
+    net::Packet packet = world.benign_packet(200);
+    packet.payload = to_bytes("this payload carries a fresh-signature");
+    return world.send_through(client, std::move(packet));
+  };
+  ASSERT_TRUE(probe().ok()) << "the community set does not know the content";
+  enclave.ecall_add_ruleset("community", *fresh);
+  // The running graph keeps the engine it was built with...
+  EXPECT_TRUE(probe().ok());
+  // ...and the next install compiles the new rules, not a stale copy.
+  ASSERT_TRUE(enclave.ecall_install_config(world.publish(UseCase::Idps, 4)).ok());
+  EXPECT_FALSE(probe().ok()) << "the new drop rule did not fire";
+  ASSERT_NE(enclave.rulesets().compiled("community"), nullptr);
+  EXPECT_EQ(enclave.rulesets().compiled("community")->rule_count(), 1u);
 }
 
 TEST_F(EnclaveFixture, MeasurementMatchesCanonicalIdentity) {

@@ -166,7 +166,9 @@ TEST(IdpsEngine, InspectBatchAgreesWithPerPacketInspect) {
   }
 
   std::vector<IdpsVerdict> single;
-  for (const Packet& p : packets) single.push_back(a.inspect(p));
+  IdpsEngine::InspectScratch single_scratch;
+  for (const Packet& p : packets)
+    single.push_back(a.inspect(p, p.payload, single_scratch));
 
   std::vector<const Packet*> ptrs;
   std::vector<ByteView> payloads;
@@ -183,9 +185,11 @@ TEST(IdpsEngine, InspectBatchAgreesWithPerPacketInspect) {
     EXPECT_EQ(batch[k].drop, single[k].drop) << k;
     EXPECT_EQ(batch[k].sid, single[k].sid) << k;
   }
-  EXPECT_EQ(a.packets_inspected(), b.packets_inspected());
-  EXPECT_EQ(a.alerts(), b.alerts());
-  EXPECT_EQ(a.drops(), b.drops());
+  const InspectStats& sa = single_scratch.stats;
+  const InspectStats& sb = scratch.rules.stats;
+  EXPECT_EQ(sa.packets_inspected, sb.packets_inspected);
+  EXPECT_EQ(sa.alerts, sb.alerts);
+  EXPECT_EQ(sa.drops, sb.drops);
 }
 
 TEST(AhoCorasick, EarlyExitStopsMatching) {
@@ -324,27 +328,36 @@ Packet udp_payload(const std::string& payload, std::uint16_t dport = 80) {
                      to_bytes(payload));
 }
 
+/// Inspects `packet` with `scratch`, which keeps the engine's tally.
+IdpsVerdict inspect(const IdpsEngine& engine, const Packet& packet,
+                    IdpsEngine::InspectScratch& scratch) {
+  return engine.inspect(packet, packet.payload, scratch);
+}
+
 TEST(Engine, AlertsOnContentMatch) {
   IdpsEngine engine({simple_rule(100, "exploit")});
-  auto verdict = engine.inspect(udp_payload("this is an exploit attempt"));
+  IdpsEngine::InspectScratch scratch;
+  auto verdict = inspect(engine, udp_payload("this is an exploit attempt"), scratch);
   EXPECT_TRUE(verdict.matched);
   EXPECT_FALSE(verdict.drop);
   EXPECT_EQ(verdict.sid, 100u);
-  EXPECT_EQ(engine.alerts(), 1u);
+  EXPECT_EQ(scratch.stats.alerts, 1u);
 }
 
 TEST(Engine, DropRuleSetsDrop) {
   IdpsEngine engine({simple_rule(5, "malware", RuleAction::Drop)});
-  auto verdict = engine.inspect(udp_payload("malware inside"));
+  IdpsEngine::InspectScratch scratch;
+  auto verdict = inspect(engine, udp_payload("malware inside"), scratch);
   EXPECT_TRUE(verdict.drop);
-  EXPECT_EQ(engine.drops(), 1u);
+  EXPECT_EQ(scratch.stats.drops, 1u);
 }
 
 TEST(Engine, NoMatchOnCleanTraffic) {
   IdpsEngine engine({simple_rule(5, "malware")});
-  auto verdict = engine.inspect(udp_payload("completely benign data"));
+  IdpsEngine::InspectScratch scratch;
+  auto verdict = inspect(engine, udp_payload("completely benign data"), scratch);
   EXPECT_FALSE(verdict.matched);
-  EXPECT_EQ(engine.alerts(), 0u);
+  EXPECT_EQ(scratch.stats.alerts, 0u);
 }
 
 TEST(Engine, AllContentsMustMatch) {
@@ -402,15 +415,18 @@ TEST(Engine, CommunityRulesetCleanTrafficNoAlerts) {
   IdpsEngine engine(generate_community_ruleset(377, rng));
   EXPECT_EQ(engine.rule_count(), 377u);
   Rng traffic(8);
+  IdpsEngine::InspectScratch scratch;
   for (int i = 0; i < 200; ++i) {
     Bytes payload(1400);
     for (auto& b : payload)
       b = static_cast<std::uint8_t>('a' + traffic.uniform(0, 25));
-    auto verdict = engine.inspect(
-        Packet::udp(Ipv4(10, 8, 0, 2), Ipv4(10, 0, 0, 1), 5555, 5001, payload));
+    auto verdict = inspect(
+        engine,
+        Packet::udp(Ipv4(10, 8, 0, 2), Ipv4(10, 0, 0, 1), 5555, 5001, payload),
+        scratch);
     ASSERT_FALSE(verdict.matched) << "rule fired on benign payload, sid=" << verdict.sid;
   }
-  EXPECT_EQ(engine.packets_inspected(), 200u);
+  EXPECT_EQ(scratch.stats.packets_inspected, 200u);
 }
 
 TEST(Engine, CommunityRulesetDetectsPlantedPattern) {

@@ -50,6 +50,18 @@ std::vector<LiteralPrefilter::Kernel> available_kernels() {
   return kernels;
 }
 
+/// `patterns`' prefilter built once per available kernel, in
+/// available_kernels() order (a built filter's kernel is fixed).
+std::vector<LiteralPrefilter> filters_for(const std::vector<Bytes>& patterns,
+                                          bool case_insensitive) {
+  std::vector<LiteralPrefilter> filters;
+  for (auto kernel : available_kernels()) {
+    filters.emplace_back();
+    filters.back().build(views_of(patterns), case_insensitive, kernel);
+  }
+  return filters;
+}
+
 /// RAII override of ENDBOX_FORCE_SCALAR for dispatch tests. Restores
 /// the prior value so the CI leg that runs the whole binary under
 /// ENDBOX_FORCE_SCALAR=1 stays forced for later tests.
@@ -125,12 +137,11 @@ TEST(LiteralPrefilter, KernelsAgreeBitForBit) {
   std::vector<Bytes> patterns = {
       to_bytes("malware"), to_bytes("/etc/passwd"), to_bytes("evil"),
       to_bytes("xx"),      to_bytes("powershell -enc")};
-  LiteralPrefilter filter;
-  filter.build(views_of(patterns), false);
-  ASSERT_TRUE(filter.usable());
-  ASSERT_EQ(filter.fragment_width(), 2u);
-
   auto kernels = available_kernels();
+  auto filters = filters_for(patterns, false);
+  ASSERT_TRUE(filters[0].usable());
+  ASSERT_EQ(filters[0].fragment_width(), 2u);
+
   for (int round = 0; round < 200; ++round) {
     Bytes text = rng.bytes(rng.uniform(0, 200));
     if (round % 2 == 0 && !text.empty()) {
@@ -144,9 +155,8 @@ TEST(LiteralPrefilter, KernelsAgreeBitForBit) {
     std::vector<CandidateRun> expected;
     std::size_t expected_count = 0;
     for (std::size_t k = 0; k < kernels.size(); ++k) {
-      filter.force_kernel(kernels[k]);
       std::vector<CandidateRun> runs;
-      std::size_t count = filter.find_runs(text, runs);
+      std::size_t count = filters[k].find_runs(text, runs);
       if (k == 0) {
         expected = runs;
         expected_count = count;
@@ -167,11 +177,9 @@ TEST(LiteralPrefilter, RunsCoverEveryPlantedOccurrence) {
   Rng rng(7);
   std::vector<Bytes> patterns = {to_bytes("needle"), to_bytes("pin"),
                                  to_bytes("ab")};
-  LiteralPrefilter filter;
-  filter.build(views_of(patterns), false);
-  ASSERT_TRUE(filter.usable());
+  auto filters = filters_for(patterns, false);
+  ASSERT_TRUE(filters[0].usable());
 
-  auto kernels = available_kernels();
   for (int round = 0; round < 200; ++round) {
     Bytes text = rng.bytes(20 + rng.uniform(0, 180));
     std::vector<std::pair<std::size_t, const Bytes*>> spans;
@@ -183,8 +191,7 @@ TEST(LiteralPrefilter, RunsCoverEveryPlantedOccurrence) {
                 text.begin() + static_cast<std::ptrdiff_t>(at));
       spans.emplace_back(at, &p);
     }
-    for (auto kernel : kernels) {
-      filter.force_kernel(kernel);
+    for (const LiteralPrefilter& filter : filters) {
       std::vector<CandidateRun> runs;
       filter.find_runs(text, runs);
       for (auto [at, p] : spans) {
@@ -199,7 +206,7 @@ TEST(LiteralPrefilter, RunsCoverEveryPlantedOccurrence) {
           covered |= run.begin <= at && end <= run.end;
         EXPECT_TRUE(covered)
             << "round " << round << " span [" << at << "," << end
-            << ") kernel " << common::simd_level_name(kernel);
+            << ") kernel " << common::simd_level_name(filter.kernel());
       }
     }
   }
@@ -226,11 +233,8 @@ TEST(LiteralPrefilter, CaseInsensitiveMasksAdmitRawUppercase) {
   // The nocase filter scans RAW text: masks built from the lower-cased
   // pattern must fire on any case mixture of the literal.
   std::vector<Bytes> patterns = {to_bytes("malware")};
-  LiteralPrefilter filter;
-  filter.build(views_of(patterns), true);
-  ASSERT_TRUE(filter.usable());
-  for (auto kernel : available_kernels()) {
-    filter.force_kernel(kernel);
+  for (const LiteralPrefilter& filter : filters_for(patterns, true)) {
+    ASSERT_TRUE(filter.usable());
     for (const char* text : {"xx MALWARE yy", "xx MaLwArE yy", "malware"}) {
       Bytes raw = to_bytes(text);
       std::size_t at = std::string(text).find_first_of("mM");
@@ -240,7 +244,7 @@ TEST(LiteralPrefilter, CaseInsensitiveMasksAdmitRawUppercase) {
       for (const CandidateRun& run : runs)
         covered |= run.begin <= at && at + 7 <= run.end;
       EXPECT_TRUE(covered) << text << " kernel "
-                           << common::simd_level_name(kernel);
+                           << common::simd_level_name(filter.kernel());
     }
   }
 }
@@ -278,16 +282,16 @@ TEST(PrefilterEngine, InspectEqualsReferenceOnCommunityFuzz) {
     expect_verdict_eq(fallback.inspect(probe, payload, fallback_scratch), want,
                       "fallback " + where);
   }
-  EXPECT_EQ(engine.alerts(), naive.alerts());
-  EXPECT_EQ(engine.drops(), naive.drops());
-  EXPECT_EQ(fallback.alerts(), naive.alerts());
-  EXPECT_EQ(fallback.drops(), naive.drops());
+  EXPECT_EQ(scratch.stats.alerts, naive.alerts());
+  EXPECT_EQ(scratch.stats.drops, naive.drops());
+  EXPECT_EQ(fallback_scratch.stats.alerts, naive.alerts());
+  EXPECT_EQ(fallback_scratch.stats.drops, naive.drops());
   // Clean rounds never entered the automaton, so the prefilter did
   // real screening work; the fallback engine ran one run per scan.
-  EXPECT_GT(engine.prefilter_stats().prefiltered_bytes, 0u);
-  EXPECT_EQ(engine.prefilter_stats().fallback_scans, 0u);
-  EXPECT_EQ(fallback.prefilter_stats().fallback_scans, 150u);
-  EXPECT_EQ(fallback.prefilter_stats().prefiltered_bytes, 0u);
+  EXPECT_GT(scratch.stats.prefiltered_bytes, 0u);
+  EXPECT_EQ(scratch.stats.fallback_scans, 0u);
+  EXPECT_EQ(fallback_scratch.stats.fallback_scans, 150u);
+  EXPECT_EQ(fallback_scratch.stats.prefiltered_bytes, 0u);
 }
 
 TEST(PrefilterEngine, OneByteContentForcesFullWalkFallback) {
@@ -307,8 +311,8 @@ TEST(PrefilterEngine, OneByteContentForcesFullWalkFallback) {
   auto verdict = engine.inspect(probe, single, scratch);
   EXPECT_TRUE(verdict.matched);
   EXPECT_EQ(verdict.sid, 1u);
-  EXPECT_GT(engine.prefilter_stats().fallback_scans, 0u);
-  EXPECT_EQ(engine.prefilter_stats().prefiltered_bytes, 0u);
+  EXPECT_GT(scratch.stats.fallback_scans, 0u);
+  EXPECT_EQ(scratch.stats.prefiltered_bytes, 0u);
 
   Bytes both = to_bytes("a longenough payload");
   verdict = engine.inspect(probe, both, scratch);
@@ -363,11 +367,11 @@ TEST(PrefilterEngine, BatchEqualsPerPacketAndReference) {
                         want, "single " + where);
     }
   }
-  EXPECT_EQ(batch_engine.alerts(), naive.alerts());
-  EXPECT_EQ(single_engine.alerts(), naive.alerts());
-  EXPECT_EQ(fallback.alerts(), naive.alerts());
-  EXPECT_EQ(batch_engine.drops(), naive.drops());
-  EXPECT_EQ(fallback.drops(), naive.drops());
+  EXPECT_EQ(batch_scratch.rules.stats.alerts, naive.alerts());
+  EXPECT_EQ(single_scratch.stats.alerts, naive.alerts());
+  EXPECT_EQ(fallback_scratch.rules.stats.alerts, naive.alerts());
+  EXPECT_EQ(batch_scratch.rules.stats.drops, naive.drops());
+  EXPECT_EQ(fallback_scratch.rules.stats.drops, naive.drops());
 }
 
 TEST(PrefilterEngine, StreamEqualsReferenceOverRandomSegmentations) {
@@ -431,10 +435,10 @@ TEST(PrefilterEngine, StreamEqualsReferenceOverRandomSegmentations) {
     EXPECT_EQ(masked, naive_masked) << "round " << round;
     EXPECT_EQ(fallback_masked, naive_masked) << "round " << round;
   }
-  EXPECT_EQ(engine.alerts(), naive.alerts());
-  EXPECT_EQ(engine.drops(), naive.drops());
-  EXPECT_EQ(fallback.alerts(), naive.alerts());
-  EXPECT_EQ(fallback.drops(), naive.drops());
+  EXPECT_EQ(scratch.stats.alerts, naive.alerts());
+  EXPECT_EQ(scratch.stats.drops, naive.drops());
+  EXPECT_EQ(fallback_scratch.stats.alerts, naive.alerts());
+  EXPECT_EQ(fallback_scratch.stats.drops, naive.drops());
 }
 
 TEST(PrefilterEngine, StreamBatchMatchesSequentialAtManyFlowCounts) {
@@ -514,9 +518,9 @@ TEST(PrefilterEngine, StreamBatchMatchesSequentialAtManyFlowCounts) {
       expect_verdict_eq(got[i], expected[i], where);
       expect_verdict_eq(fallback_got[i], expected[i], "fallback " + where);
     }
-    EXPECT_EQ(batched.alerts(), naive.alerts()) << flows << " flows";
-    EXPECT_EQ(batched.drops(), naive.drops()) << flows << " flows";
-    EXPECT_EQ(fallback.alerts(), naive.alerts()) << flows << " flows";
+    EXPECT_EQ(batch_scratch.rules.stats.alerts, naive.alerts()) << flows << " flows";
+    EXPECT_EQ(batch_scratch.rules.stats.drops, naive.drops()) << flows << " flows";
+    EXPECT_EQ(fallback_scratch.rules.stats.alerts, naive.alerts()) << flows << " flows";
     for (std::size_t f = 0; f < flows; ++f) {
       EXPECT_EQ(batch_states[f].cross_segment_matches,
                 naive_flows[f].cross_segment_matches)
@@ -555,7 +559,7 @@ TEST(PrefilterEngine, ForcedScalarDispatchMatchesSimd) {
                       simd_engine.inspect(probe, payload, b),
                       "round " + std::to_string(round));
   }
-  EXPECT_EQ(scalar_engine.alerts(), simd_engine.alerts());
+  EXPECT_EQ(a.stats.alerts, b.stats.alerts);
 }
 
 TEST(PrefilterEngine, NocaseLiteralMatchesUppercaseRawPayload) {
@@ -598,7 +602,7 @@ TEST(PrefilterEngine, StreamStraddleAcrossTinyChunksIsCaught) {
   }
   EXPECT_TRUE(matched);
   EXPECT_EQ(state.cross_segment_matches, 1u);
-  EXPECT_EQ(engine.drops(), 1u);
+  EXPECT_EQ(scratch.stats.drops, 1u);
 }
 
 }  // namespace

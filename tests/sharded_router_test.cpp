@@ -52,12 +52,17 @@ struct ShardHarness {
 
   tls::SessionKeyStore store;
   std::vector<idps::SnortRule> rules;
+  idps::RuleSets rulesets;  ///< one compiled set for every lane, as in the enclave
   std::vector<std::unique_ptr<Rig>> rigs;
   std::unique_ptr<ShardedRouter> router;
 
   explicit ShardHarness(const std::string& config, std::size_t shards) {
     Rng rules_rng(7);
     rules = idps::generate_community_ruleset(40, rules_rng);
+    rulesets["community"] = rules;
+    // A 1-byte content turns the prefilter off: every scan falls back.
+    rulesets["one_byte"] = *idps::parse_snort_ruleset(
+        "alert udp any any -> any any (content:\"|fe|\"; sid:9;)\n");
     auto built = ShardedRouter::create(config, shards, factory());
     if (!built.ok()) throw std::runtime_error(built.error());
     router = std::move(*built);
@@ -68,7 +73,7 @@ struct ShardHarness {
       while (rigs.size() <= i) {
         auto rig = std::make_unique<Rig>();
         rig->context.key_store = &store;
-        rig->context.rulesets["community"] = rules;
+        rig->context.rulesets = rulesets;
         rig->context.trusted_time = [] { return sim::Time{0}; };
         rig->context.untrusted_time = [] { return sim::Time{0}; };
         Rig* raw = rig.get();
@@ -316,13 +321,26 @@ TEST(ShardedEquivalence, ConcurrentTlsDecryptKeyLookupsAreSafe) {
 // ---- Reshard state migration ----------------------------------------------
 
 TEST(Reshard, CounterQueueIdpsStateSurvives1To4To2WithNoLoss) {
+  // `ids1` scans with a 1-byte content, so its prefilter is off and
+  // every scan is a fallback scan.
   const std::string config =
       "from_device :: FromDevice; cnt :: Counter;"
-      "ids :: IDSMatcher(RULESET community); q :: Queue(500);"
-      "to_device :: ToDevice;"
-      "from_device -> cnt -> ids -> q; ids[1] -> [1]to_device;";
+      "ids :: IDSMatcher(RULESET community); ids1 :: IDSMatcher(RULESET one_byte);"
+      "q :: Queue(500); to_device :: ToDevice;"
+      "from_device -> cnt -> ids -> ids1 -> q; ids[1] -> [1]to_device;"
+      "ids1[1] -> [1]to_device;";
   ShardHarness harness(config, 1);
   Rng rng(23);
+  // Random payloads match no community rule: every fifth packet carries
+  // rule 1's content (alert) and every seventh rule 7's (drop).
+  auto burst = [&](std::size_t n) {
+    PacketBatch batch = random_burst(rng, n);
+    for (std::size_t k = 0; k < batch.size(); ++k)
+      for (std::size_t rule : {std::size_t{1}, std::size_t{7}})
+        if (k % (rule == 1 ? 5 : 7) == 0)
+          append(batch[k].payload, harness.rules[rule].contents[0].bytes);
+    return batch;
+  };
 
   auto offered_bytes = [&] {
     return harness.sum<click::Counter>(
@@ -340,14 +358,30 @@ TEST(Reshard, CounterQueueIdpsStateSurvives1To4To2WithNoLoss) {
     return harness.sum<elements::IDSMatcher>(
         "ids", [](const elements::IDSMatcher& m) { return m.bytes_scanned(); });
   };
+  // The engine's tallies, which each burst folds into the counter block.
+  auto ids_totals = [&] {
+    auto sum = [&](const char* name,
+                   std::uint64_t (elements::IDSMatcher::*get)() const) {
+      return harness.sum<elements::IDSMatcher>(
+          name, [get](const elements::IDSMatcher& m) { return (m.*get)(); });
+    };
+    return std::vector<std::uint64_t>{
+        sum("ids", &elements::IDSMatcher::prefiltered_bytes),
+        sum("ids", &elements::IDSMatcher::confirmed_windows),
+        sum("ids", &elements::IDSMatcher::alerts),
+        sum("ids", &elements::IDSMatcher::drops),
+        sum("ids1", &elements::IDSMatcher::fallback_scans)};
+  };
 
-  for (int i = 0; i < 3; ++i) harness.run_burst(random_burst(rng, 50));
+  for (int i = 0; i < 3; ++i) harness.run_burst(burst(50));
   std::uint64_t counted_1 = counted();
   std::uint64_t bytes_1 = offered_bytes();
   std::uint64_t queued_1 = queued();
   std::uint64_t scanned_1 = scanned();
+  std::vector<std::uint64_t> ids_1 = ids_totals();
   ASSERT_EQ(counted_1, 150u);
   ASSERT_GT(queued_1, 0u);
+  for (std::uint64_t total : ids_1) ASSERT_GT(total, 0u);
 
   // 1 -> 4: totals preserved, queued packets land in their flow's shard.
   ASSERT_TRUE(harness.router->reshard(4).ok());
@@ -356,6 +390,7 @@ TEST(Reshard, CounterQueueIdpsStateSurvives1To4To2WithNoLoss) {
   EXPECT_EQ(offered_bytes(), bytes_1);
   EXPECT_EQ(queued(), queued_1);
   EXPECT_EQ(scanned(), scanned_1);
+  EXPECT_EQ(ids_totals(), ids_1);
   for (std::size_t s = 0; s < 4; ++s) {
     auto* q = harness.router->shard(s).find_as<click::Queue>("q");
     ASSERT_NE(q, nullptr);
@@ -369,22 +404,34 @@ TEST(Reshard, CounterQueueIdpsStateSurvives1To4To2WithNoLoss) {
   }
 
   // Traffic keeps flowing after the transition.
-  for (int i = 0; i < 2; ++i) harness.run_burst(random_burst(rng, 50));
+  for (int i = 0; i < 2; ++i) harness.run_burst(burst(50));
   std::uint64_t counted_4 = counted();
   EXPECT_EQ(counted_4, counted_1 + 100);
 
   // 4 -> 2: still lossless.
   std::uint64_t queued_4 = queued();
   std::uint64_t scanned_4 = scanned();
+  std::vector<std::uint64_t> ids_4 = ids_totals();
   ASSERT_TRUE(harness.router->reshard(2).ok());
   EXPECT_EQ(harness.router->shard_count(), 2u);
   EXPECT_EQ(counted(), counted_4);
   EXPECT_EQ(queued(), queued_4);
   EXPECT_EQ(scanned(), scanned_4);
+  EXPECT_EQ(ids_totals(), ids_4);
   EXPECT_EQ(harness.router->reshard_count(), 2u);
 
-  for (int i = 0; i < 2; ++i) harness.run_burst(random_burst(rng, 50));
+  for (int i = 0; i < 2; ++i) harness.run_burst(burst(50));
   EXPECT_EQ(counted(), counted_4 + 100);
+
+  // A same-graph hot-swap keeps every total too.
+  std::uint64_t queued_2 = queued();
+  std::vector<std::uint64_t> ids_2 = ids_totals();
+  ASSERT_TRUE(harness.router->hot_swap(config).ok());
+  EXPECT_EQ(counted(), counted_4 + 100);
+  EXPECT_EQ(queued(), queued_2);
+  EXPECT_EQ(ids_totals(), ids_2);
+  for (std::size_t i = 0; i < ids_2.size(); ++i)
+    EXPECT_GT(ids_2[i], ids_4[i]) << "total " << i << " stopped counting";
 }
 
 TEST(Reshard, ShrinkReusesTheWorkerPool) {

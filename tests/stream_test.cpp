@@ -65,6 +65,7 @@ struct StreamFixture : ::testing::Test {
   elements::ElementContext context;
   click::ElementRegistry registry;
   std::vector<std::pair<Packet, bool>> delivered;
+  std::vector<idps::SnortRule> community, strict;  ///< as registered below
 
   StreamFixture() : registry(click::ElementRegistry::with_standard_elements()) {
     context.key_store = &key_store;
@@ -73,10 +74,12 @@ struct StreamFixture : ::testing::Test {
     context.to_device = [this](Packet&& p, bool accepted) {
       delivered.emplace_back(std::move(p), accepted);
     };
-    context.rulesets["community"] = idps::generate_community_ruleset(100, rng);
-    context.rulesets["strict"] = *idps::parse_snort_ruleset(
+    community = idps::generate_community_ruleset(100, rng);
+    strict = *idps::parse_snort_ruleset(
         "drop ip any any -> any any (content:\"malware\"; sid:1;)\n"
         "alert ip any any -> any any (content:\"suspicious\"; sid:2;)\n");
+    context.rulesets["community"] = community;
+    context.rulesets["strict"] = strict;
     context.rulesets["multi"] = *idps::parse_snort_ruleset(
         "alert ip any any -> any any (content:\"alpha\"; content:\"bravo\"; "
         "sid:7;)\n");
@@ -187,7 +190,7 @@ TEST_F(StreamFixture, MultiContentRuleCompletesAcrossSegments) {
   // Hits persist per flow: more alphas complete nothing new.
   router->push_to("from", seg(28, "alpha alpha"));
   EXPECT_EQ(ids->matches(), 1u);
-  EXPECT_EQ(ids->engine()->alerts(), 1u);
+  EXPECT_EQ(ids->alerts(), 1u);
 }
 
 // ---- Stream rewriting ----------------------------------------------------
@@ -250,8 +253,8 @@ TEST_F(StreamFixture, SingleSegmentFlowsMatchPerPacketReference) {
   auto* s = stream_router->find_as<IDSMatcher>("ids");
   auto* p = reference->find_as<IDSMatcher>("ids");
   EXPECT_EQ(s->matches(), p->matches());
-  EXPECT_EQ(s->engine()->alerts(), p->engine()->alerts());
-  EXPECT_EQ(s->engine()->drops(), p->engine()->drops());
+  EXPECT_EQ(s->alerts(), p->alerts());
+  EXPECT_EQ(s->drops(), p->drops());
   EXPECT_EQ(s->stream_evasions(), 0u);  // nothing straddled
 }
 
@@ -324,7 +327,7 @@ TEST_F(StreamFixture, ResumableScanEqualsConcatenateThenRescan) {
   // concatenated stream — same any-match verdict, same alert count
   // (each rule once), same drop effect — for random payloads with
   // planted rule contents and random chunk boundaries.
-  const auto& rules = context.rulesets["community"];
+  const auto& rules = community;
   Packet probe = seg(0, "");
   for (int round = 0; round < 30; ++round) {
     Bytes stream = rng.bytes(200 + rng.uniform(0, 800));
@@ -363,7 +366,7 @@ TEST_F(StreamFixture, ResumableScanEqualsConcatenateThenRescan) {
       pos += len;
     }
     EXPECT_EQ(any, whole.matched) << "round " << round;
-    EXPECT_EQ(streamed.alerts(), model.alerts()) << "round " << round;
+    EXPECT_EQ(scratch.stats.alerts, model_scratch.stats.alerts) << "round " << round;
     // first_sid is deliberately NOT compared against whole.sid here:
     // stream mode reports the rule whose last content lands in the
     // earliest chunk, which can differ from the whole-buffer walk's
@@ -379,7 +382,7 @@ TEST_F(StreamFixture, StreamBatchEqualsSequentialStreamCalls) {
   // inspect_stream_batch must be verdict-identical to per-chunk
   // inspect_stream in burst order, even
   // when one flow contributes several chunks to the same burst.
-  const auto& rules = context.rulesets["strict"];
+  const auto& rules = strict;
   Packet probe = seg(0, "");
   for (int round = 0; round < 20; ++round) {
     // 3 flows, interleaved chunks; flow 0 carries a straddled pattern.
@@ -429,8 +432,8 @@ TEST_F(StreamFixture, StreamBatchEqualsSequentialStreamCalls) {
       EXPECT_EQ(got[i].drop, expected[i].drop) << i;
       EXPECT_EQ(got[i].sid, expected[i].sid) << i;
     }
-    EXPECT_EQ(batched.alerts(), sequential.alerts());
-    EXPECT_EQ(batched.drops(), sequential.drops());
+    EXPECT_EQ(batch_scratch.rules.stats.alerts, scratch.stats.alerts);
+    EXPECT_EQ(batch_scratch.rules.stats.drops, scratch.stats.drops);
     for (std::size_t f = 0; f < 3; ++f) {
       EXPECT_EQ(batch_states[f].prefilter_tail, seq_states[f].prefilter_tail);
       EXPECT_EQ(batch_states[f].cross_segment_matches,
@@ -556,7 +559,7 @@ TEST_F(StreamFixture, BurstDoesNotRescanFlowKilledEarlierInIt) {
       router->push_batch_to("from", std::move(second));
       auto* ids = router->find_as<IDSMatcher>("ids");
       return Outcome{verdicts(), ids->stream_chunks(), ids->bytes_scanned(),
-                     ids->matches(), ids->engine()->alerts(),
+                     ids->matches(), ids->alerts(),
                      delivered.at(1).first.payload};
     };
     Outcome burst = run(true), ones = run(false);
@@ -584,12 +587,12 @@ struct StreamShardHarness {
   };
 
   tls::SessionKeyStore store;
-  std::vector<idps::SnortRule> rules;
+  idps::RuleSets rulesets;  ///< one compiled set for every lane, as in the enclave
   std::vector<std::unique_ptr<Rig>> rigs;
   std::unique_ptr<click::ShardedRouter> router;
 
   StreamShardHarness(const std::string& config, std::size_t shards) {
-    rules = *idps::parse_snort_ruleset(
+    rulesets["strict"] = *idps::parse_snort_ruleset(
         "drop ip any any -> any any (content:\"malware\"; sid:1;)\n");
     auto built = click::ShardedRouter::create(config, shards, factory());
     if (!built.ok()) throw std::runtime_error(built.error());
@@ -601,7 +604,7 @@ struct StreamShardHarness {
       while (rigs.size() <= i) {
         auto rig = std::make_unique<Rig>();
         rig->context.key_store = &store;
-        rig->context.rulesets["strict"] = rules;
+        rig->context.rulesets = rulesets;
         rig->context.trusted_time = [] { return sim::Time{0}; };
         rig->context.untrusted_time = [] { return sim::Time{0}; };
         Rig* raw = rig.get();

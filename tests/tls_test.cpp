@@ -170,33 +170,62 @@ TEST(KeyStore, OverwriteSameSession) {
 }
 
 TEST(KeyStore, CapacityBoundRejectsNewSessions) {
+  // The bound holds by eviction: a new session at capacity displaces
+  // the idle-longest key instead of being refused.
   SessionKeyStore::Options options;
   options.capacity = 2;
   SessionKeyStore store(options);
   EXPECT_TRUE(store.put({Bytes(16, 1), Bytes(32, 1), 1}));
   EXPECT_TRUE(store.put({Bytes(16, 2), Bytes(32, 2), 2}));
-  EXPECT_FALSE(store.put({Bytes(16, 3), Bytes(32, 3), 3}));
-  EXPECT_EQ(store.rejected_full(), 1u);
+  EXPECT_TRUE(store.put({Bytes(16, 3), Bytes(32, 3), 3}));
+  EXPECT_EQ(store.rejected_full(), 0u);
   EXPECT_EQ(store.size(), 2u);
+  EXPECT_FALSE(store.get(1).has_value());
   // Refreshing a live session's keys is not a new admission.
   EXPECT_TRUE(store.put({Bytes(16, 9), Bytes(32, 9), 2}));
-  // Teardown makes room again.
-  EXPECT_TRUE(store.erase(1));
-  EXPECT_TRUE(store.put({Bytes(16, 3), Bytes(32, 3), 3}));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_TRUE(store.get(3).has_value());
+  // Teardown makes room again: nothing is evicted.
+  EXPECT_TRUE(store.erase(2));
+  EXPECT_TRUE(store.put({Bytes(16, 4), Bytes(32, 4), 4}));
+  EXPECT_TRUE(store.get(3).has_value());
+  EXPECT_TRUE(store.get(4).has_value());
+}
+
+TEST(KeyStore, FullStoreEvictsTheIdleLongestKey) {
+  // Nothing in the enclave prunes keys or reads the time, so a full
+  // store must admit new keys by evicting, ordered by the store's own
+  // clock: every put and get is one tick.
+  SessionKeyStore::Options options;
+  options.capacity = 4;
+  SessionKeyStore store(options);
+  for (std::uint64_t id = 1; id <= 4; ++id)
+    ASSERT_TRUE(store.put({Bytes(16, 1), Bytes(32, 1), id}));
+  ASSERT_TRUE(store.get(1).has_value());  // key 1 is now the freshest
+  EXPECT_TRUE(store.put({Bytes(16, 5), Bytes(32, 5), 5}));
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_EQ(store.rejected_full(), 0u);
+  EXPECT_TRUE(store.get(1).has_value());
+  EXPECT_FALSE(store.get(2).has_value());  // idle longest
+  EXPECT_TRUE(store.get(5).has_value());
 }
 
 TEST(KeyStore, IdleKeysExpireAndCountHonestMisses) {
+  // Each put and get stamps one 1 ns tick past the store's clock, so
+  // a deadline lands a few ns past a whole millisecond and fires on the
+  // first expiry pass one wheel tick (1 ms) later.
   constexpr sim::Time kMs = sim::kMillisecond;
   SessionKeyStore::Options options;
   options.idle_timeout = 100 * kMs;
   SessionKeyStore store(options);
   store.note_time(0);
   store.put({Bytes(16, 1), Bytes(32, 1), 1});
-  store.put({Bytes(16, 2), Bytes(32, 2), 2});
+  store.put({Bytes(16, 2), Bytes(32, 2), 2});  // stamped 2 ns
   // Key 1 is used at t=80ms (activity stamp refreshed); key 2 idles.
   store.note_time(80 * kMs);
   ASSERT_TRUE(store.get(1).has_value());
-  EXPECT_EQ(store.expire_idle(100 * kMs), 1u);  // key 2, idle since 0
+  EXPECT_EQ(store.expire_idle(100 * kMs), 0u);  // key 2 due at 100ms + 2 ns
+  EXPECT_EQ(store.expire_idle(101 * kMs), 1u);  // key 2, idle since 2 ns
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.expired(), 1u);
   ASSERT_TRUE(store.get(1).has_value());
@@ -204,10 +233,10 @@ TEST(KeyStore, IdleKeysExpireAndCountHonestMisses) {
   std::uint64_t misses = store.misses();
   EXPECT_FALSE(store.get(2).has_value());
   EXPECT_EQ(store.misses(), misses + 1);
-  // Key 1 was last used at t=100ms (the hit above, after expire_idle
-  // advanced the store's clock): it expires at exactly t=200ms.
-  EXPECT_EQ(store.expire_idle(199 * kMs), 0u);
-  EXPECT_EQ(store.expire_idle(200 * kMs), 1u);
+  // Key 1 was last used at t=101ms + 1 ns (the hit above, after
+  // expire_idle moved the store's clock): it is due at 201ms + 1 ns.
+  EXPECT_EQ(store.expire_idle(201 * kMs), 0u);
+  EXPECT_EQ(store.expire_idle(202 * kMs), 1u);
   EXPECT_EQ(store.size(), 0u);
 }
 
