@@ -151,9 +151,9 @@ struct ChainBench {
 // builds and runs shard s's share of the burst on the calling thread —
 // PR-4's bench methodology times each shard serially and reports the
 // burst's critical path (the slowest shard), i.e. the completion time
-// when every shard owns a core, matching the repo's virtual-time cost
-// model (CI containers often expose a single core, where wall-clock
-// parallel timing would measure the scheduler instead of the router).
+// when every shard owns a core (CI containers often expose a single
+// core, where wall-clock parallel timing would measure the scheduler
+// instead of the router).
 struct ShardedChainBench {
   static constexpr std::size_t kBurst = click::PacketBatch::kMaxBurst;
   static constexpr std::size_t kFlows = 32;
@@ -1145,7 +1145,7 @@ int run_json_mode(const std::string& path) {
                "ns/packet, one 64-packet burst vs 64 bursts of one; "
                "sharded_chain rows are critical-path ns/packet for 64-packet "
                "bursts, each shard timed serially and the burst costed at the "
-               "slowest shard (one core per shard, the virtual-time model); "
+               "slowest shard (one core per shard); "
                "session_table_churn rows are ns per churn step (expiry pass + "
                "admission + touch) at a steady-state population, timer-wheel "
                "LifecycleTable vs an unordered_map with a periodic full-table "

@@ -61,14 +61,6 @@ Status EndBoxClient::finish_connect(ByteView reply_wire) {
 
 sim::Time EndBoxClient::charge_data_path(sim::Time now, std::size_t payload_bytes,
                                          std::size_t fragments, bool run_click) {
-  return charge_data_path_batch(now, payload_bytes, fragments, 1, run_click);
-}
-
-sim::Time EndBoxClient::charge_data_path_batch(sim::Time now,
-                                               std::size_t payload_bytes,
-                                               std::size_t fragments,
-                                               std::size_t packets,
-                                               bool run_click) {
   double per_byte_crypto = options_.encrypt_data
                                ? model_.vpn_crypto_cycles_per_byte
                                : model_.vpn_integrity_cycles_per_byte;
@@ -80,48 +72,23 @@ sim::Time EndBoxClient::charge_data_path_batch(sim::Time now,
   cycles += static_cast<double>(fragments) * model_.partition_packet_cycles +
             model_.partition_cycles_per_byte * static_cast<double>(payload_bytes);
 
-  std::size_t shards = enclave_->shard_count();
-  bool sharded_click = run_click && shards > 1 && enclave_->router();
-
   double click_cycles = 0;
-  if (run_click && !sharded_click && enclave_->router())
+  if (run_click && enclave_->router())
     click_cycles = model_.enclave_click_packet_cycles +
-                   pipeline_cycles_sharded(*enclave_->router(), payload_bytes,
-                                           packets, shards, model_);
+                   pipeline_cycles(*enclave_->router(), payload_bytes, model_);
 
-  double compute_multiplier = 1.0;
   if (options_.sgx_mode == sgx::SgxMode::Hardware) {
-    // A batch ecall crosses the enclave boundary once for the whole
-    // burst — the transition cost no longer scales with packets.
+    // One ecall per packet, or one per crypto operation without the
+    // section IV-A batching.
     unsigned transitions = options_.batched_ecalls
                                ? model_.ecalls_per_packet_optimised
                                : model_.ecalls_per_packet_unoptimised;
     cycles += static_cast<double>(transitions) * model_.enclave_transition_cycles;
     cycles += model_.epc_cycles_per_byte * static_cast<double>(payload_bytes);
-    compute_multiplier = model_.enclave_compute_multiplier;
-    click_cycles *= compute_multiplier;
+    click_cycles *= model_.enclave_compute_multiplier;
   }
   cycles += click_cycles;
-
-  if (!sharded_click) return cpu_.charge(now, cycles);
-
-  // Sharded burst, honest multi-core accounting: the single-threaded
-  // part (tunnel crypto, boundary copies, the graph-entry call, the
-  // per-frame lane dispatch) charges first, then every lane's slice of
-  // the pipeline runs as its own core's job. The burst completes at
-  // the critical path while *all* lanes' cycles count as busy time —
-  // shard-count sweeps no longer get the work of N cores for the price
-  // of one.
-  // Lane dispatch (RSS hash + hand-off per packet) runs inside the
-  // batch ecall like the rest of the Click work, so it pays the EPC
-  // compute multiplier too.
-  cycles += model_.enclave_click_packet_cycles * compute_multiplier;
-  cycles += model_.lane_dispatch_cycles_per_frame * static_cast<double>(packets) *
-            compute_multiplier;
-  pipeline_cycles_per_shard(*enclave_->router(), payload_bytes, packets, shards,
-                            model_, shard_cycles_scratch_);
-  for (double& shard : shard_cycles_scratch_) shard *= compute_multiplier;
-  return cpu_.charge_parallel(now, cycles, shard_cycles_scratch_);
+  return cpu_.charge(now, cycles);
 }
 
 Result<EndBoxClient::SendResult> EndBoxClient::send_packet(net::Packet packet,
@@ -152,25 +119,6 @@ Result<EndBoxClient::RecvResult> EndBoxClient::receive_wire(ByteView wire,
   bool ran_click = ingress->complete && !ingress->click_bypassed;
   result.done = charge_data_path(now, payload_bytes, 1, ran_click);
   if (ingress->complete && ingress->accepted) result.packet = std::move(ingress->packet);
-  return result;
-}
-
-Result<EndBoxClient::BatchSendResult> EndBoxClient::send_batch(
-    click::PacketBatch&& batch, EgressBatch& out, sim::Time now) {
-  std::size_t packets = batch.size();
-  auto status = enclave_->ecall_process_egress_batch(std::move(batch), out);
-  if (!status.ok()) return err(status.error());
-
-  BatchSendResult result;
-  result.accepted = out.accepted;
-  result.rejected = out.rejected;
-  result.frames = out.frame_count;
-  // Mirror send_packet's accounting: every packet pays at least one
-  // fragment's per-message cost, even when rejected.
-  std::size_t fragments = out.frame_count + out.rejected;
-  result.done = charge_data_path_batch(now, out.offered_bytes,
-                                       std::max<std::size_t>(fragments, 1),
-                                       packets, /*run_click=*/true);
   return result;
 }
 

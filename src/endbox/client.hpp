@@ -5,7 +5,11 @@
 // EndBoxEnclave; this wrapper performs the host-side duties — driving
 // attestation, fetching config files (ocalls), moving wire bytes — and
 // charges the calibrated cycle costs to the machine's CPU account so
-// experiments measure throughput/latency in virtual time.
+// experiments measure throughput/latency in virtual time. The cost
+// model is the paper's (section IV-A): a single-threaded OpenVPN
+// client entering the enclave once per packet, charged to one core
+// whatever lane count the enclave runs. Burst callers use the
+// enclave's batch ecalls directly; those carry no virtual time.
 #pragma once
 
 #include <memory>
@@ -30,8 +34,9 @@ struct EndBoxClientOptions {
   /// IV-A optimisation 2: false = ISP integrity-only traffic protection.
   bool encrypt_data = true;
   std::size_t mtu = 9000;
-  /// Element-graph shards inside the enclave (RSS flow sharding, one
-  /// worker thread per shard); 1 = the single-core batched baseline.
+  /// Element-graph lanes inside the enclave (RSS flow sharding, one
+  /// worker thread per busy lane). Functional only: virtual time
+  /// charges the client's one core the same at any lane count.
   std::size_t shards = 1;
 };
 
@@ -79,21 +84,6 @@ class EndBoxClient {
   };
   Result<RecvResult> receive_wire(ByteView wire, sim::Time now);
 
-  // ---- Batched data path -------------------------------------------------
-  /// Sends a whole burst through one batch ecall. `out` is owned by the
-  /// caller and reused across bursts (frame buffers keep capacity);
-  /// virtual-time cost amortises the enclave transition and the
-  /// element-entry chain over the burst, which is the modelled side of
-  /// the FastClick-style win.
-  struct BatchSendResult {
-    std::uint32_t accepted = 0;
-    std::uint32_t rejected = 0;
-    std::size_t frames = 0;  ///< valid prefix of out.frames
-    sim::Time done = 0;      ///< when the client CPU finished the burst
-  };
-  Result<BatchSendResult> send_batch(click::PacketBatch&& batch,
-                                     EgressBatch& out, sim::Time now);
-
   // ---- Control channel ------------------------------------------------------
   /// Seals a keep-alive ping into `frame` (caller reuses the buffer,
   /// keeping the keep-alive loop allocation-free).
@@ -122,12 +112,6 @@ class EndBoxClient {
   /// tunnel messages, including pipeline and enclave costs.
   sim::Time charge_data_path(sim::Time now, std::size_t payload_bytes,
                              std::size_t fragments, bool run_click);
-  /// Batch variant: `packets` packets in one ecall — per-packet and
-  /// per-byte work unchanged, enclave transitions and the Click entry
-  /// amortised over the burst.
-  sim::Time charge_data_path_batch(sim::Time now, std::size_t payload_bytes,
-                                   std::size_t fragments, std::size_t packets,
-                                   bool run_click);
 
   std::string name_;
   Rng& rng_;
@@ -136,7 +120,6 @@ class EndBoxClient {
   EndBoxClientOptions options_;
   std::unique_ptr<EndBoxEnclave> enclave_;
   Bytes sealed_credentials_;
-  std::vector<double> shard_cycles_scratch_;  ///< charge_parallel jobs, reused
 };
 
 }  // namespace endbox

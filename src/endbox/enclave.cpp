@@ -130,10 +130,11 @@ Status EndBoxEnclave::ecall_install_config(const config::ConfigBundle& bundle) {
   config_version_ = bundle.version;
   if (session_) session_->set_config_version(bundle.version);
 
-  // EPC accounting: the in-memory config and element state live on the
-  // trusted heap (roughly proportional to config size).
+  // EPC accounting: the config text plus the transition tables of
+  // every rule set compiled so far. Lanes, hot-swap and reshard share
+  // one engine per set, so each set counts once per enclave.
   free_epc(config_epc_bytes_);
-  config_epc_bytes_ = text->size() * 64 + 4096;
+  config_epc_bytes_ = text->size() + rulesets_.compiled_bytes();
   allocate_epc(config_epc_bytes_);
   return {};
 }
@@ -159,7 +160,6 @@ Result<Bytes> EndBoxEnclave::ecall_handshake_init(crypto::RsaPublicKey server_ke
   if (!certificate_) return err("handshake: not provisioned (attestation required)");
   if (!sharded_) return err("handshake: no middlebox configuration installed");
   vpn::VpnClientConfig vpn_config;
-  vpn_config.min_version = options_.min_version;
   vpn_config.encrypt_data = options_.encrypt_data;
   vpn_config.mtu = options_.mtu;
   vpn_config.config_version = config_version_;
@@ -228,14 +228,11 @@ Status EndBoxEnclave::process_egress_burst(click::PacketBatch&& batch,
                                            EgressBatch& out) {
   out.accepted = out.rejected = 0;
   out.frame_count = 0;
-  out.offered_bytes = 0;
   if (!connected()) return err("egress: tunnel not established");
   // Interface hardening: reject obviously malformed metadata before it
   // reaches element code (Iago-style attacks, section IV-B).
-  for (const net::Packet& packet : batch) {
+  for (const net::Packet& packet : batch)
     if (packet.payload.size() > 512 * 1024) return err("egress: oversized packet");
-    out.offered_bytes += packet.wire_size();
-  }
 
   std::uint32_t offered = static_cast<std::uint32_t>(batch.size());
   if (run_click_burst(std::move(batch))) {

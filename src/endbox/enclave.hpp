@@ -58,9 +58,8 @@ struct IngressResult {
 struct EgressBatch {
   std::uint32_t accepted = 0;
   std::uint32_t rejected = 0;
-  std::size_t frame_count = 0;    ///< valid prefix of `frames`
-  std::size_t offered_bytes = 0;  ///< summed wire_size of the input burst
-  std::vector<Bytes> frames;      ///< sealed wire frames, reused across calls
+  std::size_t frame_count = 0;  ///< valid prefix of `frames`
+  std::vector<Bytes> frames;    ///< sealed wire frames, reused across calls
 };
 
 /// Result of one ingress batch ecall. Accepted packets come back in a
@@ -80,7 +79,6 @@ struct IngressBatch {
 struct EnclaveOptions {
   bool encrypt_data = true;  ///< false = ISP integrity-only mode
   bool c2c_flagging = true;  ///< set/honour the QoS 0xeb flag
-  std::uint16_t min_version = vpn::kVersionTls12;
   std::size_t mtu = 9000;
   /// Element-graph lanes the middlebox functions run on (RSS flow
   /// sharding, one worker thread per busy lane beyond the caller — SGX

@@ -1,7 +1,5 @@
 #include "endbox/pipeline_cost.hpp"
 
-#include <algorithm>
-
 #include "click/standard_elements.hpp"
 #include "elements/splitters.hpp"
 
@@ -9,29 +7,17 @@ namespace endbox {
 
 double pipeline_cycles(const click::Router& router, std::size_t payload_bytes,
                        const sim::PerfModel& model) {
-  return pipeline_cycles_batch(router, payload_bytes, 1, model);
-}
-
-double pipeline_cycles_batch(const click::Router& router,
-                             std::size_t payload_bytes, std::size_t packets,
-                             const sim::PerfModel& model) {
-  // Element costs only; callers add the graph-entry cost appropriate to
-  // where the graph runs (in-enclave call vs standalone Click process).
-  // Per-byte terms already scale through `payload_bytes` (the burst
-  // total); per-packet terms multiply by `packets`; the element-entry
-  // (virtual dispatch) cost is per burst — the whole point of batching.
   double cycles = 0;
   double bytes = static_cast<double>(payload_bytes);
-  double n = static_cast<double>(packets == 0 ? 1 : packets);
   for (const click::Element* element : router.elements()) {
     cycles += model.click_element_cycles;
     std::string_view cls = element->class_name();
     if (cls == "IPFilter") {
       auto* filter = dynamic_cast<const click::IPFilter*>(element);
-      cycles += n * model.fw_rule_cycles *
+      cycles += model.fw_rule_cycles *
                 static_cast<double>(filter ? filter->rule_count() : 16);
     } else if (cls == "RoundRobinSwitch") {
-      cycles += n * model.lb_packet_cycles;
+      cycles += model.lb_packet_cycles;
     } else if (cls == "IDSMatcher") {
       cycles += model.idps_cycles_per_byte * bytes;
     } else if (cls == "TrustedSplitter") {
@@ -42,53 +28,15 @@ double pipeline_cycles_batch(const click::Router& router,
       cycles += (model.ddos_cycles_per_byte - model.idps_cycles_per_byte) * bytes;
       double interval =
           splitter ? static_cast<double>(splitter->sample_interval()) : 500'000.0;
-      cycles += n * model.trusted_time_cycles / interval;
+      cycles += model.trusted_time_cycles / interval;
     } else if (cls == "UntrustedSplitter") {
       cycles += (model.ddos_cycles_per_byte - model.idps_cycles_per_byte) * bytes;
-      cycles += n * 1'500;  // per-packet gettimeofday syscall
+      cycles += 1'500;  // per-packet gettimeofday syscall
     } else if (cls == "TLSDecrypt") {
       cycles += model.vpn_crypto_cycles_per_byte * bytes;
     }
   }
   return cycles;
-}
-
-double pipeline_cycles_sharded(const click::Router& shard0,
-                               std::size_t payload_bytes, std::size_t packets,
-                               std::size_t shards, const sim::PerfModel& model) {
-  if (shards <= 1)
-    return pipeline_cycles_batch(shard0, payload_bytes, packets, model);
-  // Split the batch cost into the element-entry chain (paid once per
-  // burst per shard, all shards concurrently, so it appears once on the
-  // critical path) and the per-packet/per-byte work (spread evenly
-  // across the active shards by the RSS dispatcher in the uniform-flow
-  // model this cost layer assumes).
-  double entry =
-      model.click_element_cycles * static_cast<double>(shard0.elements().size());
-  double work =
-      pipeline_cycles_batch(shard0, payload_bytes, packets, model) - entry;
-  double active =
-      static_cast<double>(std::min(shards, packets == 0 ? std::size_t{1} : packets));
-  return entry + work / active;
-}
-
-std::size_t pipeline_cycles_per_shard(const click::Router& shard0,
-                                      std::size_t payload_bytes,
-                                      std::size_t packets, std::size_t shards,
-                                      const sim::PerfModel& model,
-                                      std::vector<double>& out) {
-  std::size_t active =
-      std::min(shards == 0 ? std::size_t{1} : shards,
-               packets == 0 ? std::size_t{1} : packets);
-  double entry =
-      model.click_element_cycles * static_cast<double>(shard0.elements().size());
-  double work =
-      pipeline_cycles_batch(shard0, payload_bytes, packets, model) - entry;
-  // Uniform-flow assumption (same as pipeline_cycles_sharded): the RSS
-  // dispatcher spreads the burst's work evenly over the active shards,
-  // and every active shard pays its own element-entry chain.
-  out.assign(active, entry + work / static_cast<double>(active));
-  return active;
 }
 
 }  // namespace endbox

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "click/router.hpp"
 #include "sim/perf_model.hpp"
@@ -14,43 +13,10 @@
 namespace endbox {
 
 /// Cycles for one packet with `payload_bytes` of payload traversing
-/// `router` once (graph entry + per-element costs).
+/// `router` once (per-element entry plus per-element work). Callers add
+/// the graph-entry cost of where the graph runs (in-enclave call vs
+/// standalone Click process).
 double pipeline_cycles(const click::Router& router, std::size_t payload_bytes,
                        const sim::PerfModel& model);
-
-/// Cycles for a burst of `packets` packets totalling `payload_bytes`
-/// traversing `router` as one batch: per-packet work (rule evaluation,
-/// per-byte scanning, clock reads) scales with the burst, while the
-/// element-entry cost — the virtual-call chain batching amortises — is
-/// paid once per element per burst.
-double pipeline_cycles_batch(const click::Router& router,
-                             std::size_t payload_bytes, std::size_t packets,
-                             const sim::PerfModel& model);
-
-/// Critical-path cycles for a burst traversing a sharded router whose
-/// `shards` graph instances each own a core: the element-entry chain is
-/// amortised per shard (each active shard's sub-burst enters every
-/// element once, concurrently), and the per-packet/per-byte work
-/// spreads across the active shards, so the burst completes in
-/// ~1/shards of the single-core time. `shard0` supplies the element
-/// census (all shards are clones). With shards == 1 this is exactly
-/// pipeline_cycles_batch.
-double pipeline_cycles_sharded(const click::Router& shard0,
-                               std::size_t payload_bytes, std::size_t packets,
-                               std::size_t shards, const sim::PerfModel& model);
-
-/// Per-shard decomposition of the same burst: fills `out` with one
-/// entry per *active* shard (min(shards, packets)), each carrying its
-/// own element-entry chain plus its share of the per-packet/per-byte
-/// work. Feeding the vector to MultiCoreAccount::charge_parallel
-/// charges every shard's cycles as busy core time while the burst
-/// completes at the critical path — the honest multi-core accounting
-/// pipeline_cycles_sharded's scalar critical path cannot express.
-/// Returns the number of active shards written.
-std::size_t pipeline_cycles_per_shard(const click::Router& shard0,
-                                      std::size_t payload_bytes,
-                                      std::size_t packets, std::size_t shards,
-                                      const sim::PerfModel& model,
-                                      std::vector<double>& out);
 
 }  // namespace endbox

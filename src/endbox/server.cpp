@@ -129,147 +129,6 @@ Result<EndBoxServer::HandleResult> EndBoxServer::handle_wire(ByteView wire,
   return result;
 }
 
-Result<EndBoxServer::BatchResult> EndBoxServer::handle_batch(
-    std::span<const Bytes> wires, sim::Time now) {
-  BatchResult result;
-  result.done = now;
-  if (wires.empty()) return result;
-
-  vpn_.open_batch(wires, now, open_scratch_);
-  result.delivered = open_scratch_.complete;
-  result.pending = open_scratch_.pending;
-  result.rejected = open_scratch_.rejected;
-  opened_sorted_scratch_.assign(open_scratch_.opened_sessions.begin(),
-                                open_scratch_.opened_sessions.end());
-  std::sort(opened_sorted_scratch_.begin(), opened_sorted_scratch_.end());
-
-  // Per-frame tunnel cost, accumulated per session (each session's
-  // single-threaded OpenVPN process serialises its own work). Frames
-  // open_batch rejected before any crypto — unknown sessions, non-data
-  // types — charge nothing (mirroring handle_wire, which errors out of
-  // such frames first); frames of a known session charge the data-path
-  // cost whatever their verdict, because the MAC check runs either way.
-  session_cycles_scratch_.clear();
-  auto charge_session = [&](std::uint32_t sid, double cycles) {
-    for (auto& [id, sum] : session_cycles_scratch_) {
-      if (id == sid) {
-        sum += cycles;
-        return;
-      }
-    }
-    session_cycles_scratch_.emplace_back(sid, cycles);
-  };
-  for (const Bytes& wire : wires) {
-    if (wire.size() < vpn::kWireHeaderSize) continue;
-    auto type = static_cast<vpn::MsgType>(wire[0]);
-    if (type != vpn::MsgType::Data && type != vpn::MsgType::DataIntegrityOnly)
-      continue;
-    std::uint32_t sid = get_u32(wire.data() + 1);
-    if (!vpn_.has_session(sid)) continue;
-    double per_byte = type == vpn::MsgType::Data
-                          ? model_.vpn_crypto_cycles_per_byte
-                          : model_.vpn_integrity_cycles_per_byte;
-    charge_session(sid, model_.vpn_packet_cycles +
-                            per_byte * static_cast<double>(wire.size()));
-  }
-
-  for (std::size_t i = 0; i < open_scratch_.packet_count; ++i) {
-    vpn::VpnServer::BatchPacket& packet = open_scratch_.packets[i];
-    ++packets_forwarded_;
-    ++session_packets_[packet.session_id];
-    if (mode_ != ServerMode::WithClick) continue;
-    // Same per-packet chaining model as handle_wire: second tun
-    // traversal, multi-process contention, then the pipeline itself.
-    double cycles = model_.server_chain_packet_cycles;
-    double excess = static_cast<double>(vpn_.session_count()) -
-                    static_cast<double>(cpu_.cores());
-    excess = std::clamp(excess, 0.0, model_.server_contention_max_excess);
-    cycles += model_.server_contention_cycles_per_client * excess;
-    if (click::Router* router = session_router(packet.session_id)) {
-      auto parsed = net::Packet::parse(packet.ip_packet);
-      if (parsed.ok()) {
-        click_verdict_.accepted = true;
-        std::size_t payload = parsed->wire_size();
-        router->push_to("from_device", std::move(*parsed));
-        if (!click_verdict_.accepted) {
-          --result.delivered;
-          ++result.rejected;
-        }
-        double pipeline =
-            model_.click_packet_cycles + pipeline_cycles(*router, payload, model_);
-        pipeline *= 1.0 + model_.server_contention_pipeline_factor * excess;
-        cycles += pipeline;
-      }
-    }
-    charge_session(packet.session_id, cycles);
-  }
-
-  // The batched drain runs on the VPN server's N session-shard lanes
-  // (one single thread at the default 1 shard — exactly what
-  // open_batch's implementation is): each lane's sessions serialise
-  // onto that lane's worker, so their cycles aggregate into one job
-  // per lane. The serial part is lane dispatch (RSS hash + index append
-  // per frame), then the lane jobs run in parallel on the server's
-  // cores; completion is the
-  // burst's critical path, while every lane's cycles count as busy
-  // time. The per-frame handle_wire path keeps the per-client OpenVPN
-  // process model; this path models the one sharded server process.
-  std::size_t shards = vpn_.session_shard_count();
-  shard_cycles_scratch_.assign(shards, 0.0);
-  shard_earliest_scratch_.assign(shards, now);
-  for (const auto& [sid, cycles] : session_cycles_scratch_) {
-    std::size_t s = vpn_.shard_of_session(sid);
-    shard_cycles_scratch_[s] += cycles;
-    // A session still busy from a previous burst holds back only its
-    // own shard's worker, not the whole train.
-    auto it = session_proc_free_.find(sid);
-    if (it != session_proc_free_.end())
-      shard_earliest_scratch_[s] = std::max(shard_earliest_scratch_[s], it->second);
-  }
-  job_cycles_scratch_.clear();
-  job_earliest_scratch_.clear();
-  shard_job_scratch_.assign(shards, shards);  // `shards` = no job
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (shard_cycles_scratch_[s] <= 0.0) continue;
-    shard_job_scratch_[s] = job_cycles_scratch_.size();
-    job_cycles_scratch_.push_back(shard_cycles_scratch_[s]);
-    job_earliest_scratch_.push_back(shard_earliest_scratch_[s]);
-  }
-  double staging = model_.lane_dispatch_cycles_per_frame *
-                   static_cast<double>(wires.size());
-  job_done_scratch_.assign(job_cycles_scratch_.size(), 0);
-  sim::Time done =
-      cpu_.charge_parallel(now, staging, job_cycles_scratch_, job_done_scratch_,
-                           job_earliest_scratch_);
-  result.done = std::max(result.done, done);
-  for (const auto& [sid, cycles] : session_cycles_scratch_) {
-    std::size_t job = shard_job_scratch_[vpn_.shard_of_session(sid)];
-    if (job < job_done_scratch_.size()) note_session_done(sid, job_done_scratch_[job]);
-  }
-  return result;
-}
-
-void EndBoxServer::note_session_done(std::uint32_t session_id, sim::Time done) {
-  auto it = session_proc_free_.find(session_id);
-  if (it != session_proc_free_.end()) {
-    it->second = std::max(it->second, done);
-    return;
-  }
-  // First successful open creates the ledger entry — a frame that
-  // passed MAC+replay counts even while its fragment group is still
-  // pending (matching handle_wire's FragmentPending behaviour).
-  // Sessions whose frames all failed in this burst stay off the ledger:
-  // they paid the MAC-check cycles, but a garbage flood must not grow
-  // per-session state. opened_sorted_scratch_ is the burst's
-  // opened_sessions sorted once in handle_batch, so this lookup stays
-  // logarithmic however many sessions a train spans.
-  bool opened_this_burst =
-      std::binary_search(opened_sorted_scratch_.begin(),
-                         opened_sorted_scratch_.end(), session_id);
-  if (opened_this_burst || session_packets_.count(session_id))
-    session_proc_free_.emplace(session_id, done);
-}
-
 EndBoxServer::SealResult EndBoxServer::seal_packet(std::uint32_t session_id,
                                                    ByteView ip_packet,
                                                    sim::Time now) {

@@ -1,10 +1,16 @@
 // EndBoxServer: the VPN server + gateway of Fig 2, plus the cost model
-// for the three server-side set-ups the evaluation compares:
+// for the server-side set-ups the evaluation compares:
 //
 //   Plain      — terminates tunnels only (vanilla OpenVPN server, and
 //                the EndBox server: middleboxes run on clients);
 //   WithClick  — additionally runs one server-side Click instance per
 //                client session (the "OpenVPN+Click" baseline).
+//
+// Virtual time follows the paper's deployment (Figs 8-10): one
+// single-threaded OpenVPN process per client session, each message
+// charged as it arrives (handle_wire). Burst callers drain the
+// session-sharded VPN server directly (vpn().open_batch); that path
+// carries no virtual time.
 //
 // Also carries the administrator workflow of section III-E: publish a
 // signed config bundle to the file server, announce it with a grace
@@ -52,26 +58,6 @@ class EndBoxServer {
   /// cycles and multi-process contention to the server CPU.
   Result<HandleResult> handle_wire(ByteView wire, sim::Time now);
 
-  /// Result of draining one uplink burst of data frames.
-  struct BatchResult {
-    std::uint32_t delivered = 0;  ///< completed packets across all sessions
-    std::uint32_t pending = 0;    ///< fragments still waiting
-    std::uint32_t rejected = 0;   ///< bad frames + server-side Click drops
-    sim::Time done = 0;           ///< when the server CPU finished the burst
-  };
-  /// Drains a burst of data frames delivered back to back by the
-  /// uplink, opening them with one batched pass (VpnServer::open_batch:
-  /// pooled scratch, in-order replay checks) and charging the same
-  /// per-frame cycle model as handle_wire, serialised per session
-  /// process. With a session-sharded VPN server, each shard's sessions
-  /// serialise onto that shard's core and the shards charge as
-  /// parallel jobs after a per-frame lane dispatch pass — the burst
-  /// completes at the critical path while every shard's cycles count
-  /// as busy time (MultiCoreAccount::charge_parallel). WithClick mode
-  /// additionally runs each completed packet through that client's
-  /// Click instance.
-  Result<BatchResult> handle_batch(std::span<const Bytes> wires, sim::Time now);
-
   /// Seals an IP packet towards a client.
   struct SealResult {
     std::vector<Bytes> wire;
@@ -106,10 +92,9 @@ class EndBoxServer {
   std::size_t sessions_with_traffic() const { return session_packets_.size(); }
   /// Sessions holding a process-ledger entry (completion time of their
   /// single-threaded OpenVPN process). A session earns its entry on its
-  /// first successful open (including fragments still pending) — bursts
-  /// whose frames all fail to open charge the CPU but never grow the
-  /// ledger, so a flood of garbage frames cannot inflate per-session
-  /// state.
+  /// first successful open (including fragments still pending); frames
+  /// that fail to open are refused before any charge, so a flood of
+  /// garbage frames cannot inflate per-session state.
   std::size_t session_process_entries() const { return session_proc_free_.size(); }
   /// Live server-side Click instances (WithClick; torn down with their
   /// session by the VPN close hook — the storm regression checks this).
@@ -117,9 +102,6 @@ class EndBoxServer {
 
  private:
   click::Router* session_router(std::uint32_t session_id);
-  /// Records `done` as the session's process completion, creating the
-  /// ledger entry only for sessions that have delivered at least once.
-  void note_session_done(std::uint32_t session_id, sim::Time done);
 
   Rng& rng_;
   ca::CertificateAuthority& authority_;
@@ -144,17 +126,6 @@ class EndBoxServer {
 
   std::uint64_t packets_forwarded_ = 0;
   std::unordered_map<std::uint32_t, std::uint64_t> session_packets_;
-
-  // handle_batch scratch, reused across bursts.
-  vpn::VpnServer::OpenBatch open_scratch_;
-  std::vector<std::uint32_t> opened_sorted_scratch_;  ///< ledger lookups
-  std::vector<std::pair<std::uint32_t, double>> session_cycles_scratch_;
-  std::vector<double> shard_cycles_scratch_;     ///< per-shard serialised sums
-  std::vector<sim::Time> shard_earliest_scratch_;///< per-shard earliest starts
-  std::vector<double> job_cycles_scratch_;       ///< non-empty shard jobs
-  std::vector<sim::Time> job_earliest_scratch_;  ///< their earliest starts
-  std::vector<sim::Time> job_done_scratch_;      ///< their completion times
-  std::vector<std::size_t> shard_job_scratch_;   ///< shard -> job index
 };
 
 }  // namespace endbox

@@ -137,7 +137,7 @@ std::size_t Testbed::add_client() {
 }
 
 workload::IperfSource Testbed::make_source(std::size_t i, std::size_t write_size,
-                                           double offered_bps, std::size_t burst) {
+                                           double offered_bps) {
   workload::IperfSource source;
   source.offered_bps = offered_bps;
   source.write_size = write_size;
@@ -145,41 +145,7 @@ workload::IperfSource Testbed::make_source(std::size_t i, std::size_t write_size
   // Application payload leaving room for the 28-byte UDP/IP headers.
   std::size_t payload = write_size > 28 ? write_size - 28 : 1;
 
-  if (rig->endbox && burst > 1) {
-    EndBoxClient* client = &rig->endbox->client;
-    std::size_t n = std::min(burst, click::PacketBatch::kMaxBurst);
-    // Burst state lives across sends: the batch, the reusable egress
-    // result and the packet pool make the per-send hot path
-    // allocation-free inside the enclave.
-    auto batch = std::make_shared<click::PacketBatch>();
-    auto egress = std::make_shared<EgressBatch>();
-    source.send = [client, payload, n, batch, egress](sim::Time now) {
-      net::PacketPool& pool = client->enclave().packet_pool();
-      for (std::size_t k = 0; k < n; ++k) {
-        net::Packet packet = pool.acquire();
-        packet.src = net::Ipv4(10, 8, 0, 2);
-        packet.dst = net::Ipv4(10, 0, 0, 1);
-        packet.proto = net::IpProto::Udp;
-        packet.src_port = 40000;
-        packet.dst_port = 5001;
-        packet.payload.assign(payload, 'x');
-        batch->push_back(std::move(packet));
-      }
-      auto sent = client->send_batch(std::move(*batch), *egress, now);
-      batch->clear();
-      workload::SendOutcome outcome;
-      outcome.writes = static_cast<std::uint32_t>(n);
-      if (!sent.ok()) {
-        outcome.done = now;
-        return outcome;
-      }
-      outcome.done = sent->done;
-      outcome.wire.assign(egress->frames.begin(),
-                          egress->frames.begin() +
-                              static_cast<std::ptrdiff_t>(sent->frames));
-      return outcome;
-    };
-  } else if (rig->endbox) {
+  if (rig->endbox) {
     EndBoxClient* client = &rig->endbox->client;
     source.send = [client, payload](sim::Time now) {
       net::Packet packet =
@@ -244,28 +210,13 @@ workload::IperfHarness::ServeFn Testbed::make_sink() {
   };
 }
 
-workload::IperfHarness::ServeBatchFn Testbed::make_batch_sink() {
-  return [this](std::span<const Bytes> wires, sim::Time now) {
-    workload::ServeBatchOutcome outcome;
-    auto handled = server_->handle_batch(wires, now);
-    if (!handled.ok()) return outcome;
-    outcome.delivered = handled->delivered;
-    outcome.done = handled->done;
-    return outcome;
-  };
-}
-
 workload::IperfReport Testbed::run_iperf(std::size_t write_size, double offered_bps,
-                                         sim::Time duration, std::size_t burst) {
+                                         sim::Time duration) {
   workload::IperfConfig config;
   config.duration = duration;
   workload::IperfHarness harness(make_sink(), config);
-  // Burst-mode EndBox runs drain the uplink in batches, mirroring how
-  // the clients sealed them (the server-side half of the batching).
-  bool endbox_mode = setup_ == Setup::EndBoxSim || setup_ == Setup::EndBoxSgx;
-  if (endbox_mode && burst > 1) harness.set_batch_serve(make_batch_sink());
   for (std::size_t i = 0; i < rigs_.size(); ++i) {
-    auto source = make_source(i, write_size, offered_bps, burst);
+    auto source = make_source(i, write_size, offered_bps);
     source.path = topology_.uplink_path(i);
     harness.add_source(std::move(source));
   }

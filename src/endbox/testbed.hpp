@@ -9,6 +9,9 @@
 //
 // Machines mirror the paper's cluster: clients are class A (SGX Xeon
 // v5), servers class B, connected by 10 Gbps links with MTU 9000.
+// Traffic runs the paper's per-packet path: each client is one
+// single-threaded OpenVPN process on one core, and the server charges
+// one OpenVPN process per session.
 #pragma once
 
 #include <memory>
@@ -42,25 +45,16 @@ class Testbed {
   std::size_t add_client();
 
   /// iperf adapter for client `i` sending `write_size`-byte UDP writes;
-  /// `offered_bps` = 0 for closed loop. `burst` > 1 makes EndBox
-  /// clients push whole PacketBatch bursts through one batch ecall per
-  /// send (pool-backed packets, reused frame buffers); baseline set-ups
-  /// ignore it (their clients have no batch interface — that asymmetry
-  /// is the system under test).
+  /// `offered_bps` = 0 for closed loop.
   workload::IperfSource make_source(std::size_t i, std::size_t write_size,
-                                    double offered_bps = 0, std::size_t burst = 1);
+                                    double offered_bps = 0);
 
   /// iperf server-side adapter (counts delivered application writes).
   workload::IperfHarness::ServeFn make_sink();
 
-  /// Batched server drain (EndBox set-ups): whole uplink frame trains
-  /// go through EndBoxServer::handle_batch instead of one handle_wire
-  /// call per frame.
-  workload::IperfHarness::ServeBatchFn make_batch_sink();
-
   /// Runs an iperf measurement over all currently-added clients.
   workload::IperfReport run_iperf(std::size_t write_size, double offered_bps,
-                                  sim::Time duration, std::size_t burst = 1);
+                                  sim::Time duration);
 
   /// Server CPU utilisation across [0, duration].
   double server_cpu_utilisation(sim::Time duration) const;
@@ -84,10 +78,7 @@ class Testbed {
               const sim::PerfModel& model, crypto::RsaPublicKey ca_key,
               EndBoxClientOptions options)
         : platform(name, rng, clock),
-          // One core per enclave shard worker (single-core baseline at
-          // the default shards = 1).
-          cpu(static_cast<unsigned>(std::max<std::size_t>(1, options.shards)),
-              model.client_hz),
+          cpu(1, model.client_hz),
           client(name, platform, rng, cpu, model, ca_key, options) {}
   };
   struct VanillaRig {

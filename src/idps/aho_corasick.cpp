@@ -1,5 +1,6 @@
 #include "idps/aho_corasick.hpp"
 
+#include <algorithm>
 #include <queue>
 #include <stdexcept>
 
@@ -10,12 +11,16 @@ void AhoCorasick::add_pattern(ByteView pattern, int pattern_id) {
   if (pattern.empty()) return;
   std::int32_t state = 0;
   for (std::uint8_t byte : pattern) {
-    std::int32_t next = nodes_[static_cast<std::size_t>(state)].next[byte];
-    if (next < 0) {
-      next = static_cast<std::int32_t>(nodes_.size());
-      nodes_[static_cast<std::size_t>(state)].next[byte] = next;
-      nodes_.emplace_back();
+    auto& children = nodes_[static_cast<std::size_t>(state)].children;
+    auto edge = std::find_if(children.begin(), children.end(),
+                             [byte](const auto& e) { return e.first == byte; });
+    if (edge != children.end()) {
+      state = edge->second;
+      continue;
     }
+    std::int32_t next = static_cast<std::int32_t>(nodes_.size());
+    children.emplace_back(byte, next);
+    nodes_.emplace_back();
     state = next;
   }
   std::int32_t index = static_cast<std::int32_t>(pattern_ids_.size());
@@ -28,54 +33,45 @@ void AhoCorasick::add_pattern(ByteView pattern, int pattern_id) {
 
 void AhoCorasick::build(bool prefilter_case_insensitive) {
   if (built_) return;
-  // BFS order (root first): output links point at strictly shallower
-  // states, so a single pass in this order can resolve the CSR output
-  // lists below.
+  // Goto function, one dense row per node, written in BFS order (root
+  // first): a node's row is its failure node's row — shallower, so
+  // already complete — with its own trie edges written over it; root
+  // bytes without an edge loop to the root. Output links point at
+  // strictly shallower nodes, so the same order resolves the CSR
+  // output lists below.
+  const std::size_t node_total = nodes_.size();
+  transitions_.assign(node_total * 256, 0);
   std::vector<std::int32_t> bfs_order;
-  bfs_order.reserve(nodes_.size());
-  bfs_order.push_back(0);
+  bfs_order.reserve(node_total);
   std::queue<std::int32_t> bfs;
-  // Depth-1 nodes fail to the root; missing root edges loop to root.
-  for (int byte = 0; byte < 256; ++byte) {
-    std::int32_t child = nodes_[0].next[byte];
-    if (child < 0) {
-      nodes_[0].next[byte] = 0;
-    } else {
-      nodes_[static_cast<std::size_t>(child)].fail = 0;
-      bfs.push(child);
-    }
-  }
+  bfs.push(0);
   while (!bfs.empty()) {
     std::int32_t state = bfs.front();
     bfs.pop();
     bfs_order.push_back(state);
     Node& node = nodes_[static_cast<std::size_t>(state)];
-    // Output link: nearest proper-suffix state that has outputs.
-    const Node& fail_node = nodes_[static_cast<std::size_t>(node.fail)];
-    node.output_link = fail_node.outputs.empty() ? fail_node.output_link : node.fail;
-
-    for (int byte = 0; byte < 256; ++byte) {
-      std::int32_t child = node.next[byte];
-      std::int32_t fail_next = nodes_[static_cast<std::size_t>(node.fail)].next[byte];
-      if (child < 0) {
-        node.next[byte] = fail_next;  // goto-function completion
-      } else {
-        nodes_[static_cast<std::size_t>(child)].fail = fail_next;
-        bfs.push(child);
-      }
+    std::int32_t* row = &transitions_[static_cast<std::size_t>(state) * 256];
+    const std::int32_t* fail_row =
+        &transitions_[static_cast<std::size_t>(node.fail) * 256];
+    if (state != 0) {
+      // Output link: nearest proper-suffix state that has outputs.
+      const Node& fail_node = nodes_[static_cast<std::size_t>(node.fail)];
+      node.output_link = fail_node.outputs.empty() ? fail_node.output_link : node.fail;
+      std::copy(fail_row, fail_row + 256, row);
+    }
+    std::sort(node.children.begin(), node.children.end());
+    for (auto [byte, child] : node.children) {
+      // Depth-1 nodes fail to the root.
+      nodes_[static_cast<std::size_t>(child)].fail = state == 0 ? 0 : fail_row[byte];
+      row[byte] = child;
+      bfs.push(child);
     }
   }
 
-  // Flatten: one state-major transition table plus CSR output lists.
-  // Each state's list is its own outputs followed by the outputs
-  // inherited through its output link — the output link's list is
-  // already complete when we get here because BFS order visits
+  // CSR output lists. Each state's list is its own outputs followed by
+  // the outputs inherited through its output link — the output link's
+  // list is already complete when we get here because BFS order visits
   // shallower states first.
-  transitions_.resize(nodes_.size() * 256);
-  for (std::size_t s = 0; s < nodes_.size(); ++s)
-    std::copy(nodes_[s].next.begin(), nodes_[s].next.end(),
-              transitions_.begin() + static_cast<std::ptrdiff_t>(s * 256));
-
   out_start_.assign(nodes_.size() + 1, 0);
   out_patterns_.clear();
   std::vector<std::uint32_t> list_begin(nodes_.size(), 0);

@@ -2,17 +2,17 @@
 // Snort rule sets with this algorithm, citing Aho & Corasick 1975).
 // Built from scratch: trie + BFS failure links + output links.
 //
-// build() additionally compiles the node list into a single flat,
-// state-major transition table (goto links already resolved through
-// failure links) with pattern outputs in a parallel CSR array, so the
-// scan loop is one contiguous table lookup plus one CSR-range check per
-// byte instead of chasing a vector<Node> of ~1KB nodes. The node list
-// exists only between add_pattern() and build().
+// build() compiles the trie into a single flat, state-major transition
+// table (goto links already resolved through failure links) with
+// pattern outputs in a parallel CSR array, so the scan loop is one
+// contiguous table lookup plus one CSR-range check per byte. The trie
+// keeps only its sparse edges and exists only between add_pattern()
+// and build(); build() writes each dense row once.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -72,15 +72,22 @@ class AhoCorasick {
   /// some pattern is too short for a fragment — the caller must then
   /// run the full walk over every byte.
   const LiteralPrefilter& prefilter() const { return prefilter_; }
+  /// Bytes a scan reads once built: the flat transition table, the
+  /// output lists with their pattern ids and lengths, and the prefilter.
+  std::size_t table_bytes() const {
+    return transitions_.size() * sizeof(std::int32_t) +
+           out_start_.size() * sizeof(std::uint32_t) +
+           out_patterns_.size() * sizeof(std::int32_t) +
+           pattern_ids_.size() * sizeof(int) +
+           pattern_lengths_.size() * sizeof(std::size_t) + sizeof(LiteralPrefilter);
+  }
 
  private:
   struct Node {
-    std::array<std::int32_t, 256> next;
+    std::vector<std::pair<std::uint8_t, std::int32_t>> children;  ///< (byte, node)
     std::int32_t fail = 0;
     std::int32_t output_link = -1;       ///< nearest suffix node with output
     std::vector<std::int32_t> outputs;   ///< pattern indices ending here
-
-    Node() { next.fill(-1); }
   };
 
   /// Trie under construction; compiled into the flat table and freed

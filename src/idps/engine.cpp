@@ -343,4 +343,12 @@ const IdpsEngine* RuleSets::compiled(const std::string& name) const {
   return engine ? engine->get() : nullptr;
 }
 
+std::size_t RuleSets::compiled_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [name, set] : *sets_)
+    if (auto* engine = std::get_if<std::shared_ptr<const IdpsEngine>>(&set))
+      bytes += (*engine)->table_bytes();
+  return bytes;
+}
+
 }  // namespace endbox::idps

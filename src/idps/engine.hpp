@@ -166,6 +166,10 @@ class IdpsEngine {
   bool prefilter_enabled() const { return prefilter_enabled_; }
   const AhoCorasick& cs_automaton() const { return cs_automaton_; }
   const AhoCorasick& ci_automaton() const { return ci_automaton_; }
+  /// Both automatons' compiled tables (AhoCorasick::table_bytes).
+  std::size_t table_bytes() const {
+    return cs_automaton_.table_bytes() + ci_automaton_.table_bytes();
+  }
 
  private:
   bool header_matches(const SnortRule& rule, const net::Packet& packet) const;
@@ -233,6 +237,9 @@ class RuleSets {
   std::shared_ptr<const IdpsEngine> engine(const std::string& name);
   /// Set `name`'s engine if it is compiled, else nullptr.
   const IdpsEngine* compiled(const std::string& name) const;
+  /// Table bytes of every compiled set, each counted once however many
+  /// handles share it.
+  std::size_t compiled_bytes() const;
 
  private:
   std::shared_ptr<std::map<std::string, Set>> sets_ =

@@ -19,9 +19,4 @@ sim::CpuAccount Host::make_single_core() const {
   return sim::CpuAccount(1, cpu_.hz());
 }
 
-sim::CpuAccount Host::make_account(unsigned cores) const {
-  if (cores == 0) cores = 1;
-  return sim::CpuAccount(std::min(cores, cpu_.cores()), cpu_.hz());
-}
-
 }  // namespace endbox::netsim

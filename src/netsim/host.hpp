@@ -1,5 +1,7 @@
 // Host: a named machine with a CPU account, matching the evaluation
-// cluster's two machine classes (section V-B).
+// cluster's two machine classes (section V-B). Single-threaded
+// processes on it (an OpenVPN client, vanilla Click) take a one-core
+// slice; nothing charges a process on several cores at once.
 #pragma once
 
 #include <memory>
@@ -27,10 +29,6 @@ class Host {
   /// A single-core slice of this host, for single-threaded processes
   /// (OpenVPN, vanilla Click) that cannot use all cores.
   sim::CpuAccount make_single_core() const;
-
-  /// A `cores`-core slice of this host (capped at the machine's core
-  /// count): what a sharded enclave client pins for its worker threads.
-  sim::CpuAccount make_account(unsigned cores) const;
 
  private:
   std::string name_;

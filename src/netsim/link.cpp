@@ -22,16 +22,11 @@ sim::Duration Link::serialisation(std::size_t bytes) const {
 }
 
 sim::Time Link::transmit(sim::Time now, std::size_t bytes) {
-  return transmit_burst(now, bytes, 1);
-}
-
-sim::Time Link::transmit_burst(sim::Time now, std::size_t bytes,
-                               std::size_t frames) {
   sim::Time start = std::max(now, free_at_);
   sim::Duration ser = serialisation(bytes);
   free_at_ = start + static_cast<sim::Time>(ser);
   busy_ns_ += static_cast<double>(ser);
-  frames_ += frames;
+  ++frames_;
   bytes_ += bytes;
   return free_at_ + static_cast<sim::Time>(latency_);
 }

@@ -28,12 +28,6 @@ class Link {
   /// time at the far end (serialisation + queueing + propagation).
   sim::Time transmit(sim::Time now, std::size_t bytes);
 
-  /// Transmits a back-to-back burst of `frames` frames totalling
-  /// `bytes`; one serialisation of the whole train (the frames queue
-  /// behind each other anyway), counters advance per frame. Returns the
-  /// arrival time of the last frame.
-  sim::Time transmit_burst(sim::Time now, std::size_t bytes, std::size_t frames);
-
   /// Arrival time if transmitted, without occupying the link.
   sim::Time peek(sim::Time now, std::size_t bytes) const;
 

@@ -60,13 +60,6 @@ sim::Time StarTopology::deliver_to_server(std::size_t i, sim::Time now,
   return uplink_.transmit(at_switch, bytes);
 }
 
-sim::Time StarTopology::deliver_burst_to_server(std::size_t i, sim::Time now,
-                                                std::size_t bytes,
-                                                std::size_t frames) {
-  sim::Time at_switch = access_links_.at(i)->transmit_burst(now, bytes, frames);
-  return uplink_.transmit_burst(at_switch, bytes, frames);
-}
-
 void StarTopology::reset() {
   uplink_.reset();
   for (auto& link : access_links_) link->reset();

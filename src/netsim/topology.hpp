@@ -53,12 +53,6 @@ class StarTopology {
   /// time and updates per-link counters.
   sim::Time deliver_to_server(std::size_t i, sim::Time now, std::size_t bytes);
 
-  /// Delivers a back-to-back burst of `frames` frames totalling `bytes`
-  /// from client `i` (the wire shape the batched data path produces);
-  /// returns the last frame's arrival.
-  sim::Time deliver_burst_to_server(std::size_t i, sim::Time now,
-                                    std::size_t bytes, std::size_t frames);
-
   /// Installs `plan` on every link (each forks its own stream from the
   /// plan seed and its name). Links added later inherit the plan.
   void set_fault_plan_all(const FaultPlan& plan);

@@ -1,5 +1,6 @@
 #include "sim/cpu.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace endbox::sim {
@@ -8,47 +9,20 @@ MultiCoreAccount::MultiCoreAccount(unsigned cores, double hz) : hz_(hz) {
   if (cores == 0 || hz <= 0)
     throw std::invalid_argument("MultiCoreAccount: bad parameters");
   core_free_at_.assign(cores, 0);
-  core_busy_ns_.assign(cores, 0.0);
 }
 
 Duration MultiCoreAccount::cycles_to_ns(double cycles) const {
   return static_cast<Duration>(cycles / hz_ * 1e9);
 }
 
-Time MultiCoreAccount::place(Time earliest, double cycles) {
+Time MultiCoreAccount::charge(Time now, double cycles) {
   auto it = std::min_element(core_free_at_.begin(), core_free_at_.end());
-  Time start = std::max(earliest, *it);
+  Time start = std::max(now, *it);
   Time service = static_cast<Time>(cycles_to_ns(cycles));
-  Time done = start + service;
-  *it = done;
-  core_busy_ns_[static_cast<std::size_t>(it - core_free_at_.begin())] +=
-      static_cast<double>(service);
+  *it = start + service;
   busy_core_ns_ += static_cast<double>(service);
   ++charges_;
-  return done;
-}
-
-Time MultiCoreAccount::charge(Time now, double cycles) {
-  return place(now, cycles);
-}
-
-Time MultiCoreAccount::charge_parallel(Time now, double staging_cycles,
-                                       std::span<const double> shard_cycles,
-                                       std::span<Time> shard_done,
-                                       std::span<const Time> shard_earliest) {
-  // Staging serialises in front of every shard job: the partition pass
-  // must finish before any worker can start, and the staging thread's
-  // core only becomes available to workers afterwards.
-  Time staged = place(now, staging_cycles);
-  Time done = staged;
-  for (std::size_t i = 0; i < shard_cycles.size(); ++i) {
-    Time earliest = staged;
-    if (!shard_earliest.empty()) earliest = std::max(earliest, shard_earliest[i]);
-    Time job_done = place(earliest, shard_cycles[i]);
-    if (!shard_done.empty()) shard_done[i] = job_done;
-    done = std::max(done, job_done);
-  }
-  return done;
+  return *it;
 }
 
 Time MultiCoreAccount::peek_completion(Time now, double cycles) const {
@@ -66,7 +40,6 @@ double MultiCoreAccount::utilisation(Time start, Time end) const {
 
 void MultiCoreAccount::reset() {
   std::fill(core_free_at_.begin(), core_free_at_.end(), 0);
-  std::fill(core_busy_ns_.begin(), core_busy_ns_.end(), 0.0);
   busy_core_ns_ = 0;
   charges_ = 0;
 }

@@ -86,12 +86,6 @@ struct PerfModel {
   double idps_cycles_per_byte = 4.1;        // Aho-Corasick scan
   double ddos_cycles_per_byte = 6.0;        // matching + rate accounting
 
-  // ---- Sharded data planes (client enclave and VPN server) ------------
-  // Run-to-completion lane dispatch: the only serial work per frame is
-  // the RSS hash and the hand-off to its lane. Everything else charges
-  // on the lane that runs the frame.
-  double lane_dispatch_cycles_per_frame = 40;
-
   // ---- Server-side chaining (OpenVPN+Click set-up) --------------------
   // Handing packets from per-client OpenVPN processes to Click instances
   // costs a second tun traversal plus scheduling.

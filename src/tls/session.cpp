@@ -124,10 +124,10 @@ Result<Bytes> TlsClient::receive(const TlsRecord& record) {
 
 Result<ServerHello> TlsServer::accept(const ClientHello& client_hello,
                                       ByteView pre_master) {
-  if (client_hello.max_version < min_version_)
+  if (client_hello.max_version < TlsVersion::Tls12)
     return err("TlsServer: client version below server minimum (" +
                version_name(client_hello.max_version) + " < " +
-               version_name(min_version_) + ")");
+               version_name(TlsVersion::Tls12) + ")");
   if (client_hello.client_random.size() != 32)
     return err("TlsServer: bad client random");
 

@@ -120,12 +120,11 @@ class TlsClient {
 /// A TLS server endpoint (the web servers in the evaluation).
 class TlsServer {
  public:
-  /// `min_version` models server-side downgrade protection.
-  explicit TlsServer(Rng& rng, TlsVersion min_version = TlsVersion::Tls12)
-      : rng_(rng), min_version_(min_version) {}
+  explicit TlsServer(Rng& rng) : rng_(rng) {}
 
   /// Responds to a ClientHello, negotiating the highest mutual version;
-  /// fails when the client's maximum is below our minimum.
+  /// fails when the client's maximum is below TLS 1.2 (server-side
+  /// downgrade protection).
   Result<ServerHello> accept(const ClientHello& client_hello, ByteView pre_master);
 
   bool established() const { return keys_.has_value(); }
@@ -136,7 +135,6 @@ class TlsServer {
 
  private:
   Rng& rng_;
-  TlsVersion min_version_;
   std::optional<SessionKeys> keys_;
   TlsVersion negotiated_version_ = TlsVersion::Tls13;
   std::uint64_t send_seq_ = 1'000'000'000;  ///< disjoint from client seqs

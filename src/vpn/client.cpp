@@ -77,7 +77,7 @@ Status VpnClientSession::process_handshake_reply(const WireMessage& reply) {
 
     // The paper's client-side downgrade check runs inside the enclave:
     // a malicious host cannot strip it.
-    if (chosen_version < config_.min_version)
+    if (chosen_version < kVersionTls12)
       return err("server negotiated version below enclave minimum");
     if (chosen_version > proposed_version_)
       return err("server chose version above our proposal");

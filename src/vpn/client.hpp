@@ -18,7 +18,6 @@
 namespace endbox::vpn {
 
 struct VpnClientConfig {
-  std::uint16_t min_version = kVersionTls12;  ///< enclave-side downgrade floor
   bool encrypt_data = true;   ///< false = ISP integrity-only mode (section IV-A)
   std::size_t mtu = 9000;     ///< tunnel MTU for fragmentation
   std::uint32_t config_version = 1;  ///< middlebox config currently applied

@@ -10,6 +10,9 @@
 namespace endbox::vpn {
 
 namespace {
+/// Bound on the handshake dedupe cache (oldest entries recycle beyond it).
+constexpr std::size_t kHandshakeDedupeCapacity = 4096;
+
 void clear_results(VpnServer::OpenBatch& batch) {
   batch.complete = batch.pending = batch.rejected = 0;
   batch.packet_count = 0;
@@ -23,11 +26,9 @@ VpnServer::VpnServer(Rng& rng, crypto::RsaPublicKey ca_key, VpnServerConfig conf
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) shards_.push_back(make_shard());
   ensure_worker_pool();
-  if (config_.handshake_dedupe_horizon > 0 &&
-      config_.handshake_dedupe_capacity > 0) {
-    HandshakeCache::Options options{config_.handshake_dedupe_capacity,
-                                    config_.handshake_dedupe_horizon,
-                                    {}};
+  if (config_.handshake_dedupe_horizon > 0) {
+    HandshakeCache::Options options{kHandshakeDedupeCapacity,
+                                    config_.handshake_dedupe_horizon, {}};
     // A full cache recycles its oldest entry: a connect storm degrades
     // dedupe coverage, never admission.
     options.eviction = EvictionPolicy::EvictIdleLongest;
@@ -162,7 +163,7 @@ Result<VpnServer::Event> VpnServer::handle_handshake(const WireMessage& msg,
       return err("handshake: certificate not signed by our CA");
     }
     // Server-side minimum version check (section V-A, downgrade).
-    if (proposed_version < config_.min_version) {
+    if (proposed_version < kVersionTls12) {
       ++handshakes_rejected_;
       return err("handshake: client proposed version below server minimum");
     }

@@ -52,7 +52,6 @@
 namespace endbox::vpn {
 
 struct VpnServerConfig {
-  std::uint16_t min_version = kVersionTls12;  ///< server-side downgrade floor
   bool allow_integrity_only = false;  ///< accept ISP-mode unencrypted data
   std::size_t mtu = 9000;
   /// Session shards of the server data plane (one worker thread per
@@ -86,8 +85,6 @@ struct VpnServerConfig {
   /// minting a second session (the client reliability layer
   /// retransmits inits; the network duplicates frames). 0 disables.
   sim::Time handshake_dedupe_horizon = 10 * sim::kSecond;
-  /// Bound on the dedupe cache (oldest entries recycle beyond it).
-  std::size_t handshake_dedupe_capacity = 4096;
 };
 
 class VpnServer {
@@ -153,8 +150,8 @@ class VpnServer {
     /// verified and replay-fresh, whether it completed a packet or
     /// left a fragment group pending (so session ids repeat). Unlike
     /// `packets`, the order is per-shard concatenation, NOT arrival
-    /// order: this is a membership multiset for the cost layer (which
-    /// sessions did real work vs pure garbage), not a sequence.
+    /// order: this is a membership multiset (which sessions did real
+    /// work vs pure garbage), not a sequence.
     std::vector<std::uint32_t> opened_sessions;
   };
 

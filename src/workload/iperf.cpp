@@ -29,57 +29,30 @@ IperfReport IperfHarness::run() {
     IperfSource& source = sources_[next.source];
 
     SendOutcome sent = source.send(next.ready);
-    report.writes_sent += sent.writes;
+    ++report.writes_sent;
     report.wire_messages += sent.wire.size();
 
     // Deliver wire messages: the source's own path, else the shared
-    // bottleneck link (if any), then the server.
+    // bottleneck link (if any), then the server. The write counts when
+    // any of its frames completed it before the deadline.
     sim::Time server_done = next.ready;
     bool delivered = false;
-    std::uint32_t writes_completed = 0;
-    if (serve_batch_ && sent.wire.size() > 1) {
-      // The frames travel the link back to back; the server drains the
-      // whole train in one batched pass once it has fully arrived.
-      sim::Time arrival = next.ready;
-      for (const Bytes& wire : sent.wire) {
-        arrival = source.path.hops() > 0
-                      ? source.path.deliver(next.ready, wire.size())
-                      : (config_.link
-                             ? config_.link->transmit(next.ready, wire.size())
-                             : next.ready);
-      }
-      ServeBatchOutcome served = serve_batch_(sent.wire, arrival);
+    for (const Bytes& wire : sent.wire) {
+      sim::Time arrival =
+          source.path.hops() > 0
+              ? source.path.deliver(next.ready, wire.size())
+              : (config_.link ? config_.link->transmit(next.ready, wire.size())
+                              : next.ready);
+      ServeOutcome served = serve_(wire, arrival);
       server_done = std::max(server_done, served.done);
-      delivered = served.delivered > 0;
-      if (served.done < end) writes_completed = served.delivered;
-    } else {
-      for (const Bytes& wire : sent.wire) {
-        sim::Time arrival =
-            source.path.hops() > 0
-                ? source.path.deliver(next.ready, wire.size())
-                : (config_.link ? config_.link->transmit(next.ready, wire.size())
-                                : next.ready);
-        ServeOutcome served = serve_(wire, arrival);
-        server_done = std::max(server_done, served.done);
-        delivered |= served.delivered;
-        if (served.delivered && served.done < end) ++writes_completed;
-      }
+      delivered |= served.delivered;
     }
-    if (sent.writes <= 1) {
-      // Historical single-write rule: the write counts when any of its
-      // frames completed an application write before the deadline.
-      if (delivered && server_done < end) ++report.writes_delivered;
-    } else {
-      // Burst sources: every completed reassembly is one delivered
-      // application write (capped by the writes actually sent).
-      report.writes_delivered += std::min(writes_completed, sent.writes);
-    }
+    if (delivered && server_done < end) ++report.writes_delivered;
 
-    // Schedule the next write (or burst) for this source.
+    // Schedule the next write for this source.
     sim::Time next_ready = sent.done;
     if (source.offered_bps > 0) {
-      auto gap = static_cast<sim::Time>(static_cast<double>(source.write_size) * 8.0 *
-                                        static_cast<double>(sent.writes) /
+      auto gap = static_cast<sim::Time>(static_cast<double>(source.write_size) * 8.0 /
                                         source.offered_bps * 1e9);
       next_ready = std::max(next_ready, next.ready + gap);
     }
@@ -87,12 +60,10 @@ IperfReport IperfHarness::run() {
   }
 
   report.elapsed = end;
-  double bits = 0;
-  for (const auto& source : sources_) (void)source;
   // Goodput: delivered writes x write size (uniform per harness run
   // because every source uses the same write size in our experiments).
-  bits = static_cast<double>(report.writes_delivered) *
-         static_cast<double>(sources_.front().write_size) * 8.0;
+  double bits = static_cast<double>(report.writes_delivered) *
+                static_cast<double>(sources_.front().write_size) * 8.0;
   report.throughput_mbps = bits / sim::to_seconds(end) / 1e6;
   return report;
 }

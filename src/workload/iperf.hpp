@@ -4,14 +4,14 @@
 // Each traffic source is an adapter closure pair: `send` produces the
 // tunnel wire messages for one application write and reports when the
 // client CPU finished it; `serve` consumes one wire message at the
-// server and reports whether an application write completed. The
+// server and reports whether an application write completed. One send
+// is one write, as with iperf over a per-packet OpenVPN client. The
 // harness runs any number of sources either closed-loop (maximum rate,
 // single-client Figs 8/9) or at a fixed offered rate (200 Mbps per
 // client, Fig 10), over a shared bottleneck link, and reports goodput.
 #pragma once
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -23,18 +23,11 @@ namespace endbox::workload {
 struct SendOutcome {
   std::vector<Bytes> wire;  ///< tunnel messages (>= 1 per write when fragmented)
   sim::Time done = 0;       ///< client CPU completion
-  std::uint32_t writes = 1; ///< application writes in this outcome (burst > 1
-                            ///< sources produce several per send call)
 };
 
 struct ServeOutcome {
   bool delivered = false;   ///< an application write fully arrived
   sim::Time done = 0;       ///< server CPU completion
-};
-
-struct ServeBatchOutcome {
-  std::uint32_t delivered = 0;  ///< application writes completed
-  sim::Time done = 0;           ///< server CPU completion for the burst
 };
 
 struct IperfSource {
@@ -69,19 +62,9 @@ struct IperfReport {
 class IperfHarness {
  public:
   using ServeFn = std::function<ServeOutcome(const Bytes& wire, sim::Time now)>;
-  /// Batched drain: the whole frame train of one send, handed over once
-  /// it has fully arrived (the last frame's arrival time).
-  using ServeBatchFn =
-      std::function<ServeBatchOutcome(std::span<const Bytes> wires, sim::Time now)>;
 
   IperfHarness(ServeFn serve, IperfConfig config)
       : serve_(std::move(serve)), config_(config) {}
-
-  /// Installs a batched server drain used for multi-frame sends (burst
-  /// sources); single-frame sends stay on the per-frame path.
-  void set_batch_serve(ServeBatchFn serve_batch) {
-    serve_batch_ = std::move(serve_batch);
-  }
 
   void add_source(IperfSource source) { sources_.push_back(std::move(source)); }
 
@@ -90,7 +73,6 @@ class IperfHarness {
 
  private:
   ServeFn serve_;
-  ServeBatchFn serve_batch_;
   IperfConfig config_;
   std::vector<IperfSource> sources_;
 };

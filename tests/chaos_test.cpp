@@ -400,7 +400,7 @@ TEST(ChaosNet, DifferentSeedsDiverge) {
 // while the server grows 1 -> 2 -> 4 shards in mid-storm. Only growth
 // is scheduled: migration bypasses the admission bound, so a shrink
 // would overfill the surviving shards by design.
-TEST(ChaosNet, AdmissionStormStaysBoundedAndDrivesTheReshardController) {
+TEST(ChaosNet, AdmissionStormStaysBoundedAcrossReshards) {
   const std::size_t storm = std::max<std::size_t>(chaos_iters(4096), 512);
   constexpr std::size_t kCapacity = 64;
 

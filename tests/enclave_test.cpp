@@ -102,6 +102,25 @@ TEST_F(EnclaveFixture, EpcAccountingTracksConfigs) {
   EXPECT_FALSE(enclave.epc_over_limit());
 }
 
+TEST_F(EnclaveFixture, EpcCountsCompiledRuleSetsOncePerEnclave) {
+  // The 377-rule community set compiles to ~2.4k automaton states of
+  // 1 KiB transition rows each; lanes share the one compiled engine.
+  auto idps = world.publish(UseCase::Idps, 3);
+  EndBoxClientOptions four_lanes;
+  four_lanes.shards = 4;
+  std::size_t one_lane = world.add_client(idps).enclave().epc_used();
+  auto& sharded = world.add_client(idps, four_lanes).enclave();
+  ASSERT_EQ(sharded.shard_count(), 4u);
+  EXPECT_GE(one_lane, std::size_t{2} << 20);
+  EXPECT_EQ(sharded.epc_used(), one_lane);
+
+  // FW clients hold the community set too, but never compile it.
+  auto fw = world.publish(UseCase::Fw, 4);
+  auto& firewall = world.add_client(fw).enclave();
+  EXPECT_EQ(firewall.rulesets().compiled("community"), nullptr);
+  EXPECT_LT(firewall.epc_used(), std::size_t{64} << 10);
+}
+
 TEST_F(EnclaveFixture, HandshakeBeforeProvisioningFails) {
   sgx::SgxPlatform platform("c1", world.rng, world.clock);
   EndBoxEnclave enclave(platform, sgx::SgxMode::Hardware,

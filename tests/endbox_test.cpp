@@ -434,23 +434,34 @@ TEST(EndBox, PipelineCostOrdering) {
   EXPECT_LT(idps, ddos);
 }
 
-TEST(EndBox, TestbedBurstIperfDeliversAtLeastPerPacketGoodput) {
-  // The batched source (PacketBatch + batch ecall + pooled buffers)
-  // must not lose traffic, and amortising the per-packet enclave
-  // transition can only help goodput.
-  Testbed per_packet(Setup::EndBoxSgx, UseCase::Fw);
-  per_packet.add_client();
-  auto single = per_packet.run_iperf(1500, 0, sim::from_seconds(0.05));
-
-  Testbed batched(Setup::EndBoxSgx, UseCase::Fw);
-  batched.add_client();
-  auto burst = batched.run_iperf(1500, 0, sim::from_seconds(0.05), /*burst=*/32);
-
-  ASSERT_GT(single.writes_delivered, 0u);
-  ASSERT_GT(burst.writes_delivered, 0u);
-  EXPECT_GE(burst.throughput_mbps, single.throughput_mbps);
-  // Every write still arrives as its own tunnel frame.
-  EXPECT_EQ(burst.wire_messages, burst.writes_sent);
+TEST(EndBox, TestbedIperfPinsThePerPacketCostPath) {
+  // Exact numbers of the path every Fig 8-10 run prices: short
+  // closed-loop 1500 B iperf runs with one IDPS client, on the client
+  // path (EndBox SGX, with and without batched ecalls; charge_data_path
+  // and pipeline_cycles) and on the server-side Click path
+  // (OpenVPN+Click; handle_wire).
+  struct Case {
+    endbox::Setup setup;
+    bool batched_ecalls;
+    std::uint64_t writes_delivered;
+    double server_utilisation;
+  };
+  const Case cases[] = {
+      {endbox::Setup::EndBoxSgx, true, 1833, 0.067797212499999995},
+      {endbox::Setup::OpenVpnClick, true, 2618, 0.16246165000000001},
+      {endbox::Setup::EndBoxSgx, false, 492, 0.0182774125},
+  };
+  const sim::Time duration = sim::from_seconds(0.05);
+  for (const Case& c : cases) {
+    Testbed bed(c.setup, UseCase::Idps);
+    bed.client_options.batched_ecalls = c.batched_ecalls;
+    bed.add_client();
+    auto report = bed.run_iperf(1500, 0, duration);
+    EXPECT_EQ(report.writes_delivered, c.writes_delivered)
+        << setup_name(c.setup) << " batched_ecalls=" << c.batched_ecalls;
+    EXPECT_DOUBLE_EQ(bed.server_cpu_utilisation(duration), c.server_utilisation)
+        << setup_name(c.setup) << " batched_ecalls=" << c.batched_ecalls;
+  }
 }
 
 TEST(EndBox, DisconnectStormLeavesNoPerSessionState) {

@@ -6,6 +6,12 @@
 // Worlds are parameterisable (WorldOptions) and deterministic: the one
 // experiment seed fixes every random choice, and each client draws from
 // its own forked stream so adding client k never perturbs client k+1.
+//
+// Virtual time prices the per-packet path only (send_packet /
+// handle_wire: one core per client, one OpenVPN process per server
+// session). run_uniform_traffic_batched exercises the real burst path
+// — batch ecalls, lanes, VpnServer::open_batch — and charges no CPU
+// account.
 #pragma once
 
 #include <memory>
@@ -45,10 +51,7 @@ struct ClientRig {
             const netsim::Host& host, const sim::PerfModel& model,
             crypto::RsaPublicKey ca_key, EndBoxClientOptions options)
       : rng(stream),
-        // OpenVPN is single-threaded; a sharded enclave additionally
-        // pins one core per element-graph shard worker.
-        cpu(host.make_account(
-            static_cast<unsigned>(std::max<std::size_t>(1, options.shards)))),
+        cpu(host.make_single_core()),  // OpenVPN is single-threaded
         platform(name, rng, clock),
         client(name, platform, rng, cpu, model, ca_key, options) {}
 };
@@ -199,12 +202,6 @@ struct World {
     std::uint64_t delivered = 0;  ///< PacketIn events at the server
     std::vector<std::uint64_t> per_client_delivered;
     double server_busy_core_ns = 0;  ///< server CPU work during the run
-    /// Burst completion latency (done - submit), summed over bursts:
-    /// the quantity sharding shrinks under honest multi-core
-    /// accounting, while busy core time stays ~flat (total work does
-    /// not disappear by spreading it).
-    double client_burst_latency_ns = 0;
-    double server_burst_latency_ns = 0;
 
     double server_cost_per_packet_ns() const {
       return delivered == 0 ? 0.0
@@ -239,14 +236,13 @@ struct World {
     return report;
   }
 
-  /// Batched counterpart of run_uniform_traffic: clients push bursts of
-  /// `burst` packets through one batch ecall (sharded clients spread
-  /// them over their element-graph shards by flow), the sealed frames
-  /// travel the topology back to back (transmit_burst) and the server
-  /// drains each train with one batched open (handle_batch) — the Fig
-  /// 10a world exercising real bursts end to end. `flows` spreads each
-  /// client's packets over that many 5-tuples (distinct source ports)
-  /// so RSS sharding has flows to balance.
+  /// Batched counterpart of run_uniform_traffic, functional only:
+  /// clients push bursts of `burst` packets through one egress batch
+  /// ecall (a sharded enclave spreads them over its lanes by flow), the
+  /// sealed frames cross the topology, and the server opens each train
+  /// with one VpnServer::open_batch. No CPU account is charged.
+  /// `flows` spreads each client's packets over that many 5-tuples
+  /// (distinct source ports) so RSS sharding has flows to balance.
   TrafficReport run_uniform_traffic_batched(std::uint64_t packets_per_client,
                                             std::size_t burst = 32,
                                             std::size_t payload = 1400,
@@ -255,15 +251,15 @@ struct World {
     if (flows == 0) flows = 1;
     TrafficReport report;
     report.per_client_delivered.assign(rigs.size(), 0);
-    double busy_before = server_cpu.busy_core_ns();
     click::PacketBatch batch;
     EgressBatch egress;
+    vpn::VpnServer::OpenBatch opened;
     for (std::uint64_t sent_so_far = 0; sent_so_far < packets_per_client;) {
       std::size_t n = static_cast<std::size_t>(
           std::min<std::uint64_t>(burst, packets_per_client - sent_so_far));
       for (std::size_t i = 0; i < rigs.size(); ++i) {
-        ClientRig& rig = *rigs[i];
-        net::PacketPool& pool = rig.client.enclave().packet_pool();
+        EndBoxEnclave& enclave = rigs[i]->client.enclave();
+        net::PacketPool& pool = enclave.packet_pool();
         for (std::size_t k = 0; k < n; ++k) {
           net::Packet packet = benign_packet_from(i, payload);
           packet.src_port = static_cast<std::uint16_t>(
@@ -279,27 +275,17 @@ struct World {
         }
         report.offered += n;
         sim::Time now = clock.now();
-        auto sent = rig.client.send_batch(std::move(batch), egress, now);
+        auto status = enclave.ecall_process_egress_batch(std::move(batch), egress);
         batch.clear();
-        if (!sent.ok()) continue;
-        report.client_burst_latency_ns += static_cast<double>(sent->done - now);
-        std::size_t bytes = 0;
-        for (std::size_t f = 0; f < sent->frames; ++f)
-          bytes += egress.frames[f].size();
-        sim::Time arrival =
-            topology.deliver_burst_to_server(i, now, bytes, sent->frames);
-        auto handled = server.handle_batch(
-            std::span<const Bytes>(egress.frames.data(), sent->frames), arrival);
-        if (handled.ok()) {
-          report.delivered += handled->delivered;
-          report.per_client_delivered[i] += handled->delivered;
-          report.server_burst_latency_ns +=
-              static_cast<double>(handled->done - arrival);
-        }
+        if (!status.ok()) continue;
+        std::span<const Bytes> frames(egress.frames.data(), egress.frame_count);
+        for (const Bytes& frame : frames) topology.deliver_to_server(i, now, frame.size());
+        server.vpn().open_batch(frames, now, opened);
+        report.delivered += opened.complete;
+        report.per_client_delivered[i] += opened.complete;
       }
       sent_so_far += n;
     }
-    report.server_busy_core_ns = server_cpu.busy_core_ns() - busy_before;
     return report;
   }
 

@@ -2,6 +2,9 @@
 // parsing, and the combined engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "idps/aho_corasick.hpp"
 #include "idps/engine.hpp"
 #include "idps/snort_rules.hpp"
@@ -199,6 +202,36 @@ TEST(AhoCorasick, EarlyExitStopsMatching) {
   int seen = 0;
   ac.match(to_bytes("aaaaa"), [&](const AcMatch&) { return ++seen < 2; });
   EXPECT_EQ(seen, 2);
+}
+
+TEST(AhoCorasick, MatchesEveryOccurrenceANaiveSearchFinds) {
+  // Property: over a three-letter alphabet (deep failure chains, many
+  // patterns that are suffixes of others) the automaton reports exactly
+  // the (pattern, end offset) pairs an exhaustive search finds.
+  Rng rng(0xa11ce);
+  auto random_word = [&](std::size_t min_len, std::size_t max_len) {
+    Bytes word(rng.uniform(min_len, max_len), 0);
+    for (auto& b : word) b = static_cast<std::uint8_t>('a' + rng.uniform(0, 2));
+    return word;
+  };
+  for (int round = 0; round < 20; ++round) {
+    AhoCorasick ac;
+    std::vector<Bytes> patterns;
+    for (int i = 0; i < 40; ++i) {
+      patterns.push_back(random_word(1, 6));
+      ac.add_pattern(patterns.back(), i);
+    }
+    ac.build();
+    Bytes text = random_word(200, 400);
+    std::multiset<std::pair<int, std::size_t>> want, got;
+    for (std::size_t p = 0; p < patterns.size(); ++p)
+      for (std::size_t end = patterns[p].size(); end <= text.size(); ++end)
+        if (std::equal(patterns[p].begin(), patterns[p].end(),
+                       text.begin() + static_cast<std::ptrdiff_t>(end - patterns[p].size())))
+          want.emplace(static_cast<int>(p), end);
+    for (const AcMatch& m : ac.match(text)) got.emplace(m.pattern_id, m.end_offset);
+    EXPECT_EQ(got, want) << "round " << round;
+  }
 }
 
 TEST(AhoCorasick, ManyPatternsStress) {

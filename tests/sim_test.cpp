@@ -2,7 +2,6 @@
 // wheel.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <functional>
 #include <map>
 #include <set>
@@ -89,67 +88,6 @@ TEST(Cpu, ResetClearsState) {
 TEST(Cpu, RejectsBadParameters) {
   EXPECT_THROW(CpuAccount(0, 1e9), std::invalid_argument);
   EXPECT_THROW(CpuAccount(1, 0), std::invalid_argument);
-}
-
-TEST(Cpu, ChargeParallelCompletesAtTheCriticalPath) {
-  MultiCoreAccount cpu(4, 1e9);
-  // Staging (1000) serialises first; the three shard jobs then run
-  // concurrently, so the burst completes at staging + the slowest job.
-  std::array<double, 3> jobs{500, 2000, 1000};
-  std::array<sim::Time, 3> done{};
-  sim::Time finished = cpu.charge_parallel(0, 1000, jobs, done);
-  EXPECT_EQ(finished, 3000u);
-  EXPECT_EQ(done[0], 1500u);
-  EXPECT_EQ(done[1], 3000u);
-  EXPECT_EQ(done[2], 2000u);
-  // Every shard's cycles count as busy time — the honest part.
-  EXPECT_NEAR(cpu.busy_core_ns(), 1000 + 500 + 2000 + 1000, 1e-9);
-}
-
-TEST(Cpu, ChargeParallelDegeneratesToSerialAtOneShard) {
-  MultiCoreAccount a(4, 1e9), b(4, 1e9);
-  std::array<double, 1> job{700};
-  sim::Time parallel = a.charge_parallel(10, 300, job);
-  sim::Time serial = b.charge(10, 1000);
-  EXPECT_EQ(parallel, serial);
-  EXPECT_NEAR(a.busy_core_ns(), b.busy_core_ns(), 1e-9);
-}
-
-TEST(Cpu, ChargeParallelHonoursPerJobEarliestStarts) {
-  // A shard whose sessions are still busy from a previous burst holds
-  // back only its own job; idle shards start right after staging.
-  MultiCoreAccount cpu(4, 1e9);
-  std::array<double, 2> jobs{1000, 1000};
-  std::array<sim::Time, 2> earliest{0, 5000};
-  std::array<sim::Time, 2> done{};
-  sim::Time finished = cpu.charge_parallel(0, 500, jobs, done, earliest);
-  EXPECT_EQ(done[0], 1500u);  // staging 500 then the job
-  EXPECT_EQ(done[1], 6000u);  // held to its own earliest start
-  EXPECT_EQ(finished, 6000u);
-}
-
-TEST(Cpu, ChargeParallelQueuesExcessJobsOnBusyCores) {
-  // 2 cores, 4 equal shard jobs: two rounds, so the burst takes
-  // staging + 2x the job length — the staging-thread/worker contention
-  // the model must show when shards exceed cores.
-  MultiCoreAccount cpu(2, 1e9);
-  std::array<double, 4> jobs{1000, 1000, 1000, 1000};
-  sim::Time finished = cpu.charge_parallel(0, 500, jobs);
-  EXPECT_EQ(finished, 2500u);
-  EXPECT_NEAR(cpu.busy_core_ns(), 4500.0, 1e-9);
-}
-
-TEST(Cpu, PerCoreBusyTimeSumsToTotal) {
-  MultiCoreAccount cpu(3, 1e9);
-  std::array<double, 3> jobs{300, 600, 900};
-  cpu.charge_parallel(0, 100, jobs);
-  cpu.charge(0, 250);
-  double sum = 0;
-  for (unsigned i = 0; i < cpu.cores(); ++i) sum += cpu.core_busy_ns(i);
-  EXPECT_NEAR(sum, cpu.busy_core_ns(), 1e-9);
-  EXPECT_GE(cpu.max_core_busy_ns(), cpu.busy_core_ns() / 3.0);
-  cpu.reset();
-  EXPECT_EQ(cpu.max_core_busy_ns(), 0.0);
 }
 
 TEST(Cpu, CountsChargedWorkItems) {

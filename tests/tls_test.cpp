@@ -113,7 +113,7 @@ TEST(Tls, ServerEnforcesMinimumVersion) {
   // Downgrade attack (section V-A): client claims only TLS 1.0.
   Rng rng(2);
   TlsClient old_client(rng, TlsVersion::Tls10);
-  TlsServer server(rng, TlsVersion::Tls12);
+  TlsServer server(rng);
   auto sh = server.accept(old_client.start_handshake(), to_bytes("pm"));
   EXPECT_FALSE(sh.ok());
 }
@@ -132,7 +132,7 @@ TEST(Tls, ClientRejectsVersionAboveOffer) {
 TEST(Tls, NegotiatesClientMaxWhenAllowed) {
   Rng rng(4);
   TlsClient client(rng, TlsVersion::Tls12);
-  TlsServer server(rng, TlsVersion::Tls12);
+  TlsServer server(rng);
   auto sh = server.accept(client.start_handshake(), to_bytes("pm"));
   ASSERT_TRUE(sh.ok()) << sh.error();
   ASSERT_TRUE(client.finish_handshake(*sh, to_bytes("pm")).ok());

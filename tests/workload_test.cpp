@@ -42,40 +42,6 @@ struct SyntheticRig {
   }
 };
 
-TEST(Iperf, BurstSourcesCountEveryWrite) {
-  // A burst source hands the harness N writes per send call; goodput
-  // must match N independent single-write sends with the same per-write
-  // costs (the burst changes packaging, not accounting).
-  constexpr std::uint32_t kBurst = 8;
-  SyntheticRig single_rig, burst_rig;
-  IperfSource burst_src;
-  burst_src.write_size = burst_rig.write_size;
-  burst_src.send = [&](sim::Time now) {
-    SendOutcome out;
-    out.writes = kBurst;
-    out.done = burst_rig.client_cpu.charge(
-        now, burst_rig.client_cycles * kBurst);
-    for (std::uint32_t k = 0; k < kBurst; ++k)
-      out.wire.push_back(Bytes(burst_rig.write_size));
-    return out;
-  };
-  IperfConfig config;
-  config.duration = sim::from_seconds(0.05);
-
-  IperfHarness single(single_rig.sink(), config);
-  single.add_source(single_rig.source());
-  auto single_report = single.run();
-
-  IperfHarness burst(burst_rig.sink(), config);
-  burst.add_source(std::move(burst_src));
-  auto burst_report = burst.run();
-
-  ASSERT_GT(burst_report.writes_delivered, 0u);
-  EXPECT_EQ(burst_report.writes_sent % kBurst, 0u);
-  EXPECT_NEAR(burst_report.throughput_mbps, single_report.throughput_mbps,
-              0.05 * single_report.throughput_mbps);
-}
-
 TEST(Iperf, ClosedLoopBoundByClientServiceTime) {
   SyntheticRig rig;
   IperfConfig config;
