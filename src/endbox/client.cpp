@@ -94,31 +94,38 @@ sim::Time EndBoxClient::charge_data_path(sim::Time now, std::size_t payload_byte
 Result<EndBoxClient::SendResult> EndBoxClient::send_packet(net::Packet packet,
                                                            sim::Time now) {
   std::size_t payload_bytes = packet.wire_size();
-  auto egress = enclave_->ecall_process_egress(std::move(packet));
-  if (!egress.ok()) return err(egress.error());
+  click::PacketBatch batch;
+  batch.push_back(std::move(packet));
+  EgressBatch egress;
+  auto status = enclave_->ecall_process_egress_batch(std::move(batch), egress);
+  if (!status.ok()) return err(status.error());
 
   SendResult result;
-  result.accepted = egress->accepted;
-  std::size_t fragments = std::max<std::size_t>(egress->wire.size(), 1);
+  result.accepted = egress.accepted > 0;
+  result.wire = std::move(egress.frames);
+  result.wire.resize(egress.frame_count);
+  std::size_t fragments = std::max<std::size_t>(result.wire.size(), 1);
   result.done = charge_data_path(now, payload_bytes, fragments, /*run_click=*/true);
-  result.wire = std::move(egress->wire);
   return result;
 }
 
 Result<EndBoxClient::RecvResult> EndBoxClient::receive_wire(ByteView wire,
                                                             sim::Time now) {
-  auto ingress = enclave_->ecall_process_ingress(wire);
-  if (!ingress.ok()) return err(ingress.error());
+  Bytes frame(wire.begin(), wire.end());
+  IngressBatch ingress;
+  auto status = enclave_->ecall_process_ingress_batch({&frame, 1}, ingress);
+  if (!status.ok()) return err(status.error());
+  if (ingress.dropped > 0) return err("ingress: frame dropped");
 
   RecvResult result;
-  result.complete = ingress->complete;
-  result.accepted = ingress->accepted;
+  result.complete = ingress.complete > 0;
+  result.accepted = ingress.accepted > 0;
   std::size_t payload_bytes = wire.size();
   // Click runs on the reassembled packet only, and not at all when the
   // peer's QoS flag let us bypass it (charged accordingly).
-  bool ran_click = ingress->complete && !ingress->click_bypassed;
+  bool ran_click = result.complete && ingress.bypassed == 0;
   result.done = charge_data_path(now, payload_bytes, 1, ran_click);
-  if (ingress->complete && ingress->accepted) result.packet = std::move(ingress->packet);
+  if (result.complete && result.accepted) result.packet = std::move(ingress.packets[0]);
   return result;
 }
 

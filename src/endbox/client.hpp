@@ -8,8 +8,9 @@
 // experiments measure throughput/latency in virtual time. The cost
 // model is the paper's (section IV-A): a single-threaded OpenVPN
 // client entering the enclave once per packet, charged to one core
-// whatever lane count the enclave runs. Burst callers use the
-// enclave's batch ecalls directly; those carry no virtual time.
+// whatever lane count the enclave runs. send_packet and receive_wire
+// call the enclave's two burst ecalls with a burst of one; burst
+// callers use those ecalls directly and carry no virtual time.
 #pragma once
 
 #include <memory>

@@ -194,20 +194,6 @@ bool EndBoxEnclave::run_click_burst(click::PacketBatch&& batch) {
   return routed;
 }
 
-Result<EgressResult> EndBoxEnclave::ecall_process_egress(net::Packet packet) {
-  EcallGuard guard(*this);
-  click::PacketBatch batch;
-  batch.push_back(std::move(packet));
-  EgressBatch out;
-  auto status = process_egress_burst(std::move(batch), out);
-  if (!status.ok()) return err(status.error());
-  EgressResult result;
-  result.accepted = out.accepted > 0;
-  result.wire = std::move(out.frames);
-  result.wire.resize(out.frame_count);
-  return result;
-}
-
 void EndBoxEnclave::seal_egress_packet(net::Packet&& packet, EgressBatch& out) {
   if (options_.c2c_flagging) packet.set_processed_flag();
   packet.decrypted_payload.clear();  // never leaks out of the enclave
@@ -221,11 +207,6 @@ void EndBoxEnclave::seal_egress_packet(net::Packet&& packet, EgressBatch& out) {
 Status EndBoxEnclave::ecall_process_egress_batch(click::PacketBatch&& batch,
                                                  EgressBatch& out) {
   EcallGuard guard(*this);
-  return process_egress_burst(std::move(batch), out);
-}
-
-Status EndBoxEnclave::process_egress_burst(click::PacketBatch&& batch,
-                                           EgressBatch& out) {
   out.accepted = out.rejected = 0;
   out.frame_count = 0;
   if (!connected()) return err("egress: tunnel not established");
@@ -250,29 +231,9 @@ Status EndBoxEnclave::process_egress_burst(click::PacketBatch&& batch,
   return {};
 }
 
-Result<IngressResult> EndBoxEnclave::ecall_process_ingress(ByteView wire) {
-  EcallGuard guard(*this);
-  Bytes frame(wire.begin(), wire.end());
-  IngressBatch out;
-  auto status = process_ingress_burst({&frame, 1}, out);
-  if (!status.ok()) return err(status.error());
-  if (out.dropped > 0) return err("ingress: frame dropped");
-  IngressResult result;
-  result.complete = out.complete > 0;
-  result.accepted = out.accepted > 0;
-  result.click_bypassed = out.bypassed > 0;
-  if (!out.packets.empty()) result.packet = std::move(out.packets[0]);
-  return result;
-}
-
 Status EndBoxEnclave::ecall_process_ingress_batch(std::span<const Bytes> wires,
                                                   IngressBatch& out) {
   EcallGuard guard(*this);
-  return process_ingress_burst(wires, out);
-}
-
-Status EndBoxEnclave::process_ingress_burst(std::span<const Bytes> wires,
-                                            IngressBatch& out) {
   out.complete = out.accepted = out.rejected = out.bypassed = out.dropped = 0;
   out.packets.clear();
   if (!connected()) return err("ingress: tunnel not established");

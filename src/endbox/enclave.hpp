@@ -9,8 +9,8 @@
 //
 // The data path is one shape: the graph runs on a ShardedRouter of N
 // flow-hashed lanes (one lane by default — the case N = 1, not a
-// separate path), each burst ecall pushes through it once, and the
-// per-packet ecalls are batch-of-one wrappers over the burst bodies.
+// separate path), and the two data ecalls each take a burst and push
+// it through once. A single packet or frame is a burst of one.
 #pragma once
 
 #include <memory>
@@ -33,20 +33,6 @@ namespace endbox {
 /// Code identity string of the canonical EndBox enclave build. The CA
 /// allow-lists its measurement.
 inline constexpr std::string_view kEndBoxEnclaveIdentity = "endbox-enclave-v1.0";
-
-/// Result of pushing one egress packet through the middlebox functions.
-struct EgressResult {
-  bool accepted = false;
-  std::vector<Bytes> wire;  ///< sealed wire frames; empty when rejected
-};
-
-/// Result of processing one ingress tunnel message.
-struct IngressResult {
-  bool complete = false;        ///< false while a fragment group is pending
-  bool accepted = false;        ///< verdict of the middlebox functions
-  bool click_bypassed = false;  ///< skipped via the peer's QoS 0xeb flag
-  net::Packet packet;           ///< valid when complete && accepted
-};
 
 /// Result of one egress batch ecall. The caller owns the struct and
 /// passes it back every burst: frame buffers keep their capacity, so
@@ -132,25 +118,18 @@ class EndBoxEnclave : public sgx::Enclave {
   Status ecall_handshake_reply(ByteView wire);
   bool connected() const { return session_ && session_->established(); }
 
-  // ---- Data path (the 4 steps of Fig 3) -------------------------------
-  /// One ecall: copy in 1, Click 2, verdict 3, seal 4. Returns the
-  /// sealed tunnel messages for the untrusted side to transmit. A
-  /// batch of one through the egress batch body.
-  Result<EgressResult> ecall_process_egress(net::Packet packet);
-  /// One ecall: open, Click (unless the peer's QoS flag says it was
-  /// already processed), deliver. A batch of one through the ingress
-  /// batch body; fails when the body drops the frame.
-  Result<IngressResult> ecall_process_ingress(ByteView wire);
-
-  // ---- Batched data path (one ecall per burst) -------------------------
-  /// Pushes a whole burst through the middlebox functions with one
-  /// enclave transition and one virtual call per element, sealing the
-  /// accepted packets into `out`. Input packet buffers are recycled
-  /// into packet_pool(); `out`'s frame buffers are reused across calls,
-  /// so the steady-state egress burst performs no heap allocation.
+  // ---- Data path (the 4 steps of Fig 3, one ecall per burst) ----------
+  /// Egress: copy in 1, Click 2, verdict 3, seal 4 for a whole burst,
+  /// with one enclave transition and one virtual call per element,
+  /// sealing the accepted packets into `out`. Input packet buffers are
+  /// recycled into packet_pool(); `out`'s frame buffers are reused
+  /// across calls, so the steady-state egress burst performs no heap
+  /// allocation.
   Status ecall_process_egress_batch(click::PacketBatch&& batch, EgressBatch& out);
-  /// Opens a burst of data frames, runs Click once over the completed
-  /// packets and returns the accepted ones (backed by pool buffers).
+  /// Ingress: opens a burst of data frames, runs Click once over the
+  /// completed packets (except those the peer's QoS flag says were
+  /// already processed) and returns the accepted ones (backed by pool
+  /// buffers).
   /// A frame that fails to open or parse is dropped alone: its buffers
   /// return to the pool, it counts in `out.dropped`, and the rest of
   /// the burst goes on. Fails only when the tunnel is down, the burst
@@ -227,10 +206,6 @@ class EndBoxEnclave : public sgx::Enclave {
     net::PacketPool pool;
     ShardRig() : registry(elements::make_endbox_registry(context)) {}
   };
-  /// The egress batch ecall's body (callers hold the EcallGuard).
-  Status process_egress_burst(click::PacketBatch&& batch, EgressBatch& out);
-  /// The ingress batch ecall's body (callers hold the EcallGuard).
-  Status process_ingress_burst(std::span<const Bytes> wires, IngressBatch& out);
   /// Runs a whole burst through the lanes with one virtual call per
   /// element per lane; accepted packets land in the rigs' `accepted`
   /// lists (consume them in lane order), rejected buffers return to

@@ -1,10 +1,9 @@
-// Host: a named machine with a CPU account, matching the evaluation
-// cluster's two machine classes (section V-B). Single-threaded
+// Host: a named machine of one of the evaluation cluster's two machine
+// classes (section V-B), with that class's clock rate. Single-threaded
 // processes on it (an OpenVPN client, vanilla Click) take a one-core
 // slice; nothing charges a process on several cores at once.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "sim/cpu.hpp"
@@ -23,8 +22,6 @@ class Host {
 
   const std::string& name() const { return name_; }
   MachineClass machine_class() const { return machine_class_; }
-  sim::CpuAccount& cpu() { return cpu_; }
-  const sim::CpuAccount& cpu() const { return cpu_; }
 
   /// A single-core slice of this host, for single-threaded processes
   /// (OpenVPN, vanilla Click) that cannot use all cores.
@@ -33,7 +30,7 @@ class Host {
  private:
   std::string name_;
   MachineClass machine_class_;
-  sim::CpuAccount cpu_;
+  double hz_;
 };
 
 }  // namespace endbox::netsim

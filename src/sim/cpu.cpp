@@ -21,14 +21,7 @@ Time MultiCoreAccount::charge(Time now, double cycles) {
   Time service = static_cast<Time>(cycles_to_ns(cycles));
   *it = start + service;
   busy_core_ns_ += static_cast<double>(service);
-  ++charges_;
   return *it;
-}
-
-Time MultiCoreAccount::peek_completion(Time now, double cycles) const {
-  Time earliest = *std::min_element(core_free_at_.begin(), core_free_at_.end());
-  Time start = std::max(now, earliest);
-  return start + static_cast<Time>(cycles_to_ns(cycles));
 }
 
 double MultiCoreAccount::utilisation(Time start, Time end) const {
@@ -36,12 +29,6 @@ double MultiCoreAccount::utilisation(Time start, Time end) const {
   double window_core_ns =
       static_cast<double>(end - start) * static_cast<double>(core_free_at_.size());
   return std::min(1.0, busy_core_ns_ / window_core_ns);
-}
-
-void MultiCoreAccount::reset() {
-  std::fill(core_free_at_.begin(), core_free_at_.end(), 0);
-  busy_core_ns_ = 0;
-  charges_ = 0;
 }
 
 }  // namespace endbox::sim

@@ -29,8 +29,8 @@ namespace endbox::sim {
 
 struct PerfModel {
   // ---- Hardware (paper section V-B) --------------------------------
-  // Class A: SGX-capable 4-core Xeon v5, hyper-threaded => 8 logical.
-  unsigned client_cores = 8;
+  // Class A: SGX-capable 4-core Xeon v5. Each client is one
+  // single-threaded OpenVPN process, so only the clock rate matters.
   double client_hz = 3.5e9;
   // Class B: 4-core Xeon v2, hyper-threaded => 8 logical, older/slower.
   unsigned server_cores = 8;

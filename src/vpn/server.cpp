@@ -16,7 +16,6 @@ constexpr std::size_t kHandshakeDedupeCapacity = 4096;
 void clear_results(VpnServer::OpenBatch& batch) {
   batch.complete = batch.pending = batch.rejected = 0;
   batch.packet_count = 0;
-  batch.opened_sessions.clear();
 }
 }  // namespace
 
@@ -139,8 +138,29 @@ Result<VpnServer::Event> VpnServer::handle(ByteView wire, sim::Time now) {
     case MsgType::HandshakeInit: return handle_handshake(*msg, now);
     case MsgType::HandshakeReply: return err("unexpected handshake reply at server");
     case MsgType::Data:
-    case MsgType::DataIntegrityOnly: return handle_data(*msg, now);
+    case MsgType::DataIntegrityOnly: break;
     case MsgType::Ping: return handle_ping(*msg, now);
+  }
+  std::uint32_t session_id = msg->session_id;
+  SessionShard& shard = shard_of(session_id);
+  shard.scratch.packet_count = 0;
+  switch (open_frame_on_shard(shard, wire, 0, now)) {
+    case Opened::Complete: {
+      // A copy, not a move: the slot keeps its buffer, which the lane's
+      // next frame recycles into the pool.
+      const BatchPacket& slot = shard.scratch.packets[0];
+      return Event{PacketIn{session_id, slot.ip_packet, slot.was_encrypted}};
+    }
+    case Opened::Pending: return Event{FragmentPending{session_id}};
+    case Opened::UnknownSession: return err("unknown session");
+    case Opened::IntegrityRefused:
+      return err("integrity-only mode not allowed by server policy");
+    case Opened::StaleConfig:
+      return err("stale middlebox configuration (have v" +
+                 std::to_string(session_config_version(session_id)) + ", need v" +
+                 std::to_string(config_version_) + ")");
+    case Opened::AuthFailed: return err("data frame failed authentication");
+    case Opened::Replayed: return err("replayed packet");
   }
   return err("unreachable");
 }
@@ -250,49 +270,6 @@ Result<VpnServer::Event> VpnServer::handle_handshake(const WireMessage& msg,
   }
 }
 
-Result<VpnServer::Event> VpnServer::handle_data(const WireMessage& msg,
-                                                sim::Time now) {
-  SessionTable::Entry* entry = find_session_entry(msg.session_id);
-  if (!entry) return err("unknown session");
-  Session* session = &entry->value;
-  SessionShard& shard = shard_of(msg.session_id);
-
-  bool encrypted = msg.type == MsgType::Data;
-  if (!encrypted && !config_.allow_integrity_only) {
-    ++shard.auth_failures;
-    return err("integrity-only mode not allowed by server policy");
-  }
-
-  // Configuration freshness (section III-E): after the grace period,
-  // only clients running the current configuration may send traffic.
-  if (session->config_version < config_version_ && grace_active_ &&
-      now >= grace_deadline_) {
-    ++shard.stale_config_drops;
-    return err("stale middlebox configuration (have v" +
-               std::to_string(session->config_version) + ", need v" +
-               std::to_string(config_version_) + ")");
-  }
-
-  auto opened = encrypted ? open_data_body(session->keys, msg.body)
-                          : open_integrity_body(session->keys, msg.body);
-  if (!opened.ok()) {
-    ++shard.auth_failures;
-    return err(opened.error());
-  }
-  if (!session->replay.accept(opened->frag.packet_id)) {
-    ++shard.replays_rejected;
-    return err("replayed packet");
-  }
-  // Only authenticated, replay-fresh traffic refreshes the idle timer
-  // (and lifts the mid-handshake eviction shield).
-  shard.sessions.touch(*entry, now);
-  shard.sessions.unpin(*entry);
-  auto whole =
-      session->reassembler.add(opened->frag, std::move(opened->payload), now);
-  if (!whole) return Event{FragmentPending{msg.session_id}};
-  return Event{PacketIn{msg.session_id, std::move(*whole), encrypted}};
-}
-
 Result<VpnServer::Event> VpnServer::handle_ping(const WireMessage& msg,
                                                 sim::Time now) {
   SessionTable::Entry* entry = find_session_entry(msg.session_id);
@@ -314,20 +291,15 @@ Result<VpnServer::Event> VpnServer::handle_ping(const WireMessage& msg,
 
 std::size_t VpnServer::seal_fragments(std::uint32_t session_id, Session& session,
                                       ByteView ip_packet,
-                                      std::vector<Bytes>& frames, std::size_t at,
-                                      bool may_grow) {
+                                      std::vector<Bytes>& frames, std::size_t at) {
   std::size_t count = for_each_fragment(
       ip_packet, config_.mtu, session.next_packet_id, session.next_frag_id++,
       [&](const FragmentHeader& frag, ByteView slice) {
         seal_data_body(session.keys, frag, slice, session.iv_rng,
                        session.seal_scratch);
         prepend_wire_header(session.seal_scratch, MsgType::Data, session_id);
-        std::size_t slot = at + frag.index;
-        // Workers write into pre-sized disjoint slot ranges; only the
-        // single-threaded callers may grow the vector.
-        if (may_grow && frames.size() <= slot) frames.emplace_back();
-        frames[slot].assign(session.seal_scratch.view().begin(),
-                            session.seal_scratch.view().end());
+        frames[at + frag.index].assign(session.seal_scratch.view().begin(),
+                                       session.seal_scratch.view().end());
       });
   return at + count;
 }
@@ -338,36 +310,35 @@ std::size_t VpnServer::seal_packet_wire_at(std::uint32_t session_id,
                                            std::size_t at) {
   Session* session = find_session(session_id);
   if (!session) throw std::logic_error("VpnServer: unknown session");
-  return seal_fragments(session_id, *session, ip_packet, frames, at,
-                        /*may_grow=*/true);
+  std::size_t end = at + fragment_count(ip_packet.size(), config_.mtu);
+  if (frames.size() < end) frames.resize(end);
+  return seal_fragments(session_id, *session, ip_packet, frames, at);
 }
 
-void VpnServer::open_frame_on_shard(SessionShard& shard, const Bytes& wire,
-                                    std::uint32_t idx, sim::Time now) {
-  OpenBatch& out = shard.scratch;
+VpnServer::Opened VpnServer::open_frame_on_shard(SessionShard& shard,
+                                                 ByteView wire,
+                                                 std::uint32_t idx,
+                                                 sim::Time now) {
   auto type = static_cast<MsgType>(wire[0]);
   std::uint32_t session_id = get_u32(wire.data() + 1);
   // Dispatch never looked the session up — the lane owns the table,
   // so the unknown-session reject lives here. (Sessions never leave
   // mid-burst: expiry runs on the caller before dispatch.)
   SessionTable::Entry* found = shard.sessions.find(session_id);
-  if (!found) {
-    ++out.rejected;
-    return;
-  }
+  if (!found) return Opened::UnknownSession;
   SessionTable::Entry& entry = *found;
   Session& session = entry.value;
   bool encrypted = type == MsgType::Data;
   if (!encrypted && !config_.allow_integrity_only) {
     ++shard.auth_failures;
-    ++out.rejected;
-    return;
+    return Opened::IntegrityRefused;
   }
+  // Configuration freshness (section III-E): after the grace period,
+  // only clients running the current configuration may send traffic.
   if (session.config_version < config_version_ && grace_active_ &&
       now >= grace_deadline_) {
     ++shard.stale_config_drops;
-    ++out.rejected;
-    return;
+    return Opened::StaleConfig;
   }
   Bytes body = shard.pool.acquire_bytes();
   body.assign(wire.begin() + kWireHeaderSize, wire.end());
@@ -378,14 +349,12 @@ void VpnServer::open_frame_on_shard(SessionShard& shard, const Bytes& wire,
     // success), so the pooled buffer survives a bad-frame flood.
     shard.pool.release_bytes(std::move(body));
     ++shard.auth_failures;
-    ++out.rejected;
-    return;
+    return Opened::AuthFailed;
   }
   if (!session.replay.accept(opened->frag.packet_id)) {
     shard.pool.release_bytes(std::move(opened->payload));
     ++shard.replays_rejected;
-    ++out.rejected;
-    return;
+    return Opened::Replayed;
   }
   // Touch = one relaxed timestamp store, so shard workers refresh
   // idle timers without ever taking the wheel (lazy reschedule).
@@ -393,14 +362,10 @@ void VpnServer::open_frame_on_shard(SessionShard& shard, const Bytes& wire,
   // lifts the mid-handshake eviction shield.
   shard.sessions.touch(entry, now);
   shard.sessions.unpin(entry);
-  out.opened_sessions.push_back(session_id);
   auto whole =
       session.reassembler.add(opened->frag, std::move(opened->payload), now);
-  if (!whole) {
-    ++out.pending;
-    return;
-  }
-  ++out.complete;
+  if (!whole) return Opened::Pending;
+  OpenBatch& out = shard.scratch;
   if (out.packets.size() <= out.packet_count) out.packets.emplace_back();
   BatchPacket& slot = out.packets[out.packet_count++];
   slot.session_id = session_id;
@@ -410,10 +375,10 @@ void VpnServer::open_frame_on_shard(SessionShard& shard, const Bytes& wire,
   // where the next frame's body scratch picks it up.
   shard.pool.release_bytes(std::move(slot.ip_packet));
   slot.ip_packet = std::move(*whole);
+  return Opened::Complete;
 }
 
-std::uint32_t VpnServer::dispatch_frames(std::span<const Bytes> wires,
-                                         std::size_t only) {
+std::uint32_t VpnServer::dispatch_frames(std::span<const Bytes> wires) {
   for (auto& shard : shards_) {
     shard->lane.clear();
     clear_results(shard->scratch);
@@ -427,9 +392,7 @@ std::uint32_t VpnServer::dispatch_frames(std::span<const Bytes> wires,
       ++malformed;
       continue;
     }
-    std::size_t s = shard_of_session(get_u32(wire.data() + 1));
-    if (only >= shards_.size() || s == only)
-      shards_[s]->lane.push_back(static_cast<std::uint32_t>(i));
+    shard_of(get_u32(wire.data() + 1)).lane.push_back(static_cast<std::uint32_t>(i));
   }
   note_lane_peaks();
   return malformed;
@@ -442,7 +405,14 @@ void VpnServer::note_lane_peaks() {
 
 void VpnServer::open_lane_frames(SessionShard& shard,
                                  std::span<const Bytes> wires, sim::Time now) {
-  for (std::uint32_t idx : shard.lane) open_frame_on_shard(shard, wires[idx], idx, now);
+  OpenBatch& out = shard.scratch;
+  for (std::uint32_t idx : shard.lane) {
+    switch (open_frame_on_shard(shard, wires[idx], idx, now)) {
+      case Opened::Complete: ++out.complete; break;
+      case Opened::Pending: ++out.pending; break;
+      default: ++out.rejected; break;
+    }
+  }
 }
 
 void VpnServer::collect_lane(SessionShard& shard, OpenBatch& out) {
@@ -450,9 +420,6 @@ void VpnServer::collect_lane(SessionShard& shard, OpenBatch& out) {
   out.complete += scratch.complete;
   out.pending += scratch.pending;
   out.rejected += scratch.rejected;
-  out.opened_sessions.insert(out.opened_sessions.end(),
-                             scratch.opened_sessions.begin(),
-                             scratch.opened_sessions.end());
   for (std::size_t k = 0; k < scratch.packet_count; ++k) {
     BatchPacket& src = scratch.packets[k];
     if (out.packets.size() <= out.packet_count) out.packets.emplace_back();
@@ -491,7 +458,7 @@ void VpnServer::open_batch(std::span<const Bytes> wires, sim::Time now,
                            OpenBatch& out) {
   expire_idle_sessions(now);  // on the caller, before dispatch pins lanes
   clear_results(out);
-  out.rejected += dispatch_frames(wires, shards_.size());
+  out.rejected += dispatch_frames(wires);
   // A single-lane server never touches a lock: its one busy lane runs
   // inline on the caller.
   click::ShardWorkerPool::run_busy(
@@ -506,27 +473,17 @@ void VpnServer::open_batch(std::span<const Bytes> wires, sim::Time now,
   rebalance_lane_pools();
 }
 
-void VpnServer::open_batch_lane(std::size_t lane, std::span<const Bytes> wires,
-                                sim::Time now, OpenBatch& out) {
-  clear_results(out);
-  SessionShard& target = *shards_.at(lane);
-  // The full lane dispatch runs (every frame is size-checked and
-  // hashed — that cost is real and serial), but only this lane's
-  // frames are listed; timing this per lane and taking the max is the
-  // pipeline's honest critical path.
-  dispatch_frames(wires, lane);
-  open_lane_frames(target, wires, now);
-  collect_lane(target, out);
+void VpnServer::seal_lane_jobs(SessionShard& shard, std::span<const SealJob> jobs,
+                               std::vector<Bytes>& frames) {
+  for (std::uint32_t j : shard.lane) {
+    Session& session = shard.sessions.find(jobs[j].session_id)->value;
+    seal_fragments(jobs[j].session_id, session, jobs[j].ip_packet, frames,
+                   seal_bases_[j]);
+  }
 }
 
-void VpnServer::reset_replay_windows() {
-  for (auto& shard : shards_)
-    shard->sessions.for_each(
-        [](std::uint32_t, Session& session) { session.replay = ReplayWindow{}; });
-}
-
-std::size_t VpnServer::stage_seal_jobs(std::span<const SealJob> jobs,
-                                       std::vector<Bytes>& frames) {
+std::size_t VpnServer::seal_jobs(std::span<const SealJob> jobs,
+                                 std::vector<Bytes>& frames) {
   for (auto& shard : shards_) shard->lane.clear();
   seal_bases_.resize(jobs.size());
   std::size_t total = 0;
@@ -541,21 +498,6 @@ std::size_t VpnServer::stage_seal_jobs(std::span<const SealJob> jobs,
   // Size the output once, up front: every job's slot range is disjoint,
   // so lane workers write without ever touching the vector itself.
   if (frames.size() < total) frames.resize(total);
-  return total;
-}
-
-void VpnServer::seal_lane_jobs(SessionShard& shard, std::span<const SealJob> jobs,
-                               std::vector<Bytes>& frames) {
-  for (std::uint32_t j : shard.lane) {
-    Session& session = shard.sessions.find(jobs[j].session_id)->value;
-    seal_fragments(jobs[j].session_id, session, jobs[j].ip_packet, frames,
-                   seal_bases_[j], /*may_grow=*/false);
-  }
-}
-
-std::size_t VpnServer::seal_jobs(std::span<const SealJob> jobs,
-                                 std::vector<Bytes>& frames) {
-  std::size_t total = stage_seal_jobs(jobs, frames);
   // Each lane drains its list run-to-completion; output slots are
   // disjoint and precomputed, so the frames are byte-identical at any
   // lane count.
@@ -563,14 +505,6 @@ std::size_t VpnServer::seal_jobs(std::span<const SealJob> jobs,
       pool_.get(), shards_.size(),
       [&](std::size_t s) { return !shards_[s]->lane.empty(); },
       [&](std::size_t s) { seal_lane_jobs(*shards_[s], jobs, frames); });
-  return total;
-}
-
-std::size_t VpnServer::seal_jobs_lane(std::size_t lane,
-                                      std::span<const SealJob> jobs,
-                                      std::vector<Bytes>& frames) {
-  std::size_t total = stage_seal_jobs(jobs, frames);
-  seal_lane_jobs(*shards_.at(lane), jobs, frames);
   return total;
 }
 

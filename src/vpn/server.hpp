@@ -23,10 +23,12 @@
 // reshard_sessions() changes the lane count at runtime without losing
 // replay windows or pending fragment groups.
 //
-// Sealing has two entry points: seal_packet_wire_at for one session
-// and seal_jobs for a burst. The per-frame handle() stays as the
-// control-channel entry (handshakes, pings) and is the gateway oracle
-// the batched open path is tested against.
+// Each direction has one lane body. Opening: open_batch runs it on
+// every lane; the per-frame handle(), which also takes the control
+// channel (handshakes, pings), runs it on the session's lane and copies
+// the completed packet out. Sealing: seal_jobs runs it per lane and
+// seal_packet_wire_at for one session; both size their output up front.
+// The gateway oracle is a model in tests/oracle/gateway.hpp.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +116,8 @@ class VpnServer {
   /// CA key in a real deployment).
   const crypto::RsaPublicKey& public_key() const { return key_.pub; }
 
-  /// Processes one wire message arriving at time `now`. Errors cover
+  /// Processes one wire message arriving at time `now`. A data frame
+  /// runs open_batch's lane body on its session's lane. Errors cover
   /// every rejection: bad certificate, bad MAC, replay, unknown
   /// session, stale configuration after grace expiry, version floor.
   Result<Event> handle(ByteView wire, sim::Time now);
@@ -146,13 +149,6 @@ class VpnServer {
     std::uint32_t rejected = 0;    ///< malformed/auth/replay/stale/unknown
     std::size_t packet_count = 0;  ///< valid prefix of `packets`
     std::vector<BatchPacket> packets;
-    /// One entry per frame that opened successfully this burst — MAC
-    /// verified and replay-fresh, whether it completed a packet or
-    /// left a fragment group pending (so session ids repeat). Unlike
-    /// `packets`, the order is per-shard concatenation, NOT arrival
-    /// order: this is a membership multiset (which sessions did real
-    /// work vs pure garbage), not a sequence.
-    std::vector<std::uint32_t> opened_sessions;
   };
 
   /// Opens a burst of data frames on the run-to-completion lane
@@ -172,20 +168,6 @@ class VpnServer {
   /// (ping/handshake) are rejected here; they belong on handle().
   void open_batch(std::span<const Bytes> wires, sim::Time now, OpenBatch& out);
 
-  /// Bench/test hook for the lane pipeline: runs the same lane
-  /// dispatch over `wires` but lists (and then drains,
-  /// run-to-completion, inline on the caller) only the frames whose
-  /// session is pinned to `lane` — so timing this per lane and taking
-  /// the max measures the pipeline's real critical path, dispatch
-  /// included. Unknown-session frames pinned to the lane reject (the
-  /// lane semantics); frames of other lanes are skipped silently.
-  void open_batch_lane(std::size_t lane, std::span<const Bytes> wires,
-                       sim::Time now, OpenBatch& out);
-
-  /// Bench/test hook: forgets all replay history so an identical
-  /// pre-sealed burst can be opened repeatedly for timing.
-  void reset_replay_windows();
-
   /// One downlink packet of a multi-session seal burst.
   struct SealJob {
     std::uint32_t session_id = 0;
@@ -202,14 +184,6 @@ class VpnServer {
   /// unknown sessions (validated on the caller before any lane
   /// starts, as the disjoint-slot computation requires).
   std::size_t seal_jobs(std::span<const SealJob> jobs, std::vector<Bytes>& frames);
-
-  /// Bench/test hook, the seal half of open_batch_lane: seals only the
-  /// jobs pinned to `lane`, inline on the caller, into their
-  /// precomputed slots of `frames` (which is sized for the whole
-  /// burst). Returns the total frame count of the burst, like
-  /// seal_jobs.
-  std::size_t seal_jobs_lane(std::size_t lane, std::span<const SealJob> jobs,
-                             std::vector<Bytes>& frames);
 
   // ---- Session sharding ----------------------------------------------
   std::size_t session_shard_count() const { return shards_.size(); }
@@ -389,7 +363,6 @@ class VpnServer {
   }
 
   Result<Event> handle_handshake(const WireMessage& msg, sim::Time now);
-  Result<Event> handle_data(const WireMessage& msg, sim::Time now);
   Result<Event> handle_ping(const WireMessage& msg, sim::Time now);
   Session* find_session(std::uint32_t id);
   SessionTable::Entry* find_session_entry(std::uint32_t id);
@@ -412,17 +385,28 @@ class VpnServer {
   /// (Re)creates the worker pool for the current shard count, reusing
   /// it when the count shrank (ShardWorkerPool hand-off protocol).
   void ensure_worker_pool();
-  /// Opens wires[idx] on its lane, end to end: session lookup (unknown
-  /// sessions reject here — lane dispatch never looks them up), policy,
-  /// decrypt, replay, reassembly, emit.
-  void open_frame_on_shard(SessionShard& shard, const Bytes& wire,
-                           std::uint32_t idx, sim::Time now);
-  /// Lane dispatch for open_batch / open_batch_lane, the pipeline's
-  /// only serial section: size/type check, RSS hash, index append —
-  /// no session lookup. Lists the frames of lane `only` (every lane
-  /// when `only` is past the last lane), records lane peaks and
-  /// returns the count of malformed or non-data frames.
-  std::uint32_t dispatch_frames(std::span<const Bytes> wires, std::size_t only);
+  /// What the lane body did with one data frame. handle() turns a
+  /// refusal into its error text; open_batch counts it as rejected.
+  enum class Opened : std::uint8_t {
+    Complete,          ///< packet in shard.scratch.packets[packet_count - 1]
+    Pending,           ///< fragment group still waiting
+    UnknownSession,
+    IntegrityRefused,  ///< integrity-only frame, not allowed by policy
+    StaleConfig,
+    AuthFailed,        ///< malformed body or MAC failure
+    Replayed,
+  };
+  /// The lane body: opens one data frame on its session's lane, end to
+  /// end — session lookup (unknown sessions reject here; lane dispatch
+  /// never looks them up), policy, freshness, decrypt, replay,
+  /// reassembly, emit into the lane's scratch slot `idx` tags.
+  Opened open_frame_on_shard(SessionShard& shard, ByteView wire,
+                             std::uint32_t idx, sim::Time now);
+  /// Lane dispatch for open_batch, the pipeline's only serial section:
+  /// size/type check, RSS hash, index append — no session lookup.
+  /// Records lane peaks and returns the count of malformed or non-data
+  /// frames.
+  std::uint32_t dispatch_frames(std::span<const Bytes> wires);
   /// Records each lane's list size as a candidate backlog peak.
   void note_lane_peaks();
   /// Drains `shard`'s index list run-to-completion (the lane worker
@@ -439,17 +423,11 @@ class VpnServer {
   /// pool, so a hot lane adopts circulating buffers instead of
   /// allocating silently forever (runs single-threaded between bursts).
   void rebalance_lane_pools();
-  /// Seals one packet's fragments for `session` into frames[at..]; when
-  /// `may_grow` is false the caller pre-sized `frames` and slots are
-  /// written without touching the vector itself (worker-safe).
+  /// Seals one packet's fragments for `session` into the pre-sized
+  /// slots frames[at..], never touching the vector itself (worker-safe).
   std::size_t seal_fragments(std::uint32_t session_id, Session& session,
                              ByteView ip_packet, std::vector<Bytes>& frames,
-                             std::size_t at, bool may_grow);
-  /// Dispatches `jobs` (validating sessions, computing slot ranges and
-  /// appending each job to its lane's list) and returns the total frame
-  /// count; seal_bases_ receives each job's first output slot.
-  std::size_t stage_seal_jobs(std::span<const SealJob> jobs,
-                              std::vector<Bytes>& frames);
+                             std::size_t at);
 
   /// One cached handshake reply: answers retransmitted/duplicated
   /// inits idempotently. The nonce disambiguates hash collisions.

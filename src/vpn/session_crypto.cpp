@@ -139,14 +139,6 @@ Result<OpenedBody> open_integrity_body(const SessionKeys& keys, Bytes&& body) {
   return opened;
 }
 
-Result<OpenedBody> open_data_body(const SessionKeys& keys, ByteView body) {
-  return open_data_body(keys, Bytes(body.begin(), body.end()));
-}
-
-Result<OpenedBody> open_integrity_body(const SessionKeys& keys, ByteView body) {
-  return open_integrity_body(keys, Bytes(body.begin(), body.end()));
-}
-
 void seal_ping_body(const SessionKeys& keys, const PingInfo& info,
                     WireBuffer& out) {
   out.reset(kSealHeadroom);

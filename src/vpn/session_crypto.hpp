@@ -9,8 +9,10 @@
 // The seal/open fast path is allocation-free in steady state: sealing
 // writes into a caller-provided reusable WireBuffer (payload encrypted
 // in place, headers prepended into headroom, MAC computed incrementally
-// from the session's precomputed HMAC state), and opening by rvalue
-// decrypts in place and hands the payload back inside the same buffer.
+// from the session's precomputed HMAC state), and opening consumes the
+// body, decrypts in place and hands the payload back inside the same
+// buffer. Callers that hold only a view copy it into a (pooled) buffer
+// first, as both tunnel endpoints do.
 #pragma once
 
 #include <optional>
@@ -78,11 +80,6 @@ Result<OpenedBody> open_data_body(const SessionKeys& keys, Bytes&& body);
 /// Verifies a DataIntegrityOnly body, consuming `body` (payload moved
 /// out of the authenticated prefix, no copy).
 Result<OpenedBody> open_integrity_body(const SessionKeys& keys, Bytes&& body);
-
-/// Copying variants for callers that only hold a view (the per-frame
-/// VpnServer::handle() path).
-Result<OpenedBody> open_data_body(const SessionKeys& keys, ByteView body);
-Result<OpenedBody> open_integrity_body(const SessionKeys& keys, ByteView body);
 
 /// Prepends the wire header ([type][session_id]) into the headroom a
 /// seal left in `out`, so `out.view()` is a complete frame without

@@ -132,8 +132,13 @@ TEST_F(EnclaveFixture, DataPathGuardsWhenNotConnected) {
   sgx::SgxPlatform platform("c1", world.rng, world.clock);
   EndBoxEnclave enclave(platform, sgx::SgxMode::Hardware,
                         world.authority.public_key(), world.rng);
-  EXPECT_FALSE(enclave.ecall_process_egress(world.benign_packet()).ok());
-  EXPECT_FALSE(enclave.ecall_process_ingress(Bytes(32, 0)).ok());
+  click::PacketBatch batch;
+  batch.push_back(world.benign_packet());
+  EgressBatch egress;
+  EXPECT_FALSE(enclave.ecall_process_egress_batch(std::move(batch), egress).ok());
+  Bytes frame(32, 0);
+  IngressBatch ingress;
+  EXPECT_FALSE(enclave.ecall_process_ingress_batch({&frame, 1}, ingress).ok());
   Bytes ping;
   EXPECT_FALSE(enclave.ecall_create_ping_wire(ping).ok());
   EXPECT_FALSE(enclave.ecall_handle_ping(Bytes(32, 0)).ok());
@@ -142,9 +147,14 @@ TEST_F(EnclaveFixture, DataPathGuardsWhenNotConnected) {
 TEST_F(EnclaveFixture, PingOnDataPathRejected) {
   auto& client = world.add_client(bundle);
   // A ping message fed into the data-ingress ecall is refused (strict
-  // interface separation, section IV-B).
+  // interface separation, section IV-B): the burst drops it, and the
+  // client's per-packet path reports the drop.
   Bytes ping = world.server.create_ping(1);
-  EXPECT_FALSE(client.enclave().ecall_process_ingress(ping).ok());
+  IngressBatch out;
+  ASSERT_TRUE(client.enclave().ecall_process_ingress_batch({&ping, 1}, out).ok());
+  EXPECT_EQ(out.dropped, 1u);
+  EXPECT_EQ(out.complete, 0u);
+  EXPECT_FALSE(client.receive_wire(ping, world.clock.now()).ok());
 }
 
 TEST_F(EnclaveFixture, DecryptedPayloadNeverLeavesEnclave) {

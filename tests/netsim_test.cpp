@@ -85,12 +85,13 @@ TEST(Path, EmptyPathIsZeroCost) {
 
 TEST(Host, MachineClassesDifferInCpu) {
   sim::PerfModel model;
-  model.client_cores = 8;
-  model.server_cores = 4;
+  model.client_hz = 3.0e9;
+  model.server_hz = 2.0e9;
   Host client("c", MachineClass::A, model);
   Host server("s", MachineClass::B, model);
-  EXPECT_EQ(client.cpu().cores(), 8u);
-  EXPECT_EQ(server.cpu().cores(), 4u);
+  EXPECT_EQ(client.make_single_core().hz(), 3.0e9);
+  EXPECT_EQ(server.make_single_core().hz(), 2.0e9);
+  EXPECT_EQ(client.machine_class(), MachineClass::A);
   EXPECT_EQ(client.name(), "c");
 }
 
@@ -99,7 +100,7 @@ TEST(Host, SingleCoreSliceForSingleThreadedProcesses) {
   Host host("h", MachineClass::A, model);
   auto core = host.make_single_core();
   EXPECT_EQ(core.cores(), 1u);
-  EXPECT_EQ(core.hz(), host.cpu().hz());
+  EXPECT_EQ(core.hz(), model.client_hz);
 }
 
 TEST(Link, CountsBytes) {

@@ -710,8 +710,8 @@ TEST_F(EnclaveLoopFixture, SteadyStatePingPathDoesNotAllocate) {
 }
 
 TEST_F(EnclaveLoopFixture, BatchVerdictsMatchPerPacketPath) {
-  // Same traffic mix through ecall_process_egress and the batch ecall:
-  // identical accept/reject counts and identical sealed frame count.
+  // Same traffic mix through the egress ecall as bursts of one and as
+  // one burst: identical accept/reject counts and sealed frame count.
   auto& enclave = client->enclave();
   auto make_packet = [&](std::size_t k) {
     net::Packet packet = world.benign_packet(64 + 16 * k);
@@ -721,14 +721,14 @@ TEST_F(EnclaveLoopFixture, BatchVerdictsMatchPerPacketPath) {
   std::uint32_t single_accepted = 0, single_rejected = 0;
   std::size_t single_frames = 0;
   for (std::size_t k = 0; k < 30; ++k) {
-    auto egress = enclave.ecall_process_egress(make_packet(k));
-    ASSERT_TRUE(egress.ok()) << egress.error();
-    if (egress->accepted) {
-      ++single_accepted;
-      single_frames += egress->wire.size();
-    } else {
-      ++single_rejected;
-    }
+    click::PacketBatch one;
+    one.push_back(make_packet(k));
+    EgressBatch egress;
+    auto status = enclave.ecall_process_egress_batch(std::move(one), egress);
+    ASSERT_TRUE(status.ok()) << status.error();
+    single_accepted += egress.accepted;
+    single_rejected += egress.rejected;
+    single_frames += egress.frame_count;
   }
 
   click::PacketBatch batch;

@@ -131,8 +131,8 @@ TEST_P(VpnBodySweep, SealOpenRoundTripAndTamperDetection) {
   else
     vpn::seal_integrity_body(keys, frag, payload, sealed);
   Bytes body = sealed.take();
-  auto opened = encrypted ? vpn::open_data_body(keys, body)
-                          : vpn::open_integrity_body(keys, body);
+  auto opened = encrypted ? vpn::open_data_body(keys, Bytes(body))
+                          : vpn::open_integrity_body(keys, Bytes(body));
   ASSERT_TRUE(opened.ok()) << opened.error();
   EXPECT_EQ(opened->payload, payload);
   EXPECT_EQ(opened->frag.packet_id, 7u);
@@ -141,8 +141,8 @@ TEST_P(VpnBodySweep, SealOpenRoundTripAndTamperDetection) {
   for (std::size_t pos : {std::size_t{0}, body.size() / 2, body.size() - 1}) {
     Bytes bad = body;
     bad[pos] ^= 0x01;
-    auto r = encrypted ? vpn::open_data_body(keys, bad)
-                       : vpn::open_integrity_body(keys, bad);
+    auto r = encrypted ? vpn::open_data_body(keys, std::move(bad))
+                       : vpn::open_integrity_body(keys, std::move(bad));
     EXPECT_FALSE(r.ok()) << "flip at " << pos;
   }
 }
@@ -410,7 +410,7 @@ TEST_P(SealEquivalenceSweep, WireBufferSealIsByteIdenticalToReference) {
   ASSERT_TRUE(ref_opened.ok()) << ref_opened.error();
   EXPECT_EQ(ref_opened->payload, payload);
   EXPECT_EQ(ref_opened->frag.packet_id, frag.packet_id);
-  auto new_opened = vpn::open_data_body(keys, ByteView(ref));
+  auto new_opened = vpn::open_data_body(keys, Bytes(ref));
   ASSERT_TRUE(new_opened.ok()) << new_opened.error();
   EXPECT_EQ(new_opened->payload, payload);
   EXPECT_EQ(new_opened->frag.frag_id, frag.frag_id);
@@ -420,7 +420,7 @@ TEST_P(SealEquivalenceSweep, WireBufferSealIsByteIdenticalToReference) {
   vpn::seal_integrity_body(keys, frag, payload, integ);
   Bytes integ_ref = vpn::reference::seal_integrity_body(keys, frag, payload);
   EXPECT_EQ(Bytes(integ.view().begin(), integ.view().end()), integ_ref);
-  auto integ_opened = vpn::open_integrity_body(keys, ByteView(integ_ref));
+  auto integ_opened = vpn::open_integrity_body(keys, Bytes(integ_ref));
   ASSERT_TRUE(integ_opened.ok()) << integ_opened.error();
   EXPECT_EQ(integ_opened->payload, payload);
 }

@@ -218,18 +218,21 @@ TEST(ScalabilityTest, GarbageBurstsDoNotGrowServerLedgers) {
   // A successfully opened frame whose fragment group is still pending
   // is real work: it earns the ledger entry even though no packet has
   // completed yet.
-  auto egress = world.rigs[0]->client.enclave().ecall_process_egress(
-      world.benign_packet(20000));  // 3 fragments at MTU 9000
-  ASSERT_TRUE(egress.ok());
-  ASSERT_EQ(egress->wire.size(), 3u);
+  click::PacketBatch one;
+  one.push_back(world.benign_packet(20000));  // 3 fragments at MTU 9000
+  EgressBatch egress;
+  ASSERT_TRUE(world.rigs[0]->client.enclave()
+                  .ecall_process_egress_batch(std::move(one), egress)
+                  .ok());
+  ASSERT_EQ(egress.frame_count, 3u);
   for (std::size_t f = 0; f < 2; ++f) {
-    auto partial = world.server.handle_wire(egress->wire[f], world.clock.now());
+    auto partial = world.server.handle_wire(egress.frames[f], world.clock.now());
     ASSERT_TRUE(partial.ok());
     EXPECT_TRUE(std::holds_alternative<vpn::VpnServer::FragmentPending>(partial->event));
   }
   EXPECT_EQ(world.server.sessions_with_traffic(), 0u);
   EXPECT_EQ(world.server.session_process_entries(), 1u);
-  auto rest = world.server.handle_wire(egress->wire[2], world.clock.now());
+  auto rest = world.server.handle_wire(egress.frames[2], world.clock.now());
   ASSERT_TRUE(rest.ok());
   EXPECT_TRUE(std::holds_alternative<vpn::VpnServer::PacketIn>(rest->event));
   EXPECT_EQ(world.server.sessions_with_traffic(), 1u);

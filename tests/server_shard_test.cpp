@@ -1,9 +1,10 @@
-// Server data-plane sharding suite: twin-server equivalence properties
-// (N-lane open_batch / seal_jobs byte-identical to per-frame handle()
-// and to sequential seals, tests/oracle/gateway.hpp), the per-lane
-// bench hooks, lossless reshard under load
-// (replay windows, pending fragment groups and expiry deadlines
-// migrate intact) and worker pool reuse across reshards.
+// Server data-plane sharding suite: 1-lane and N-lane open_batch and
+// the per-frame handle() checked against the gateway model
+// (tests/oracle/gateway.hpp), seal_jobs byte-identical across lane
+// counts and to sequential seals, the shared lane body's pool
+// circulation, lossless reshard under load (replay windows, pending
+// fragment groups and expiry deadlines migrate intact) and worker pool
+// reuse across reshards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "ca/authority.hpp"
@@ -95,13 +97,6 @@ void expect_batches_equal(const VpnServer::OpenBatch& a,
   EXPECT_EQ(a.complete, b.complete) << what;
   EXPECT_EQ(a.pending, b.pending) << what;
   EXPECT_EQ(a.rejected, b.rejected) << what;
-  // opened_sessions is a membership multiset (per-shard concatenation
-  // order, documented as unordered): compare sorted.
-  std::vector<std::uint32_t> opened_a = a.opened_sessions;
-  std::vector<std::uint32_t> opened_b = b.opened_sessions;
-  std::sort(opened_a.begin(), opened_a.end());
-  std::sort(opened_b.begin(), opened_b.end());
-  EXPECT_EQ(opened_a, opened_b) << what;
   ASSERT_EQ(a.packet_count, b.packet_count) << what;
   for (std::size_t i = 0; i < a.packet_count; ++i) {
     EXPECT_EQ(a.packets[i].session_id, b.packets[i].session_id) << what << " #" << i;
@@ -139,11 +134,6 @@ void expect_batches_equivalent(const VpnServer::OpenBatch& a,
   EXPECT_EQ(a.complete, b.complete) << what;
   EXPECT_EQ(a.pending, b.pending) << what;
   EXPECT_EQ(a.rejected, b.rejected) << what;
-  std::vector<std::uint32_t> opened_a = a.opened_sessions;
-  std::vector<std::uint32_t> opened_b = b.opened_sessions;
-  std::sort(opened_a.begin(), opened_a.end());
-  std::sort(opened_b.begin(), opened_b.end());
-  EXPECT_EQ(opened_a, opened_b) << what;
   ASSERT_EQ(a.packet_count, b.packet_count) << what;
   auto by_tag = [](const VpnServer::OpenBatch& batch) {
     std::vector<std::size_t> order(batch.packet_count);
@@ -164,6 +154,36 @@ void expect_batches_equivalent(const VpnServer::OpenBatch& a,
   }
   expect_per_session_order(a, what);
   expect_per_session_order(b, what);
+}
+
+/// Every frame of a burst is accounted for exactly once.
+void expect_conserved(const VpnServer::OpenBatch& batch, std::size_t frames,
+                      const char* what) {
+  EXPECT_EQ(std::size_t{batch.complete} + batch.pending + batch.rejected, frames)
+      << what;
+}
+
+/// The per-frame path: each frame through handle(), tallied like an
+/// open_batch result (burst_tag = arrival index).
+VpnServer::OpenBatch open_by_handle(VpnServer& server, std::span<const Bytes> wires,
+                                    sim::Time now) {
+  VpnServer::OpenBatch out;
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    auto event = server.handle(wires[i], now);
+    if (!event.ok()) {
+      ++out.rejected;
+    } else if (auto* in = std::get_if<VpnServer::PacketIn>(&*event)) {
+      ++out.complete;
+      out.packets.push_back({in->session_id, static_cast<std::uint32_t>(i),
+                             in->was_encrypted, std::move(in->ip_packet)});
+    } else if (std::holds_alternative<VpnServer::FragmentPending>(*event)) {
+      ++out.pending;
+    } else {
+      ++out.rejected;  // handshakes and pings are not data frames
+    }
+  }
+  out.packet_count = out.packets.size();
+  return out;
 }
 
 TEST(ServerShard, SessionsPinToShardsAndBalance) {
@@ -190,10 +210,10 @@ TEST(ServerShard, SessionsPinToShardsAndBalance) {
 
 // The gateway property: a mixed-session burst (in-order data, MTU
 // fragmentation, corrupt frames, replays, garbage, unknown sessions)
-// opens byte-identically at 1 lane, at 4 lanes, and frame by frame
-// through handle() on a twin server. One lane preserves exact arrival
-// order; four lanes surface the same packets in lane-concatenation
-// order with per-session order intact (the run-to-completion contract).
+// opens as the gateway model says it must, at 1 lane in exact arrival
+// order, at 4 lanes in lane-concatenation order with per-session order
+// intact (the run-to-completion contract), and frame by frame through
+// handle() on a twin server.
 TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
   Pki pki;
   VpnServerConfig config;
@@ -204,18 +224,22 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
   ServerRig twin(pki, 1, kSessions, 0xabc123, config);
 
   Rng gen(0x900df00d);
-  VpnServer::OpenBatch out_one, out_four, out_twin;
+  VpnServer::OpenBatch out_one, out_four;
   std::vector<Bytes> frames_one, frames_four, frames_twin;
   Bytes replay_frame_one, replay_frame_four, replay_frame_twin;
+  bool replay_frame_corrupt = false;
+  std::uint64_t auth_expected = 0, replays_expected = 0;
 
   for (int round = 0; round < 12; ++round) {
     frames_one.clear();
     frames_four.clear();
     frames_twin.clear();
+    oracle::TamperedBurst burst;
     std::size_t packets = 3 + gen.uniform(0, 8);
     for (std::size_t p = 0; p < packets; ++p) {
       std::size_t k = gen.uniform(0, kSessions - 1);
       Bytes payload = gen.bytes(gen.uniform(10, 450));  // up to 3 fragments
+      std::size_t first = frames_one.size();
       std::size_t n1 = one.clients[k].seal_packet_wire_at(
           payload, frames_one, frames_one.size());
       std::size_t n4 = four.clients[k].seal_packet_wire_at(
@@ -228,46 +252,95 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
       // precondition for comparing the servers at all.
       ASSERT_EQ(frames_one.back(), frames_four.back());
       ASSERT_EQ(frames_one.back(), frames_twin.back());
+      burst.packets.push_back(
+          {one.clients[k].session_id(), std::move(payload), first, n1 - first});
     }
     // Adversarial frames: corrupt a MAC, replay an old frame, inject
     // garbage and an unknown session id at random positions.
+    bool corrupted_first = false;
     if (round > 0) {
       std::size_t corrupt = gen.uniform(0, frames_one.size() - 1);
       frames_one[corrupt].back() ^= 0x01;
       frames_four[corrupt].back() ^= 0x01;
       frames_twin[corrupt].back() ^= 0x01;
+      burst.corrupted.push_back(corrupt);
+      corrupted_first = corrupt == 0;
       frames_one.push_back(replay_frame_one);
       frames_four.push_back(replay_frame_four);
       frames_twin.push_back(replay_frame_twin);
+      // A replay of a frame that was itself corrupted fails its MAC.
+      if (replay_frame_corrupt)
+        burst.corrupted.push_back(frames_one.size() - 1);
+      else
+        ++burst.replayed;
       Bytes junk = gen.bytes(gen.uniform(0, 40));
       frames_one.push_back(junk);
       frames_four.push_back(junk);
       frames_twin.push_back(junk);
+      ++burst.junk;
       Bytes unknown = frames_one[0];
       put_u32(unknown.data() + 1, 0xdeadbeef);
       frames_one.push_back(unknown);
       frames_four.push_back(unknown);
       frames_twin.push_back(unknown);
+      ++burst.unknown;
     }
     replay_frame_one = frames_one[0];
     replay_frame_four = frames_four[0];
     replay_frame_twin = frames_twin[0];
+    replay_frame_corrupt = corrupted_first;
 
+    oracle::GatewayVerdict expected = oracle::expected_open(burst);
+    auth_expected += expected.auth_failures;
+    replays_expected += expected.replays;
     one.server.open_batch(frames_one, 0, out_one);
     four.server.open_batch(frames_four, 0, out_four);
-    oracle::open_by_handle(twin.server, frames_twin, 0, out_twin);
+    VpnServer::OpenBatch out_twin = open_by_handle(twin.server, frames_twin, 0);
     // One lane = one FIFO list: exact arrival order.
-    expect_batches_equal(out_one, out_twin, "1-lane vs handle()");
+    expect_batches_equal(out_one, expected.batch, "1-lane vs model");
     // Four lanes: same packets, lane-concatenation order, per-session
     // order intact.
-    expect_batches_equivalent(out_four, out_twin, "4-lane vs handle()");
-    EXPECT_EQ(one.server.auth_failures(), twin.server.auth_failures());
-    EXPECT_EQ(four.server.auth_failures(), twin.server.auth_failures());
-    EXPECT_EQ(one.server.replays_rejected(), twin.server.replays_rejected());
-    EXPECT_EQ(four.server.replays_rejected(), twin.server.replays_rejected());
+    expect_batches_equivalent(out_four, expected.batch, "4-lane vs model");
+    expect_batches_equal(out_twin, expected.batch, "handle() vs model");
+    expect_conserved(out_one, frames_one.size(), "1-lane");
+    expect_conserved(out_four, frames_four.size(), "4-lane");
+    expect_conserved(out_twin, frames_twin.size(), "handle()");
+    for (const ServerRig* rig : {&one, &four, &twin}) {
+      EXPECT_EQ(rig->server.auth_failures(), auth_expected) << "round " << round;
+      EXPECT_EQ(rig->server.replays_rejected(), replays_expected) << "round " << round;
+    }
   }
   EXPECT_GT(one.server.replays_rejected(), 0u);
   EXPECT_GT(one.server.auth_failures(), 0u);
+}
+
+// handle() runs open_batch's lane body and copies each completed packet
+// out of the lane's scratch slot: the slot keeps its buffer for the
+// lane's next frame to recycle, so the lane pool neither starves nor
+// shrinks however many frames arrive one at a time.
+TEST(ServerShard, HandleKeepsTheLanePoolWhole) {
+  Pki pki;
+  constexpr std::size_t kSessions = 3;
+  ServerRig rig(pki, 1, kSessions, 0x9001);
+  Rng gen(0x9002);
+  auto handle_one = [&](std::size_t k) {
+    Bytes payload = gen.bytes(gen.uniform(20, 1200));
+    std::vector<Bytes> frames = seal_frames(rig.clients[k], payload);
+    EXPECT_EQ(frames.size(), 1u);
+    auto event = rig.server.handle(frames[0], 0);
+    ASSERT_TRUE(event.ok()) << event.error();
+    auto* in = std::get_if<VpnServer::PacketIn>(&*event);
+    ASSERT_NE(in, nullptr);
+    EXPECT_EQ(in->session_id, rig.clients[k].session_id());
+    EXPECT_EQ(in->ip_packet, payload);
+  };
+  for (std::size_t i = 0; i < 4; ++i) handle_one(i % kSessions);  // warm-up
+
+  std::uint64_t starved = rig.server.pool_starved(0);
+  std::size_t pooled = rig.server.lane_pool_buffers(0);
+  for (std::size_t i = 0; i < 36; ++i) handle_one(i % kSessions);
+  EXPECT_EQ(rig.server.pool_starved(0), starved);
+  EXPECT_EQ(rig.server.lane_pool_buffers(0), pooled);
 }
 
 TEST(ServerShard, SealJobsEquivalentAcrossShardCountsAndSequentialSeal) {
@@ -447,70 +520,6 @@ TEST(ServerShard, ReshardMigratesExpiryDeadlinesExactly) {
   }
   EXPECT_EQ(server.session_count(), 0u);
   EXPECT_EQ(server.sessions_expired(), kSessions);
-}
-
-TEST(ServerShard, OpenBatchShardHookCoversTheWholeBurst) {
-  Pki pki;
-  constexpr std::size_t kSessions = 8;
-  ServerRig rig(pki, 4, kSessions, 0x7007);
-  ServerRig twin(pki, 4, kSessions, 0x7007);
-
-  std::vector<Bytes> frames, twin_frames;
-  std::vector<VpnServer::SealJob> jobs;
-  Bytes payload = to_bytes("hook-2");
-  for (int p = 0; p < 24; ++p) {
-    std::size_t k = static_cast<std::size_t>(p) % kSessions;
-    rig.clients[k].seal_packet_wire_at(payload, frames, frames.size());
-    twin.clients[k].seal_packet_wire_at(payload, twin_frames, twin_frames.size());
-    jobs.push_back({rig.clients[k].session_id(), payload});
-  }
-
-  // Opening lane by lane through the bench hook covers every frame
-  // exactly once, and the union of per-lane results equals one
-  // open_batch on the twin.
-  VpnServer::OpenBatch lane_out, twin_out;
-  std::size_t complete = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> tagged;  // tag, session
-  for (std::size_t l = 0; l < rig.server.session_shard_count(); ++l) {
-    rig.server.open_batch_lane(l, frames, 0, lane_out);
-    complete += lane_out.complete;
-    for (std::size_t i = 0; i < lane_out.packet_count; ++i)
-      tagged.emplace_back(lane_out.packets[i].burst_tag,
-                          lane_out.packets[i].session_id);
-  }
-  EXPECT_EQ(complete, 24u);
-  std::sort(tagged.begin(), tagged.end());
-  twin.server.open_batch(twin_frames, 0, twin_out);
-  ASSERT_EQ(twin_out.packet_count, tagged.size());
-  // The lane pipeline surfaces packets in lane-concatenation order, so
-  // the union compares as a sorted (tag, session) multiset; within each
-  // session arrival order must hold.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> twin_tagged;
-  for (std::size_t i = 0; i < twin_out.packet_count; ++i)
-    twin_tagged.emplace_back(twin_out.packets[i].burst_tag,
-                             twin_out.packets[i].session_id);
-  std::sort(twin_tagged.begin(), twin_tagged.end());
-  EXPECT_EQ(tagged, twin_tagged);
-  expect_per_session_order(twin_out, "lane-hook twin");
-
-  // The seal half: each lane fills exactly its jobs' precomputed slots,
-  // so sealing lane by lane into one frame vector reproduces seal_jobs
-  // byte for byte.
-  std::vector<Bytes> lane_sealed, twin_sealed;
-  std::size_t total = 0;
-  for (std::size_t l = 0; l < rig.server.session_shard_count(); ++l)
-    total = rig.server.seal_jobs_lane(l, jobs, lane_sealed);
-  ASSERT_EQ(total, twin.server.seal_jobs(jobs, twin_sealed));
-  for (std::size_t f = 0; f < total; ++f)
-    EXPECT_EQ(lane_sealed[f], twin_sealed[f]) << "frame " << f;
-
-  // reset_replay_windows makes the identical burst fresh again — the
-  // contract the bench relies on for repeatable timing.
-  rig.server.reset_replay_windows();
-  VpnServer::OpenBatch again;
-  rig.server.open_batch(frames, 0, again);
-  EXPECT_EQ(again.complete, 24u);
-  EXPECT_EQ(again.rejected, 0u);
 }
 
 }  // namespace

@@ -652,7 +652,7 @@ TEST_F(ShardedWorldFixture, ShardedRejectionsDoNotStarveTheMainPool) {
 
 TEST_F(ShardedWorldFixture, ShardedEgressBatchMatchesPerPacketVerdicts) {
   // The firewall use case rejects a deterministic subset; sharded batch
-  // verdict counts must match the per-packet ecall path exactly.
+  // verdict counts must match the same packets sent as bursts of one.
   testing::WorldOptions opts;
   opts.clients = 0;
   opts.use_case = UseCase::Fw;
@@ -671,9 +671,12 @@ TEST_F(ShardedWorldFixture, ShardedEgressBatchMatchesPerPacketVerdicts) {
   };
   std::uint32_t single_accepted = 0;
   for (std::size_t k = 0; k < 40; ++k) {
-    auto egress = enclave.ecall_process_egress(make_packet(k));
-    ASSERT_TRUE(egress.ok()) << egress.error();
-    single_accepted += egress->accepted;
+    click::PacketBatch one;
+    one.push_back(make_packet(k));
+    EgressBatch egress;
+    auto status = enclave.ecall_process_egress_batch(std::move(one), egress);
+    ASSERT_TRUE(status.ok()) << status.error();
+    single_accepted += egress.accepted;
   }
   click::PacketBatch batch;
   EgressBatch out;

@@ -57,13 +57,6 @@ TEST(Cpu, IdleCpuStartsWorkAtNow) {
   EXPECT_EQ(cpu.charge(10'000, 1000), 10'500u);
 }
 
-TEST(Cpu, PeekDoesNotMutate) {
-  CpuAccount cpu(1, 1e9);
-  EXPECT_EQ(cpu.peek_completion(0, 500), 500u);
-  EXPECT_EQ(cpu.peek_completion(0, 500), 500u);
-  EXPECT_EQ(cpu.charge(0, 500), 500u);
-}
-
 TEST(Cpu, UtilisationTracksBusyTime) {
   CpuAccount cpu(2, 1e9);
   cpu.charge(0, 1000);  // 1000 ns on one of two cores
@@ -77,33 +70,9 @@ TEST(Cpu, UtilisationCapsAtOne) {
   EXPECT_DOUBLE_EQ(cpu.utilisation(0, 1000), 1.0);
 }
 
-TEST(Cpu, ResetClearsState) {
-  CpuAccount cpu(1, 1e9);
-  cpu.charge(0, 1000);
-  cpu.reset();
-  EXPECT_EQ(cpu.busy_core_ns(), 0.0);
-  EXPECT_EQ(cpu.charge(0, 100), 100u);
-}
-
 TEST(Cpu, RejectsBadParameters) {
   EXPECT_THROW(CpuAccount(0, 1e9), std::invalid_argument);
   EXPECT_THROW(CpuAccount(1, 0), std::invalid_argument);
-}
-
-TEST(Cpu, CountsChargedWorkItems) {
-  CpuAccount cpu(2, 1e9);
-  EXPECT_EQ(cpu.charges(), 0u);
-  cpu.charge(0, 1000);
-  cpu.charge(0, 1000);
-  cpu.charge(0, 1000);
-  EXPECT_EQ(cpu.charges(), 3u);
-  // peek must not count.
-  cpu.peek_completion(0, 1000);
-  EXPECT_EQ(cpu.charges(), 3u);
-  // Mean service time = busy core-ns / charges.
-  EXPECT_NEAR(cpu.busy_core_ns() / static_cast<double>(cpu.charges()), 1000.0, 1e-9);
-  cpu.reset();
-  EXPECT_EQ(cpu.charges(), 0u);
 }
 
 // ---- Timer wheel ----------------------------------------------------------

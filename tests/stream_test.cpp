@@ -792,11 +792,11 @@ TEST(StreamEnclave, StreamIdpsUseCaseCatchesSplitPayloadEgress) {
   std::string head(content.begin(), content.begin() + content.size() / 2);
   std::string tail(content.begin() + content.size() / 2, content.end());
 
-  auto first = enclave.ecall_process_egress(seg(0, "xx " + head));
+  auto first = client.send_packet(seg(0, "xx " + head), 0);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first->accepted);
-  auto second = enclave.ecall_process_egress(
-      seg(static_cast<std::uint32_t>(3 + head.size()), tail + " yy"));
+  auto second = client.send_packet(
+      seg(static_cast<std::uint32_t>(3 + head.size()), tail + " yy"), 0);
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second->accepted);
 
