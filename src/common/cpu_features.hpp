@@ -1,12 +1,15 @@
-// Runtime CPU-feature dispatch for the SIMD kernels on the data path.
+// Runtime CPU-feature dispatch for the SIMD and crypto kernels on the
+// data path.
 //
 // Kernels are compiled with per-function target attributes (so the
 // translation unit needs no special -m flags and the binary stays
 // runnable on any x86-64), and the caller picks the widest level the
-// machine supports at runtime. Setting ENDBOX_FORCE_SCALAR=1 in the
-// environment pins the portable path — sanitizer CI legs and benches
-// use it to exercise the SWAR fallback deterministically on machines
-// that do have AVX2.
+// machine supports at runtime: the prefilter's SSSE3/AVX2 scan, and
+// AES-NI and SHA-NI for the tunnel crypto. Setting ENDBOX_FORCE_SCALAR=1
+// in the environment pins the portable paths (the SWAR prefilter, the
+// T-table AES and the spec SHA-256) — sanitizer CI legs and benches use
+// it to exercise the fallbacks deterministically on machines that do
+// have the instructions.
 #pragma once
 
 #include <cstdlib>
@@ -23,6 +26,28 @@ inline SimdLevel hardware_simd_level() {
   if (__builtin_cpu_supports("ssse3")) return SimdLevel::Ssse3;
 #endif
   return SimdLevel::Scalar;
+}
+
+/// AES-NI round instructions. Probed apart from SHA-NI: a host can
+/// have either without the other.
+inline bool hardware_has_aes() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse2");
+#else
+  return false;
+#endif
+}
+
+/// SHA-NI (SHA256RNDS2/MSG1/MSG2), plus the SSE4.1 shuffles the
+/// compression kernel uses around them.
+inline bool hardware_has_sha() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
 }
 
 /// True when ENDBOX_FORCE_SCALAR is set to anything but "" or "0".

@@ -1,7 +1,14 @@
 #include "crypto/aes.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
+
+#include "common/cpu_features.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace endbox::crypto {
 
@@ -121,9 +128,210 @@ inline constexpr std::uint32_t inv_mix_word(std::uint32_t w) {
          kTd2[kSbox[(w >> 8) & 0xff]] ^ kTd3[kSbox[w & 0xff]];
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+
+// ---- AES-NI kernels ----------------------------------------------------
+// The round keys sit in the schedule's word arrays as 11 16-byte keys;
+// each kernel loads them into registers once per call.
+
+__attribute__((target("aes,sse2"))) inline __m128i load_block(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+__attribute__((target("aes,sse2"))) inline void store_block(std::uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+__attribute__((target("aes,sse2"))) inline void load_round_keys(
+    const std::uint32_t* words, __m128i (&rk)[11]) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(words);
+  for (int r = 0; r < 11; ++r) rk[r] = load_block(bytes + r * 16);
+}
+
+// Key expansion step (Gueron 2010): fold the previous round
+// key into itself word by word and XOR in AESKEYGENASSIST's
+// RotWord(SubWord(w3)) ^ rcon.
+__attribute__((target("aes,sse2"))) inline __m128i expand_step(__m128i key,
+                                                                __m128i assist) {
+  assist = _mm_shuffle_epi32(assist, 0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+// Writes the encryption round keys to `ek` and the equivalent inverse
+// cipher's (reversed, AESIMC on rounds 1-9) to `dk`.
+__attribute__((target("aes,sse2"))) void expand_key_aesni(const std::uint8_t* key,
+                                                          std::uint32_t* ek,
+                                                          std::uint32_t* dk) {
+  __m128i rk[11];
+  rk[0] = load_block(key);
+  rk[1] = expand_step(rk[0], _mm_aeskeygenassist_si128(rk[0], 0x01));
+  rk[2] = expand_step(rk[1], _mm_aeskeygenassist_si128(rk[1], 0x02));
+  rk[3] = expand_step(rk[2], _mm_aeskeygenassist_si128(rk[2], 0x04));
+  rk[4] = expand_step(rk[3], _mm_aeskeygenassist_si128(rk[3], 0x08));
+  rk[5] = expand_step(rk[4], _mm_aeskeygenassist_si128(rk[4], 0x10));
+  rk[6] = expand_step(rk[5], _mm_aeskeygenassist_si128(rk[5], 0x20));
+  rk[7] = expand_step(rk[6], _mm_aeskeygenassist_si128(rk[6], 0x40));
+  rk[8] = expand_step(rk[7], _mm_aeskeygenassist_si128(rk[7], 0x80));
+  rk[9] = expand_step(rk[8], _mm_aeskeygenassist_si128(rk[8], 0x1b));
+  rk[10] = expand_step(rk[9], _mm_aeskeygenassist_si128(rk[9], 0x36));
+  auto* enc = reinterpret_cast<std::uint8_t*>(ek);
+  auto* dec = reinterpret_cast<std::uint8_t*>(dk);
+  for (int r = 0; r < 11; ++r) store_block(enc + r * 16, rk[r]);
+  store_block(dec, rk[10]);
+  for (int r = 1; r < 10; ++r) store_block(dec + r * 16, _mm_aesimc_si128(rk[10 - r]));
+  store_block(dec + 160, rk[0]);
+}
+
+// Runs N independent blocks through the ten rounds side by side, so
+// each round's AESENC/AESDEC latency overlaps the others'.
+template <bool Decrypt, std::size_t N>
+__attribute__((target("aes,sse2"))) inline void rounds(__m128i (&b)[N],
+                                                       const __m128i (&rk)[11]) {
+#pragma GCC unroll 4
+  for (auto& x : b) x = _mm_xor_si128(x, rk[0]);
+#pragma GCC unroll 9
+  for (int r = 1; r < 10; ++r)
+#pragma GCC unroll 4
+    for (auto& x : b) x = Decrypt ? _mm_aesdec_si128(x, rk[r]) : _mm_aesenc_si128(x, rk[r]);
+#pragma GCC unroll 4
+  for (auto& x : b)
+    x = Decrypt ? _mm_aesdeclast_si128(x, rk[10]) : _mm_aesenclast_si128(x, rk[10]);
+}
+
+template <bool Decrypt>
+__attribute__((target("aes,sse2"))) inline __m128i rounds1(__m128i x,
+                                                           const __m128i (&rk)[11]) {
+  __m128i b[1] = {x};
+  rounds<Decrypt>(b, rk);
+  return b[0];
+}
+
+// One block with the round keys in `words` (ek_ to encrypt, dk_ to decrypt).
+template <bool Decrypt>
+__attribute__((target("aes,sse2"))) void block_aesni(const std::uint32_t* words,
+                                                     const std::uint8_t* in,
+                                                     std::uint8_t* out) {
+  __m128i rk[11];
+  load_round_keys(words, rk);
+  store_block(out, rounds1<Decrypt>(load_block(in), rk));
+}
+
+// CBC encryption is one dependent chain: each block waits for the last.
+__attribute__((target("aes,sse2"))) void cbc_encrypt_aesni(const std::uint32_t* ek,
+                                                           const std::uint8_t* iv,
+                                                           std::uint8_t* buf,
+                                                           std::size_t blocks) {
+  __m128i rk[11];
+  load_round_keys(ek, rk);
+  __m128i chain = load_block(iv);
+  for (std::size_t i = 0; i < blocks; ++i, buf += kAesBlockSize) {
+    chain = rounds1<false>(_mm_xor_si128(load_block(buf), chain), rk);
+    store_block(buf, chain);
+  }
+}
+
+// CBC decryption's blocks are independent (each needs only its own and
+// the previous ciphertext), so they run four at a time.
+__attribute__((target("aes,sse2"))) void cbc_decrypt_aesni(const std::uint32_t* dk,
+                                                           const std::uint8_t* iv,
+                                                           std::uint8_t* buf,
+                                                           std::size_t blocks) {
+  __m128i rk[11];
+  load_round_keys(dk, rk);
+  __m128i prev = load_block(iv);
+  std::size_t i = 0;
+  for (; i + 4 <= blocks; i += 4, buf += 4 * kAesBlockSize) {
+    __m128i ct[4], pt[4];
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) pt[j] = ct[j] = load_block(buf + j * kAesBlockSize);
+    rounds<true>(pt, rk);
+    store_block(buf, _mm_xor_si128(pt[0], prev));
+#pragma GCC unroll 3
+    for (int j = 1; j < 4; ++j)
+      store_block(buf + j * kAesBlockSize, _mm_xor_si128(pt[j], ct[j - 1]));
+    prev = ct[3];
+  }
+  for (; i < blocks; ++i, buf += kAesBlockSize) {
+    __m128i ct = load_block(buf);
+    store_block(buf, _mm_xor_si128(rounds1<true>(ct, rk), prev));
+    prev = ct;
+  }
+}
+
+// The 128-bit big-endian counter block for (hi, lo), then hi:lo + 1 —
+// the carry crosses all 16 bytes, as the portable byte loop's does.
+__attribute__((target("aes,sse2"))) inline __m128i next_counter(std::uint64_t& hi,
+                                                                std::uint64_t& lo) {
+  __m128i block = _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(lo)),
+                                 static_cast<long long>(__builtin_bswap64(hi)));
+  if (++lo == 0) ++hi;
+  return block;
+}
+
+__attribute__((target("aes,sse2"))) void ctr_aesni(const std::uint32_t* ek,
+                                                   const std::uint8_t* nonce,
+                                                   std::uint8_t* data, std::size_t len) {
+  __m128i rk[11];
+  load_round_keys(ek, rk);
+  std::uint64_t hi = get_u64(nonce), lo = get_u64(nonce + 8);
+  std::size_t off = 0;
+  for (; off + 4 * kAesBlockSize <= len; off += 4 * kAesBlockSize) {
+    __m128i ks[4];
+#pragma GCC unroll 4
+    for (auto& x : ks) x = next_counter(hi, lo);
+    rounds<false>(ks, rk);
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+      std::uint8_t* p = data + off + j * kAesBlockSize;
+      store_block(p, _mm_xor_si128(load_block(p), ks[j]));
+    }
+  }
+  for (; off < len; off += kAesBlockSize) {
+    __m128i ks = rounds1<false>(next_counter(hi, lo), rk);
+    std::size_t n = std::min(kAesBlockSize, len - off);
+    if (n == kAesBlockSize) {
+      store_block(data + off, _mm_xor_si128(load_block(data + off), ks));
+    } else {  // partial tail: no 16-byte access past the buffer
+      std::uint8_t tail[kAesBlockSize];
+      store_block(tail, ks);
+      for (std::size_t i = 0; i < n; ++i) data[off + i] ^= tail[i];
+    }
+  }
+}
+
+#endif  // x86
+
+// Checks the PKCS#7 padding of a decrypted buffer; returns the
+// plaintext length.
+Result<std::size_t> pkcs7_plaintext_len(std::span<const std::uint8_t> buf) {
+  std::uint8_t pad = buf.back();
+  if (pad == 0 || pad > kAesBlockSize || pad > buf.size()) return err("bad CBC padding");
+  for (std::size_t i = buf.size() - pad; i < buf.size(); ++i)
+    if (buf[i] != pad) return err("bad CBC padding");
+  return buf.size() - pad;
+}
+
 }  // namespace
 
-Aes128::Aes128(const AesKey& key) {
+Aes128::Kernel Aes128::default_kernel() {
+  static const Kernel kernel = common::hardware_has_aes() && !common::force_scalar()
+                                   ? Kernel::AesNi
+                                   : Kernel::Portable;
+  return kernel;
+}
+
+Aes128::Aes128(const AesKey& key, Kernel kernel) : kernel_(kernel) {
+  if (kernel == Kernel::AesNi) {
+    if (!common::hardware_has_aes())
+      throw std::invalid_argument("AES-NI kernel requested on a CPU without AES-NI");
+#if defined(__x86_64__) || defined(__i386__)
+    expand_key_aesni(key.data(), ek_.data(), dk_.data());
+    return;
+#endif
+  }
   for (int i = 0; i < 4; ++i) ek_[static_cast<std::size_t>(i)] = get_u32(key.data() + i * 4);
   std::uint8_t rcon = 1;
   for (std::size_t i = 4; i < 44; ++i) {
@@ -142,6 +350,9 @@ Aes128::Aes128(const AesKey& key) {
 }
 
 void Aes128::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
+#if defined(__x86_64__) || defined(__i386__)
+  if (kernel_ == Kernel::AesNi) return block_aesni<false>(ek_.data(), in, out);
+#endif
   std::uint32_t s0 = get_u32(in) ^ ek_[0];
   std::uint32_t s1 = get_u32(in + 4) ^ ek_[1];
   std::uint32_t s2 = get_u32(in + 8) ^ ek_[2];
@@ -170,6 +381,9 @@ void Aes128::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
 }
 
 void Aes128::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
+#if defined(__x86_64__) || defined(__i386__)
+  if (kernel_ == Kernel::AesNi) return block_aesni<true>(dk_.data(), in, out);
+#endif
   std::uint32_t s0 = get_u32(in) ^ dk_[0];
   std::uint32_t s1 = get_u32(in + 4) ^ dk_[1];
   std::uint32_t s2 = get_u32(in + 8) ^ dk_[2];
@@ -214,6 +428,10 @@ void aes128_cbc_encrypt_inplace(const Aes128& aes, const std::uint8_t* iv,
     throw std::invalid_argument("CBC buffer must be the padded size");
   std::uint8_t pad = static_cast<std::uint8_t>(buf.size() - plaintext_len);
   for (std::size_t i = plaintext_len; i < buf.size(); ++i) buf[i] = pad;
+#if defined(__x86_64__) || defined(__i386__)
+  if (aes.kernel_ == Aes128::Kernel::AesNi)
+    return cbc_encrypt_aesni(aes.ek_.data(), iv, buf.data(), buf.size() / kAesBlockSize);
+#endif
   const std::uint8_t* prev = iv;
   for (std::size_t off = 0; off < buf.size(); off += kAesBlockSize) {
     std::uint8_t* block = buf.data() + off;
@@ -228,6 +446,12 @@ Result<std::size_t> aes128_cbc_decrypt_inplace(const Aes128& aes,
                                                std::span<std::uint8_t> buf) {
   if (buf.empty() || buf.size() % kAesBlockSize != 0)
     return err("CBC ciphertext must be a positive multiple of 16 bytes");
+#if defined(__x86_64__) || defined(__i386__)
+  if (aes.kernel_ == Aes128::Kernel::AesNi) {
+    cbc_decrypt_aesni(aes.dk_.data(), iv, buf.data(), buf.size() / kAesBlockSize);
+    return pkcs7_plaintext_len(buf);
+  }
+#endif
   std::uint8_t prev[kAesBlockSize];
   std::memcpy(prev, iv, kAesBlockSize);
   for (std::size_t off = 0; off < buf.size(); off += kAesBlockSize) {
@@ -238,15 +462,15 @@ Result<std::size_t> aes128_cbc_decrypt_inplace(const Aes128& aes,
     for (std::size_t i = 0; i < kAesBlockSize; ++i) block[i] ^= prev[i];
     std::memcpy(prev, saved, kAesBlockSize);
   }
-  std::uint8_t pad = buf.back();
-  if (pad == 0 || pad > kAesBlockSize || pad > buf.size()) return err("bad CBC padding");
-  for (std::size_t i = buf.size() - pad; i < buf.size(); ++i)
-    if (buf[i] != pad) return err("bad CBC padding");
-  return buf.size() - pad;
+  return pkcs7_plaintext_len(buf);
 }
 
 void aes128_ctr_inplace(const Aes128& aes, const std::uint8_t* nonce,
                         std::span<std::uint8_t> data) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (aes.kernel_ == Aes128::Kernel::AesNi)
+    return ctr_aesni(aes.ek_.data(), nonce, data.data(), data.size());
+#endif
   std::uint8_t counter[kAesBlockSize];
   std::memcpy(counter, nonce, kAesBlockSize);
   std::uint8_t keystream[kAesBlockSize];

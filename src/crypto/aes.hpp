@@ -2,11 +2,20 @@
 //
 // The VPN data channel uses AES-128-CBC + HMAC (encrypt-then-MAC), the
 // TLS record layer uses AES-128-CTR, and the SGX sealing format uses
-// AES-128-CTR with a sealing key derived from the measurement. The
-// block cipher uses the classic 32-bit T-table formulation (four 1KB
-// lookup tables per direction, generated at compile time from the
-// spec), and every mode has an in-place span variant so the VPN fast
-// path encrypts without allocating or copying.
+// AES-128-CTR with a sealing key derived from the measurement. Every
+// mode has an in-place span variant so the VPN fast path encrypts
+// without allocating or copying.
+//
+// Two kernels, chosen once per key schedule (Aes128::Kernel):
+//   - AES-NI (Gueron, "Intel Advanced Encryption Standard (AES) New
+//     Instructions Set", 2010): key expansion through AESKEYGENASSIST,
+//     CBC encryption as one serial chain, and CBC decryption and CTR
+//     four independent blocks at a time. Compiled with per-function
+//     target attributes, so the binary runs on any x86-64.
+//   - The portable fallback: the classic 32-bit T-table formulation
+//     (four 1KB lookup tables per direction, generated at compile time
+//     from the spec). ENDBOX_FORCE_SCALAR=1 pins it.
+// Both produce the same bytes.
 #pragma once
 
 #include <array>
@@ -28,14 +37,37 @@ using AesBlock = std::array<std::uint8_t, kAesBlockSize>;
 /// alive so per-packet calls pay only the block transforms.
 class Aes128 {
  public:
-  explicit Aes128(const AesKey& key);
+  enum class Kernel : std::uint8_t { Portable, AesNi };
+
+  /// AES-NI when the CPU has it, unless ENDBOX_FORCE_SCALAR pins the
+  /// portable kernel. Decided once per process: one-shot helpers build
+  /// a schedule per call, so the environment is not re-read per record.
+  static Kernel default_kernel();
+
+  /// `kernel` (one the hardware has, or std::invalid_argument) is fixed
+  /// for the schedule's life; tests pin each one.
+  explicit Aes128(const AesKey& key, Kernel kernel = default_kernel());
+
+  Kernel kernel() const { return kernel_; }
 
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
  private:
+  friend void aes128_cbc_encrypt_inplace(const Aes128&, const std::uint8_t*,
+                                         std::span<std::uint8_t>, std::size_t);
+  friend Result<std::size_t> aes128_cbc_decrypt_inplace(
+      const Aes128&, const std::uint8_t*, std::span<std::uint8_t>);
+  friend void aes128_ctr_inplace(const Aes128&, const std::uint8_t*,
+                                 std::span<std::uint8_t>);
+
+  // Portable: 44 round-key words per direction in T-table order.
+  // AES-NI: the same 176 bytes hold the 11 round keys in memory order
+  // (the decryption keys through AESIMC); the kernels load them
+  // unaligned.
   std::array<std::uint32_t, 44> ek_;  ///< encryption round keys
   std::array<std::uint32_t, 44> dk_;  ///< equivalent-inverse-cipher round keys
+  Kernel kernel_;
 };
 
 /// Converts a Bytes key (must be 16 bytes) to an AesKey.

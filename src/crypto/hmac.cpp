@@ -6,10 +6,13 @@ namespace {
 constexpr std::size_t kBlock = 64;
 }  // namespace
 
-HmacKey::HmacKey(ByteView key) {
+HmacKey::HmacKey(ByteView key, Sha256::Kernel kernel)
+    : inner_(kernel), outer_(kernel) {
   std::uint8_t k[kBlock] = {};
   if (key.size() > kBlock) {
-    Sha256Digest d = Sha256::hash(key);
+    Sha256 long_key(kernel);
+    long_key.update(key);
+    Sha256Digest d = long_key.finish();
     std::memcpy(k, d.data(), d.size());
   } else if (!key.empty()) {
     std::memcpy(k, key.data(), key.size());

@@ -16,7 +16,9 @@ namespace endbox::crypto {
 class HmacKey {
  public:
   HmacKey() = default;
-  explicit HmacKey(ByteView key);
+  /// `kernel` compresses the key and every MAC begun from it.
+  explicit HmacKey(ByteView key,
+                   Sha256::Kernel kernel = Sha256::default_kernel());
 
   /// Incremental MAC seeded from the precomputed states. All state
   /// lives on the stack; update() accepts any chunking of the input.

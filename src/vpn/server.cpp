@@ -132,16 +132,19 @@ Result<VpnServer::Event> VpnServer::handle(ByteView wire, sim::Time now) {
   expire_idle_sessions(now);
   if (handshake_cache_)
     handshake_cache_->expire_idle(now, [](std::uint64_t, CachedHandshake&&) {});
-  auto msg = WireMessage::parse(wire);
-  if (!msg.ok()) return err(msg.error());
-  switch (msg->type) {
-    case MsgType::HandshakeInit: return handle_handshake(*msg, now);
+  // Only control messages are parsed into a WireMessage (a body copy);
+  // the lane body opens a data frame from the wire itself.
+  auto type = parse_wire_type(wire);
+  if (!type.ok()) return err(type.error());
+  switch (*type) {
+    case MsgType::HandshakeInit:
+      return handle_handshake(WireMessage::parse(wire).value(), now);
     case MsgType::HandshakeReply: return err("unexpected handshake reply at server");
     case MsgType::Data:
     case MsgType::DataIntegrityOnly: break;
-    case MsgType::Ping: return handle_ping(*msg, now);
+    case MsgType::Ping: return handle_ping(WireMessage::parse(wire).value(), now);
   }
-  std::uint32_t session_id = msg->session_id;
+  std::uint32_t session_id = get_u32(wire.data() + 1);
   SessionShard& shard = shard_of(session_id);
   shard.scratch.packet_count = 0;
   switch (open_frame_on_shard(shard, wire, 0, now)) {

@@ -16,12 +16,18 @@ void WireMessage::serialize_into(Bytes& out) const {
   append(out, body);
 }
 
-Result<WireMessage> WireMessage::parse(ByteView wire) {
+Result<MsgType> parse_wire_type(ByteView wire) {
   if (wire.size() < kWireHeaderSize) return err("VPN message: truncated header");
-  WireMessage msg;
   std::uint8_t type = wire[0];
   if (type < 1 || type > 5) return err("VPN message: unknown type");
-  msg.type = static_cast<MsgType>(type);
+  return static_cast<MsgType>(type);
+}
+
+Result<WireMessage> WireMessage::parse(ByteView wire) {
+  auto type = parse_wire_type(wire);
+  if (!type.ok()) return err(type.error());
+  WireMessage msg;
+  msg.type = *type;
   msg.session_id = get_u32(wire.data() + 1);
   msg.body.assign(wire.begin() + kWireHeaderSize, wire.end());
   return msg;

@@ -47,6 +47,10 @@ struct WireMessage {
 /// Size of the wire header in front of every message body.
 inline constexpr std::size_t kWireHeaderSize = 5;
 
+/// Checks the wire header in place and returns the message type, with
+/// the errors WireMessage::parse reports; copies nothing.
+Result<MsgType> parse_wire_type(ByteView wire);
+
 /// Parsed fields of a ping message (authenticated keep-alive carrying
 /// the configuration version and grace period, section III-E).
 struct PingInfo {

@@ -4,7 +4,10 @@
 // byte-wise AES (SubBytes/ShiftRows/MixColumns on a byte array, key
 // schedule re-expanded every call). Header-only and outside the production
 // library: property tests assert wire-format equivalence against it
-// and bench_micro prices the optimised fast path against it.
+// and bench_micro prices the optimised fast path against it. The MAC
+// runs on the portable SHA-256 whatever the host has, so a sweep of the
+// production seal (SHA-NI where available) never checks a kernel
+// against itself.
 #pragma once
 
 #include <array>
@@ -229,7 +232,8 @@ inline FragmentHeader read_frag(ByteReader& r) {
 inline Bytes mac_over(const SessionKeys& keys, std::string_view label, ByteView data) {
   Bytes input = to_bytes(label);
   append(input, data);
-  return crypto::hmac_sha256(keys.mac_key, input);
+  auto mac = crypto::HmacKey(keys.mac_key, crypto::Sha256::Kernel::Portable).mac(input);
+  return Bytes(mac.begin(), mac.end());
 }
 
 }  // namespace detail

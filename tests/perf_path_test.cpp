@@ -261,6 +261,31 @@ TEST_F(WireFixture, ClientSealPacketWireFramesReachTheServer) {
   EXPECT_TRUE(in->was_encrypted);
 }
 
+TEST_F(WireFixture, HandleOfAWarmDataFrameAllocatesOnlyThePacketInCopy) {
+  // handle() checks the 5-byte header in place and opens the wire
+  // through the lane body, whose pooled body buffer is warm; the one
+  // allocation left per frame is the PacketIn copy of the opened packet
+  // (the lane slot keeps its buffer for the next frame).
+  auto client = connect();
+  Rng payload_rng(13);
+  Bytes ip_packet = payload_rng.bytes(1024);
+  std::vector<Bytes> frames;
+  for (int i = 0; i < 60; ++i) {
+    client.seal_packet_wire_at(ip_packet, frames, 0);
+    ASSERT_EQ(frames.size(), 1u);
+    std::uint64_t before = g_allocations;
+    auto event = server.handle(frames[0], clock.now());
+    std::uint64_t allocations = g_allocations - before;
+    ASSERT_TRUE(event.ok()) << event.error();
+    auto* in = std::get_if<vpn::VpnServer::PacketIn>(&*event);
+    ASSERT_NE(in, nullptr);
+    EXPECT_EQ(in->ip_packet, ip_packet);
+    if (i >= 10) {  // past the warm-up
+      EXPECT_EQ(allocations, 1u) << "frame " << i;
+    }
+  }
+}
+
 TEST_F(WireFixture, SealPacketWireFragmentsAtTheMtuAndReassembles) {
   vpn::VpnClientConfig config;
   config.mtu = 1000;
