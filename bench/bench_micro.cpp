@@ -1042,14 +1042,51 @@ int run_json_mode(const std::string& path) {
   // the ref side is the plain whole-buffer walk, with no extra hits.
   for (Bytes* p : {&clean64, &clean512, &clean1500, &dirty1500})
     std::replace(p->begin(), p->end(), std::uint8_t{0xff}, std::uint8_t{0xfe});
+  // bench_e2e's traffic shape: alphanumeric filler, which no community
+  // content matches but the nibble test alone fires on ~14 times per KiB.
+  constexpr char kAlnum[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+  Bytes alnum1500(kPayload);
+  for (auto& b : alnum1500)
+    b = static_cast<std::uint8_t>(kAlnum[pf_rng.uniform(0, 61)]);
   double pf_clean64 = 0, pf_clean64_ref = 0;
   double pf_clean512 = 0, pf_clean512_ref = 0;
   double pf_clean1500 = 0, pf_clean1500_ref = 0;
   double pf_dirty1500 = 0, pf_dirty1500_ref = 0;
+  double pf_alnum1500 = 0, pf_alnum1500_ref = 0;
   prefilter_pair(clean64, pf_clean64, pf_clean64_ref);
   prefilter_pair(clean512, pf_clean512, pf_clean512_ref);
   prefilter_pair(clean1500, pf_clean1500, pf_clean1500_ref);
   prefilter_pair(dirty1500, pf_dirty1500, pf_dirty1500_ref);
+  prefilter_pair(alnum1500, pf_alnum1500, pf_alnum1500_ref);
+
+  // Tier 1's worst case, dense nibble candidates: the contents
+  // |01 10 01 10| and |10 01 10 01| sort before every community
+  // fragment and share bucket 0, so bytes 0x00 and 0x11 pass its masks
+  // at every position, yet a payload of only those bytes spells no
+  // fragment. The nibble test fires at nearly every byte and the
+  // fragment check must reject each candidate.
+  auto dense_rules = stream_rules;
+  for (const char* rule :
+       {"alert udp any any -> any 1 (content:\"|01 10 01 10|\"; sid:999997;)",
+        "alert udp any any -> any 1 (content:\"|10 01 10 01|\"; sid:999998;)"})
+    dense_rules.push_back(*idps::parse_snort_rule(rule));
+  auto dense_fallback_rules = dense_rules;
+  dense_fallback_rules.push_back(fallback_rules.back());
+  idps::IdpsEngine dense_engine(dense_rules);
+  idps::IdpsEngine dense_ref_engine(dense_fallback_rules);
+  idps::IdpsEngine::InspectScratch dense_scratch, dense_ref_scratch;
+  Bytes dense1500(kPayload);
+  for (auto& b : dense1500) b = pf_rng.uniform(0, 1) == 0 ? 0x00 : 0x11;
+  auto [pf_dense1500, pf_dense1500_ref] = time_pair_ns_per_op(
+      [&] {
+        benchmark::DoNotOptimize(
+            dense_engine.inspect(stream_probe, dense1500, dense_scratch));
+      },
+      [&] {
+        benchmark::DoNotOptimize(
+            dense_ref_engine.inspect(stream_probe, dense1500, dense_ref_scratch));
+      });
 
   Bytes memcpy_dst(kPayload);
   auto [memcpy_ns, pf_clean1500_again] = time_pair_ns_per_op(
@@ -1089,11 +1126,14 @@ int run_json_mode(const std::string& path) {
       {"lru_eviction_churn_4k", lru_ns, manual_ns},
       // new = two-tier prefiltered inspect, ref = the fallback engine's
       // whole-buffer walk. Clean payloads never enter the automaton;
-      // the dirty row confirms planted candidate windows.
+      // the dirty row confirms planted candidate windows; the alnum row
+      // is bench_e2e's payload shape and dense_alias tier 1's worst case.
       {"prefilter_clean_64B", pf_clean64, pf_clean64_ref},
       {"prefilter_clean_512B", pf_clean512, pf_clean512_ref},
       {"prefilter_clean_1500B", pf_clean1500, pf_clean1500_ref},
       {"prefilter_dirty_1500B", pf_dirty1500, pf_dirty1500_ref},
+      {"prefilter_alnum_1500B", pf_alnum1500, pf_alnum1500_ref},
+      {"prefilter_dense_alias_1500B", pf_dense1500, pf_dense1500_ref},
       // new = the clean prefiltered 1500B scan, ref = memcpy of the
       // same bytes: speedup climbs toward 1.0 as the scan approaches
       // the memory floor.
@@ -1126,7 +1166,10 @@ int run_json_mode(const std::string& path) {
                "prefilter + candidate-window confirm vs a fallback engine "
                "whose extra 1-byte content disables the prefilter (clean = "
                "random bytes the rules never match, dirty = community "
-               "contents planted every ~350B); "
+               "contents planted every ~350B, alnum = alphanumeric filler as "
+               "in bench_e2e, dense_alias = bytes that pass a nibble bucket "
+               "at every position but spell no fragment, against the set "
+               "plus the two contents that alias); "
                "prefilter_clean_1500B_vs_memcpy prices the clean scan "
                "against a plain copy of the same bytes (speedup -> 1.0 at "
                "the memory floor)\",\n");

@@ -1,15 +1,15 @@
 #include "idps/engine.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 
 namespace endbox::idps {
 
 namespace {
+// The prefilter's fold: tier 1 and tier 2 agree on what nocase means.
 void to_lower_into(ByteView data, Bytes& out) {
-  out.assign(data.begin(), data.end());
-  for (auto& b : out) b = static_cast<std::uint8_t>(std::tolower(b));
+  out.resize(data.size());
+  std::transform(data.begin(), data.end(), out.begin(), ascii_lower);
 }
 
 Bytes to_lower(ByteView data) {

@@ -10,14 +10,17 @@
 //
 // Scanning is two-tier: each automaton's Teddy-style literal
 // prefilter (built at AhoCorasick::build() time) reports candidate
-// windows — positions where some pattern's rarest fragment may start,
+// windows — positions where some pattern's rarest fragment may start
+// (nibble-test hits that also passed the fragment bitmap check),
 // rewound by maxlen-W and extended by maxlen so any real match lies
 // wholly inside — and the flat automaton walks only those merged
 // slices from its root. Clean payloads (the common case) never enter
-// the automaton. Rule sets containing a content literal shorter than
-// the fragment width (1-byte contents) make the prefilter unusable;
-// the engine then hands the automaton one candidate run covering the
-// whole buffer, so the fallback runs through the same two-tier code.
+// the automaton: a nibble alias costs tier 1 one bit test, not a
+// confirm walk. Both tiers fold nocase bytes with ascii_lower. Rule
+// sets containing a content literal shorter than the fragment width
+// (1-byte contents) make the prefilter unusable; the engine then hands
+// the automaton one candidate run covering the whole buffer, so the
+// fallback runs through the same two-tier code.
 #pragma once
 
 #include <cstdint>

@@ -40,6 +40,36 @@ std::uint8_t byte_commonness(std::uint8_t b) {
   return 0;
 }
 
+/// Bitmap slot of the `w` bytes at `at`, each mapped through `fold`: a
+/// 2-byte fragment is its own slot; wider ones take the top 16 bits of
+/// a Fibonacci hash.
+inline std::uint32_t fragment_slot(const std::uint8_t* at, std::size_t w,
+                                   const std::uint8_t* fold) {
+  std::uint32_t key = 0;
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < w; ++j)
+    key |= std::uint32_t{fold[at[j]]} << (8 * j);
+  return w == 2 ? key : (key * 0x9e3779b1u) >> 16;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// Bucket bits D bytes earlier: `cur` shifted up by D bytes, the first
+// D taken from the end of the previous block `prev`.
+template <int D>
+__attribute__((target("ssse3"))) inline __m128i earlier(__m128i cur,
+                                                        __m128i prev) {
+  return _mm_alignr_epi8(cur, prev, 16 - D);
+}
+// alignr works per 128-bit lane; splicing [prev.hi, cur.lo] as the
+// carry register makes the byte shift cross the lane seam.
+template <int D>
+__attribute__((target("avx2"))) inline __m256i earlier(__m256i cur,
+                                                       __m256i prev) {
+  return _mm256_alignr_epi8(cur, _mm256_permute2x128_si256(prev, cur, 0x21),
+                            16 - D);
+}
+#endif
+
 }  // namespace
 
 void LiteralPrefilter::admit_byte(std::size_t j, std::uint8_t b,
@@ -57,6 +87,10 @@ void LiteralPrefilter::build(std::span<const ByteView> patterns,
   std::memset(lo_, 0, sizeof(lo_));
   std::memset(hi_, 0, sizeof(hi_));
   std::memset(tbl32_, 0, sizeof(tbl32_));
+  std::memset(fragment_bits_, 0, sizeof(fragment_bits_));
+  for (unsigned b = 0; b < 256; ++b)
+    fold_[b] = case_insensitive ? ascii_lower(static_cast<std::uint8_t>(b))
+                                : static_cast<std::uint8_t>(b);
   kernel_ = kernel;
 
   if (patterns.empty()) {
@@ -109,6 +143,8 @@ void LiteralPrefilter::build(std::span<const ByteView> patterns,
       if (case_insensitive && b >= 'a' && b <= 'z')
         admit_byte(j, static_cast<std::uint8_t>(b - 'a' + 'A'), bucket);
     }
+    std::uint32_t slot = fragment_slot(fragments[f].data(), width_, fold_);
+    fragment_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
   }
 
   for (unsigned b = 0; b < 256; ++b) {
@@ -139,19 +175,26 @@ void LiteralPrefilter::emit(std::size_t start, std::size_t text_len,
   }
 }
 
+template <std::size_t W>
+bool LiteralPrefilter::fragment_at(const std::uint8_t* at) const {
+  std::uint32_t slot = fragment_slot(at, W, fold_);
+  return (fragment_bits_[slot >> 6] >> (slot & 63)) & 1;
+}
+
+template <std::size_t W>
 std::size_t LiteralPrefilter::scan_scalar(
     const std::uint8_t* data, std::size_t len, std::size_t from,
     std::size_t emit_from, std::vector<CandidateRun>& runs) const {
   // Zero-initialised history: byte j of `acc` becomes valid only after
   // j+1 input bytes, so fragment ends before position W-1 (candidates
   // starting before the text) can never fire.
+  constexpr std::size_t r = W - 1;
   std::uint32_t acc = 0;
-  const std::size_t r = width_ - 1;
-  const unsigned shift = static_cast<unsigned>(8 * r);
   std::size_t count = 0;
   for (std::size_t i = from; i < len; ++i) {
     acc = ((acc << 8) | 0xffu) & tbl32_[data[i]];
-    if (((acc >> shift) & 0xffu) != 0 && i >= emit_from) {
+    if (((acc >> (8 * r)) & 0xffu) != 0 && i >= emit_from &&
+        fragment_at<W>(data + i - r)) {
       ++count;
       emit(i - r, len, runs);
     }
@@ -161,13 +204,14 @@ std::size_t LiteralPrefilter::scan_scalar(
 
 #if defined(__x86_64__) || defined(__i386__)
 
+template <std::size_t W>
 __attribute__((target("ssse3"))) std::size_t LiteralPrefilter::scan_ssse3(
     const std::uint8_t* data, std::size_t len,
     std::vector<CandidateRun>& runs) const {
-  const std::size_t w = width_;
-  const std::size_t r = w - 1;
-  __m128i lo_tbl[4], hi_tbl[4], prev[4];
-  for (std::size_t j = 0; j < w; ++j) {
+  constexpr std::size_t r = W - 1;
+  __m128i lo_tbl[W], hi_tbl[W], prev[W];
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < W; ++j) {
     lo_tbl[j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(lo_[j]));
     hi_tbl[j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi_[j]));
     prev[j] = _mm_setzero_si128();  // no fragments start before the text
@@ -181,52 +225,45 @@ __attribute__((target("ssse3"))) std::size_t LiteralPrefilter::scan_ssse3(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
     __m128i lo_n = _mm_and_si128(chunk, nibble);
     __m128i hi_n = _mm_and_si128(_mm_srli_epi16(chunk, 4), nibble);
-    __m128i bucket_bits[4] = {zero, zero, zero, zero};
-    for (std::size_t j = 0; j < w; ++j)
-      bucket_bits[j] = _mm_and_si128(_mm_shuffle_epi8(lo_tbl[j], lo_n),
-                                     _mm_shuffle_epi8(hi_tbl[j], hi_n));
+    __m128i bits[W];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < W; ++j)
+      bits[j] = _mm_and_si128(_mm_shuffle_epi8(lo_tbl[j], lo_n),
+                              _mm_shuffle_epi8(hi_tbl[j], hi_n));
     // Result byte p: AND over positions j of the bucket bitmap seen
     // r-j bytes earlier — fragment position j aligned to its end.
-    __m128i res = bucket_bits[r];
-    for (std::size_t j = 0; j < r; ++j) {
-      __m128i shifted;
-      switch (r - j) {
-        case 1:
-          shifted = _mm_alignr_epi8(bucket_bits[j], prev[j], 15);
-          break;
-        case 2:
-          shifted = _mm_alignr_epi8(bucket_bits[j], prev[j], 14);
-          break;
-        default:
-          shifted = _mm_alignr_epi8(bucket_bits[j], prev[j], 13);
-          break;
-      }
-      res = _mm_and_si128(res, shifted);
-    }
-    for (std::size_t j = 0; j < w; ++j) prev[j] = bucket_bits[j];
+    __m128i res = _mm_and_si128(bits[r], earlier<1>(bits[r - 1], prev[r - 1]));
+    if constexpr (W >= 3)
+      res = _mm_and_si128(res, earlier<2>(bits[r - 2], prev[r - 2]));
+    if constexpr (W >= 4)
+      res = _mm_and_si128(res, earlier<3>(bits[r - 3], prev[r - 3]));
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < W; ++j) prev[j] = bits[j];
     unsigned mask =
         static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(res, zero))) ^
         0xffffu;
     while (mask != 0) {
-      unsigned p = static_cast<unsigned>(__builtin_ctz(mask));
+      std::size_t start = i + static_cast<unsigned>(__builtin_ctz(mask)) - r;
       mask &= mask - 1;
+      if (!fragment_at<W>(data + start)) continue;
       ++count;
-      emit(i + p - r, len, runs);
+      emit(start, len, runs);
     }
   }
   // Tail: re-run the SWAR recurrence from r bytes before the SIMD
   // frontier (to rebuild the AND history) but emit only new positions.
-  count += scan_scalar(data, len, i >= r ? i - r : 0, i, runs);
+  count += scan_scalar<W>(data, len, i >= r ? i - r : 0, i, runs);
   return count;
 }
 
+template <std::size_t W>
 __attribute__((target("avx2"))) std::size_t LiteralPrefilter::scan_avx2(
     const std::uint8_t* data, std::size_t len,
     std::vector<CandidateRun>& runs) const {
-  const std::size_t w = width_;
-  const std::size_t r = w - 1;
-  __m256i lo_tbl[4], hi_tbl[4], prev[4];
-  for (std::size_t j = 0; j < w; ++j) {
+  constexpr std::size_t r = W - 1;
+  __m256i lo_tbl[W], hi_tbl[W], prev[W];
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < W; ++j) {
     __m128i lo128 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(lo_[j]));
     __m128i hi128 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi_[j]));
     lo_tbl[j] = _mm256_broadcastsi128_si256(lo128);
@@ -242,58 +279,57 @@ __attribute__((target("avx2"))) std::size_t LiteralPrefilter::scan_avx2(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
     __m256i lo_n = _mm256_and_si256(chunk, nibble);
     __m256i hi_n = _mm256_and_si256(_mm256_srli_epi16(chunk, 4), nibble);
-    __m256i bucket_bits[4] = {zero, zero, zero, zero};
-    for (std::size_t j = 0; j < w; ++j)
-      bucket_bits[j] =
-          _mm256_and_si256(_mm256_shuffle_epi8(lo_tbl[j], lo_n),
-                           _mm256_shuffle_epi8(hi_tbl[j], hi_n));
-    __m256i res = bucket_bits[r];
-    for (std::size_t j = 0; j < r; ++j) {
-      // alignr works per 128-bit lane; splicing [prev.hi, cur.lo] as
-      // the carry register makes the byte shift cross the lane seam.
-      __m256i carry =
-          _mm256_permute2x128_si256(prev[j], bucket_bits[j], 0x21);
-      __m256i shifted;
-      switch (r - j) {
-        case 1:
-          shifted = _mm256_alignr_epi8(bucket_bits[j], carry, 15);
-          break;
-        case 2:
-          shifted = _mm256_alignr_epi8(bucket_bits[j], carry, 14);
-          break;
-        default:
-          shifted = _mm256_alignr_epi8(bucket_bits[j], carry, 13);
-          break;
-      }
-      res = _mm256_and_si256(res, shifted);
-    }
-    for (std::size_t j = 0; j < w; ++j) prev[j] = bucket_bits[j];
+    __m256i bits[W];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < W; ++j)
+      bits[j] = _mm256_and_si256(_mm256_shuffle_epi8(lo_tbl[j], lo_n),
+                                 _mm256_shuffle_epi8(hi_tbl[j], hi_n));
+    __m256i res =
+        _mm256_and_si256(bits[r], earlier<1>(bits[r - 1], prev[r - 1]));
+    if constexpr (W >= 3)
+      res = _mm256_and_si256(res, earlier<2>(bits[r - 2], prev[r - 2]));
+    if constexpr (W >= 4)
+      res = _mm256_and_si256(res, earlier<3>(bits[r - 3], prev[r - 3]));
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < W; ++j) prev[j] = bits[j];
     std::uint32_t mask = static_cast<std::uint32_t>(_mm256_movemask_epi8(
                              _mm256_cmpeq_epi8(res, zero))) ^
                          0xffffffffu;
     while (mask != 0) {
-      unsigned p = static_cast<unsigned>(__builtin_ctz(mask));
+      std::size_t start = i + static_cast<unsigned>(__builtin_ctz(mask)) - r;
       mask &= mask - 1;
+      if (!fragment_at<W>(data + start)) continue;
       ++count;
-      emit(i + p - r, len, runs);
+      emit(start, len, runs);
     }
   }
-  count += scan_scalar(data, len, i >= r ? i - r : 0, i, runs);
+  count += scan_scalar<W>(data, len, i >= r ? i - r : 0, i, runs);
   return count;
 }
 
 #endif  // x86
 
+template <std::size_t W>
+std::size_t LiteralPrefilter::scan(const std::uint8_t* data, std::size_t len,
+                                   std::vector<CandidateRun>& runs) const {
+#if defined(__x86_64__) || defined(__i386__)
+  if (kernel_ == Kernel::Avx2) return scan_avx2<W>(data, len, runs);
+  if (kernel_ == Kernel::Ssse3) return scan_ssse3<W>(data, len, runs);
+#endif
+  return scan_scalar<W>(data, len, 0, 0, runs);
+}
+
 std::size_t LiteralPrefilter::find_runs(ByteView text,
                                         std::vector<CandidateRun>& runs) const {
   if (empty_ || text.size() < width_) return 0;
-#if defined(__x86_64__) || defined(__i386__)
-  if (kernel_ == Kernel::Avx2)
-    return scan_avx2(text.data(), text.size(), runs);
-  if (kernel_ == Kernel::Ssse3)
-    return scan_ssse3(text.data(), text.size(), runs);
-#endif
-  return scan_scalar(text.data(), text.size(), 0, 0, runs);
+  switch (width_) {
+    case 2:
+      return scan<2>(text.data(), text.size(), runs);
+    case 3:
+      return scan<3>(text.data(), text.size(), runs);
+    default:
+      return scan<4>(text.data(), text.size(), runs);
+  }
 }
 
 }  // namespace endbox::idps

@@ -1,8 +1,10 @@
 // Adversarial property suite for the two-tier scanning engine: the
 // Teddy-style literal prefilter's kernels (scalar SWAR vs SSSE3 vs
-// AVX2) must agree bit-for-bit, candidate windows must cover every
-// planted occurrence (soundness — false negatives are correctness
-// bugs, false positives only cost confirm cycles), and the prefiltered
+// AVX2, each specialised on the fragment width) must agree
+// bit-for-bit, candidate windows must cover every planted occurrence
+// (soundness — false negatives are correctness bugs), the fragment
+// check must turn nibble aliases and clean alphanumeric filler into
+// (almost) no windows, and the prefiltered
 // inspect / inspect_batch / inspect_stream{,_batch} paths must be
 // verdict-identical (match set, offsets, MASK bytes, once-per-flow
 // firing) to a fallback engine — the same rules plus one 1-byte
@@ -130,83 +132,56 @@ void expect_verdict_eq(const IdpsVerdict& got, const IdpsVerdict& want,
 
 TEST(LiteralPrefilter, KernelsAgreeBitForBit) {
   // The SWAR fallback, SSSE3 and AVX2 kernels implement one candidate
-  // predicate; over random texts seeded with fragments (including ones
+  // predicate — the nibble test plus the fragment check — specialised
+  // on each fragment width; at W = 2, 3 and 4, case-sensitive and
+  // nocase, over random texts seeded with fragments (including ones
   // straddling the 16B/32B block seams the SIMD kernels carry state
-  // across) they must produce identical runs and candidate counts.
+  // across) and texts drawn from the patterns' own bytes (dense nibble
+  // candidates, most rejected by the check), they must produce
+  // identical runs and candidate counts.
   Rng rng(42);
-  std::vector<Bytes> patterns = {
-      to_bytes("malware"), to_bytes("/etc/passwd"), to_bytes("evil"),
-      to_bytes("xx"),      to_bytes("powershell -enc")};
   auto kernels = available_kernels();
-  auto filters = filters_for(patterns, false);
-  ASSERT_TRUE(filters[0].usable());
-  ASSERT_EQ(filters[0].fragment_width(), 2u);
+  for (std::size_t width : {2u, 3u, 4u}) {
+    std::vector<Bytes> patterns = {
+        to_bytes("malware"), to_bytes("/etc/passwd"), to_bytes("evil"),
+        to_bytes(std::string("xxyz").substr(0, width)),
+        to_bytes("powershell -enc")};
+    Bytes alphabet;
+    for (const Bytes& p : patterns) alphabet.insert(alphabet.end(), p.begin(), p.end());
+    for (bool nocase : {false, true}) {
+      auto filters = filters_for(patterns, nocase);
+      ASSERT_TRUE(filters[0].usable());
+      ASSERT_EQ(filters[0].fragment_width(), width);
 
-  for (int round = 0; round < 200; ++round) {
-    Bytes text = rng.bytes(rng.uniform(0, 200));
-    if (round % 2 == 0 && !text.empty()) {
-      const Bytes& p = patterns[rng.uniform(0, patterns.size() - 1)];
-      std::size_t at = rng.uniform(0, text.size() - 1);
-      // Truncate at the text end so partial fragments at the boundary
-      // are exercised too.
-      for (std::size_t j = 0; j < p.size() && at + j < text.size(); ++j)
-        text[at + j] = p[j];
-    }
-    std::vector<CandidateRun> expected;
-    std::size_t expected_count = 0;
-    for (std::size_t k = 0; k < kernels.size(); ++k) {
-      std::vector<CandidateRun> runs;
-      std::size_t count = filters[k].find_runs(text, runs);
-      if (k == 0) {
-        expected = runs;
-        expected_count = count;
-      } else {
-        EXPECT_EQ(runs, expected)
-            << "round " << round << " kernel "
-            << common::simd_level_name(kernels[k]);
-        EXPECT_EQ(count, expected_count) << "round " << round;
-      }
-    }
-  }
-}
-
-TEST(LiteralPrefilter, RunsCoverEveryPlantedOccurrence) {
-  // Soundness: every occurrence of every pattern must lie wholly
-  // inside one candidate run — including occurrences at offset 0, at
-  // the very end, and back-to-back overlapping plants.
-  Rng rng(7);
-  std::vector<Bytes> patterns = {to_bytes("needle"), to_bytes("pin"),
-                                 to_bytes("ab")};
-  auto filters = filters_for(patterns, false);
-  ASSERT_TRUE(filters[0].usable());
-
-  for (int round = 0; round < 200; ++round) {
-    Bytes text = rng.bytes(20 + rng.uniform(0, 180));
-    std::vector<std::pair<std::size_t, const Bytes*>> spans;
-    for (int plant = 0; plant < 3; ++plant) {
-      const Bytes& p = patterns[rng.uniform(0, patterns.size() - 1)];
-      std::size_t at = round % 3 == 0 ? (plant == 0 ? 0 : text.size() - p.size())
-                                      : rng.uniform(0, text.size() - p.size());
-      std::copy(p.begin(), p.end(),
-                text.begin() + static_cast<std::ptrdiff_t>(at));
-      spans.emplace_back(at, &p);
-    }
-    for (const LiteralPrefilter& filter : filters) {
-      std::vector<CandidateRun> runs;
-      filter.find_runs(text, runs);
-      for (auto [at, p] : spans) {
-        // A later plant may have clobbered this one — only intact
-        // occurrences must be covered.
-        if (!std::equal(p->begin(), p->end(),
-                        text.begin() + static_cast<std::ptrdiff_t>(at)))
-          continue;
-        std::size_t end = at + p->size();
-        bool covered = false;
-        for (const CandidateRun& run : runs)
-          covered |= run.begin <= at && end <= run.end;
-        EXPECT_TRUE(covered)
-            << "round " << round << " span [" << at << "," << end
-            << ") kernel " << common::simd_level_name(filter.kernel());
+      for (int round = 0; round < 200; ++round) {
+        Bytes text = rng.bytes(rng.uniform(0, 200));
+        if (round % 3 == 1)
+          for (auto& b : text) b = alphabet[rng.uniform(0, alphabet.size() - 1)];
+        if (round % 2 == 0 && !text.empty()) {
+          const Bytes& p = patterns[rng.uniform(0, patterns.size() - 1)];
+          std::size_t at = rng.uniform(0, text.size() - 1);
+          // Truncate at the text end so partial fragments at the
+          // boundary are exercised too.
+          for (std::size_t j = 0; j < p.size() && at + j < text.size(); ++j)
+            text[at + j] = p[j];
+        }
+        std::vector<CandidateRun> expected;
+        std::size_t expected_count = 0;
+        for (std::size_t k = 0; k < kernels.size(); ++k) {
+          std::vector<CandidateRun> runs;
+          std::size_t count = filters[k].find_runs(text, runs);
+          if (k == 0) {
+            expected = runs;
+            expected_count = count;
+          } else {
+            std::string where = "W " + std::to_string(width) + " nocase " +
+                                std::to_string(nocase) + " round " +
+                                std::to_string(round) + " kernel " +
+                                common::simd_level_name(kernels[k]);
+            EXPECT_EQ(runs, expected) << where;
+            EXPECT_EQ(count, expected_count) << where;
+          }
+        }
       }
     }
   }
@@ -258,6 +233,155 @@ TEST(LiteralPrefilter, TextShorterThanFragmentHasNoCandidates) {
   Bytes text = to_bytes("abc");
   EXPECT_EQ(filter.find_runs(text, runs), 0u);
   EXPECT_TRUE(runs.empty());
+}
+
+TEST(LiteralPrefilter, RunsCoverEveryPlantedOccurrence) {
+  // Soundness at W = 2, 3 and 4, case-sensitive and nocase: every
+  // occurrence of every pattern must lie wholly inside one candidate
+  // run at every kernel — occurrences at offset 0, at the very end,
+  // straddling a 16B/32B block seam, and back-to-back overlapping
+  // plants. Nocase patterns (lower-cased, as the engine stores them)
+  // are planted in random case, so the fragment check must fold the
+  // raw bytes exactly as the bitmap's fragments were folded.
+  Rng rng(7);
+  const std::string alphabet = "abcdefghijklmnopqrstuvwxyz0123456789_/.-";
+  for (std::size_t width : {2u, 3u, 4u}) {
+    std::vector<Bytes> patterns;
+    for (std::size_t p = 0; p < 20; ++p) {
+      Bytes pattern(width + (p == 0 ? 0 : rng.uniform(0, 12)));
+      for (auto& b : pattern)
+        b = static_cast<std::uint8_t>(alphabet[rng.uniform(0, alphabet.size() - 1)]);
+      patterns.push_back(pattern);
+    }
+    for (bool nocase : {false, true}) {
+      auto filters = filters_for(patterns, nocase);
+      ASSERT_TRUE(filters[0].usable());
+      ASSERT_EQ(filters[0].fragment_width(), width);
+
+      for (int round = 0; round < 150; ++round) {
+        Bytes text = rng.bytes(40 + rng.uniform(0, 160));
+        std::vector<std::pair<std::size_t, const Bytes*>> spans;
+        for (int plant = 0; plant < 4; ++plant) {
+          const Bytes& p = patterns[rng.uniform(0, patterns.size() - 1)];
+          std::size_t at = rng.uniform(0, text.size() - p.size());
+          if (plant == 0) {
+            at = 0;
+          } else if (plant == 1) {
+            at = text.size() - p.size();
+          } else if (plant == 2) {
+            // Start 1..len-1 bytes before a multiple of 16.
+            std::size_t seam = 16 * (1 + rng.uniform(0, text.size() / 16 - 1));
+            at = std::min(seam - 1 - rng.uniform(0, p.size() - 2),
+                          text.size() - p.size());
+          }
+          for (std::size_t j = 0; j < p.size(); ++j) {
+            std::uint8_t b = p[j];
+            if (nocase && b >= 'a' && b <= 'z' && rng.uniform(0, 1) == 1) b ^= 0x20;
+            text[at + j] = b;
+          }
+          spans.emplace_back(at, &p);
+        }
+        for (const LiteralPrefilter& filter : filters) {
+          std::vector<CandidateRun> runs;
+          filter.find_runs(text, runs);
+          for (auto [at, p] : spans) {
+            // A later plant may have clobbered this one — only intact
+            // occurrences must be covered.
+            if (!std::equal(p->begin(), p->end(),
+                            text.begin() + static_cast<std::ptrdiff_t>(at),
+                            [nocase](std::uint8_t want, std::uint8_t got) {
+                              return want == (nocase ? ascii_lower(got) : got);
+                            }))
+              continue;
+            std::size_t end = at + p->size();
+            bool covered = false;
+            for (const CandidateRun& run : runs)
+              covered |= run.begin <= at && end <= run.end;
+            EXPECT_TRUE(covered)
+                << "W " << width << " nocase " << nocase << " round " << round
+                << " span [" << at << "," << end << ") kernel "
+                << common::simd_level_name(filter.kernel());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LiteralPrefilter, NibbleAliasTextYieldsNoRun) {
+  // Sixteen W-byte patterns f_k[j] = (k << 4) | ((k + j) & 15) sort in
+  // k order, so bucket m holds f_2m and f_2m+1. The byte with f_2m[j]'s
+  // high nibble and f_2m+1[j]'s low nibble passes bucket m's masks at
+  // position j, so a text of such alias grams makes the nibble test
+  // fire, yet it spells no fragment: the fragment check must reject
+  // every candidate, at every kernel and width.
+  Rng rng(83);
+  for (std::size_t width : {2u, 3u, 4u}) {
+    std::vector<Bytes> patterns(16, Bytes(width));
+    for (std::size_t k = 0; k < 16; ++k)
+      for (std::size_t j = 0; j < width; ++j)
+        patterns[k][j] = static_cast<std::uint8_t>(k << 4 | ((k + j) & 15));
+    auto filters = filters_for(patterns, false);
+    ASSERT_TRUE(filters[0].usable());
+    ASSERT_EQ(filters[0].fragment_width(), width);
+
+    for (int round = 0; round < 50; ++round) {
+      Bytes text;
+      for (std::size_t g = 0; g < 10 + rng.uniform(0, 60); ++g) {
+        std::size_t m = rng.uniform(0, 7);
+        for (std::size_t j = 0; j < width; ++j)
+          text.push_back(static_cast<std::uint8_t>(2 * m << 4 | ((2 * m + 1 + j) & 15)));
+      }
+      for (const Bytes& p : patterns)
+        ASSERT_EQ(std::search(text.begin(), text.end(), p.begin(), p.end()), text.end());
+      for (const LiteralPrefilter& filter : filters) {
+        std::vector<CandidateRun> runs;
+        EXPECT_EQ(filter.find_runs(text, runs), 0u)
+            << "W " << width << " round " << round << " kernel "
+            << common::simd_level_name(filter.kernel());
+        EXPECT_TRUE(runs.empty());
+      }
+    }
+  }
+}
+
+TEST(LiteralPrefilter, CommunityRulesClearAlphanumericFiller) {
+  // The traffic shape of the benchmark's clean workload: seeded
+  // alphanumeric filler, which no community content matches (each
+  // holds a byte that is not alphanumeric). The case-sensitive and the
+  // nocase filter, built as the engine builds them, each leave at most
+  // 0.1 confirm windows per KiB of it at every kernel; the nibble test
+  // alone left 6.3 and 1.0. Sampled over 1 MiB: at ~0.04 windows per
+  // KiB a 64 KiB sample holds only a few windows, too few to resolve a
+  // rate against a 0.1 bound.
+  Rng rule_rng(7);
+  std::vector<Bytes> cs_patterns, ci_patterns;
+  for (const SnortRule& rule : generate_community_ruleset(377, rule_rng))
+    for (const auto& content : rule.contents) {
+      if (!content.nocase) {
+        cs_patterns.push_back(content.bytes);
+        continue;
+      }
+      Bytes lowered = content.bytes;
+      for (auto& b : lowered) b = ascii_lower(b);
+      ci_patterns.push_back(lowered);
+    }
+  const std::string alnum =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+  Rng rng(5);
+  Bytes filler(1024 * 1024);
+  for (auto& b : filler) b = static_cast<std::uint8_t>(alnum[rng.uniform(0, 61)]);
+  for (bool nocase : {false, true}) {
+    for (const LiteralPrefilter& filter :
+         filters_for(nocase ? ci_patterns : cs_patterns, nocase)) {
+      ASSERT_TRUE(filter.usable());
+      std::vector<CandidateRun> runs;
+      filter.find_runs(filler, runs);
+      EXPECT_LE(static_cast<double>(runs.size()) / 1024.0, 0.1)
+          << "nocase " << nocase << " kernel "
+          << common::simd_level_name(filter.kernel());
+    }
+  }
 }
 
 // ---- Engine equivalence -------------------------------------------------
