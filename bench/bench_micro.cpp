@@ -4,8 +4,9 @@
 // of our implementations, independent of the virtual-time model.
 //
 // Each JSON row pairs a production path with a baseline that is still
-// meaningful: the zero-allocation WireBuffer seal/open against the
-// byte-wise test oracle (tests/oracle/session_crypto_reference.hpp),
+// meaningful: the zero-allocation seal/open against the byte-wise test
+// oracle (tests/oracle/session_crypto_reference.hpp), a burst seal
+// against bursts of one,
 // the batched element graph against packet-at-a-time pushes, N-shard
 // critical paths against one shard, the timer-wheel
 // session table against a periodic full-scan map, the control plane
@@ -14,9 +15,10 @@
 // prefilter (one whole-buffer run per scan).
 // Running with `--json [path]` skips google-benchmark and instead
 // writes the summary (default BENCH_pr12.json) that CI diffs against
-// the one checked-in baseline, BENCH_pr12.json; re-record it when a
-// row's meaning or the reference machine changes. Older BENCH_prN.json
-// files are history.
+// the checked-in baselines, BENCH_pr12.json and then BENCH_pr30.json
+// (which adds seal_burst16_1500B and moves no BENCH_pr12.json floor);
+// re-record a baseline when a row's meaning or the reference machine
+// changes. Older BENCH_prN.json files are history.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -465,16 +467,24 @@ BENCHMARK(BM_ClickHotSwap)
                     static_cast<int>(UseCase::StreamIdps)},
                    {1, 4}});
 
+// One data frame through the seal body (a run of one), reusing `frame`.
+static void seal_one(const vpn::SessionKeys& keys, vpn::FragmentHeader& frag,
+                     ByteView payload, Rng& rng, Bytes& frame) {
+  vpn::SealRun run(keys, vpn::MsgType::Data, 1, rng);
+  run.add(frag, payload, frame);
+  run.flush();
+  ++frag.packet_id;
+}
+
 static void BM_VpnSeal(benchmark::State& state) {
   Rng rng(6);
   auto keys = vpn::derive_vpn_keys(1234, rng.bytes(16), rng.bytes(16));
   Bytes payload = rng.bytes(1500);
   vpn::FragmentHeader frag{1, 1, 0, 1};
-  WireBuffer out;
+  Bytes frame;
   for (auto _ : state) {
-    vpn::seal_data_body(keys, frag, payload, rng, out);
-    benchmark::DoNotOptimize(out.data());
-    ++frag.packet_id;
+    seal_one(keys, frag, payload, rng, frame);
+    benchmark::DoNotOptimize(frame.data());
   }
   state.SetBytesProcessed(state.iterations() * 1500);
 }
@@ -499,13 +509,12 @@ static void BM_VpnSealOpen(benchmark::State& state) {
   auto keys = vpn::derive_vpn_keys(1234, rng.bytes(16), rng.bytes(16));
   Bytes payload = rng.bytes(1500);
   vpn::FragmentHeader frag{1, 1, 0, 1};
-  WireBuffer sealed;
+  Bytes frame;
   Bytes body;
   for (auto _ : state) {
-    vpn::seal_data_body(keys, frag, payload, rng, sealed);
-    body.assign(sealed.view().begin(), sealed.view().end());
+    seal_one(keys, frag, payload, rng, frame);
+    body.assign(frame.begin() + vpn::kWireHeaderSize, frame.end());
     benchmark::DoNotOptimize(vpn::open_data_body(keys, std::move(body)));
-    ++frag.packet_id;
   }
   state.SetBytesProcessed(state.iterations() * 1500);
 }
@@ -885,20 +894,17 @@ int run_json_mode(const std::string& path) {
   Bytes payload = rng.bytes(kPayload);
   vpn::FragmentHeader frag{1, 1, 0, 1};
 
-  WireBuffer sealed;
+  Bytes frame;
   Bytes body;
-  double seal_new = time_ns_per_op([&] {
-    vpn::seal_data_body(keys, frag, payload, rng, sealed);
-    ++frag.packet_id;
-  });
+  double seal_new = time_ns_per_op([&] { seal_one(keys, frag, payload, rng, frame); });
   double seal_ref = time_ns_per_op([&] {
     benchmark::DoNotOptimize(
         vpn::reference::seal_data_body(keys, frag, payload, rng));
     ++frag.packet_id;
   });
 
-  vpn::seal_data_body(keys, frag, payload, rng, sealed);
-  Bytes sealed_template(sealed.view().begin(), sealed.view().end());
+  seal_one(keys, frag, payload, rng, frame);
+  Bytes sealed_template(frame.begin() + vpn::kWireHeaderSize, frame.end());
   double open_new = time_ns_per_op([&] {
     body.assign(sealed_template.begin(), sealed_template.end());
     auto opened = vpn::open_data_body(keys, std::move(body));
@@ -909,6 +915,23 @@ int run_json_mode(const std::string& path) {
     auto opened = vpn::reference::open_data_body(keys, sealed_template);
     if (!opened.ok()) std::abort();
   });
+
+  // The burst seal body: one session's 16 x 1500 B downlink jobs
+  // as one seal_jobs burst (CBC chains side by side, MACs in pairs) vs
+  // the same jobs as 16 bursts of one. Reported per frame.
+  constexpr std::size_t kSealBurst = 16;
+  LaneChainBench seal_bench(1);
+  std::vector<vpn::VpnServer::SealJob> seal_burst(
+      kSealBurst, {seal_bench.clients[0].session_id(), seal_bench.payload});
+  std::vector<Bytes> seal_burst_frames;
+  auto [burst16_ns, single16_ns] = time_pair_ns_per_op(
+      [&] { seal_bench.server.seal_jobs(seal_burst, seal_burst_frames); },
+      [&] {
+        for (const auto& job : seal_burst)
+          seal_bench.server.seal_jobs({&job, 1}, seal_burst_frames);
+      });
+  burst16_ns /= static_cast<double>(kSealBurst);
+  single16_ns /= static_cast<double>(kSealBurst);
 
   // PR-3: the representative element chain, one 64-packet burst
   // (PacketBatch + pooled buffers) vs 64 bursts of one (fresh buffers)
@@ -1102,6 +1125,7 @@ int run_json_mode(const std::string& path) {
   Comparison comparisons[] = {
       {"seal_data_1500B", seal_new, seal_ref},
       {"open_data_1500B", open_new, open_ref},
+      {"seal_burst16_1500B", burst16_ns, single16_ns},
       {"click_chain_64B_burst64", chain64_batch, chain64_single},
       {"click_chain_256B_burst64", chain256_batch, chain256_single},
       {"click_chain_1500B_burst64", chain1500_batch, chain1500_single},
@@ -1148,7 +1172,9 @@ int run_json_mode(const std::string& path) {
   std::fprintf(f, "{\n  \"pr\": 12,\n  \"payload_bytes\": %zu,\n", kPayload);
   std::fprintf(f,
                "  \"note\": \"ref = the baseline each row names; seal/open "
-               "ref = the byte-wise test oracle; click_chain rows are "
+               "ref = the byte-wise test oracle; seal_burst16_1500B is ns "
+               "per frame of one session's 16-job seal_jobs burst vs 16 "
+               "bursts of one; click_chain rows are "
                "ns/packet, one 64-packet burst vs 64 bursts of one; "
                "sharded_chain rows are critical-path ns/packet for 64-packet "
                "bursts, each shard timed serially and the burst costed at the "

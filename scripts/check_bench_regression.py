@@ -13,9 +13,10 @@ speedup.
 Usage:
   check_bench_regression.py CURRENT.json [BASELINE.json ...]
       [--tolerance 0.15]
-With no baselines given, the one current baseline, BENCH_pr12.json at
-this script's repo root, is used; older BENCH_prN.json files are
-history and are not read.
+With no baselines given, the current baselines at this script's repo
+root are read in order: BENCH_pr12.json, then BENCH_pr30.json (which
+adds the burst-seal row and moves no BENCH_pr12.json floor); older
+BENCH_prN.json files are history and are not read.
 Exit code 1 on any regression.
 """
 
@@ -24,7 +25,7 @@ import json
 import os
 import sys
 
-DEFAULT_BASELINES = ["BENCH_pr12.json"]
+DEFAULT_BASELINES = ["BENCH_pr12.json", "BENCH_pr30.json"]
 
 
 def load_results(path):

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "common/cpu_features.hpp"
 
@@ -190,13 +191,13 @@ __attribute__((target("aes,sse2"))) void expand_key_aesni(const std::uint8_t* ke
 template <bool Decrypt, std::size_t N>
 __attribute__((target("aes,sse2"))) inline void rounds(__m128i (&b)[N],
                                                        const __m128i (&rk)[11]) {
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (auto& x : b) x = _mm_xor_si128(x, rk[0]);
 #pragma GCC unroll 9
   for (int r = 1; r < 10; ++r)
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (auto& x : b) x = Decrypt ? _mm_aesdec_si128(x, rk[r]) : _mm_aesenc_si128(x, rk[r]);
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (auto& x : b)
     x = Decrypt ? _mm_aesdeclast_si128(x, rk[10]) : _mm_aesenclast_si128(x, rk[10]);
 }
@@ -219,17 +220,67 @@ __attribute__((target("aes,sse2"))) void block_aesni(const std::uint32_t* words,
   store_block(out, rounds1<Decrypt>(load_block(in), rk));
 }
 
-// CBC encryption is one dependent chain: each block waits for the last.
+// One CBC encryption in flight: the next block, the blocks left and the
+// chaining value (the IV, then the last ciphertext block).
+struct CbcLane {
+  std::uint8_t* next;
+  std::size_t left;
+  const std::uint8_t* prev;
+};
+
+// CBC encryption is one dependent chain per buffer: each block waits
+// for the last. N independent chains advance `blocks` blocks round by
+// round side by side, so each AESENC's latency overlaps the others'.
+template <std::size_t N>
 __attribute__((target("aes,sse2"))) void cbc_encrypt_aesni(const std::uint32_t* ek,
-                                                           const std::uint8_t* iv,
-                                                           std::uint8_t* buf,
+                                                           CbcLane* lanes,
                                                            std::size_t blocks) {
   __m128i rk[11];
   load_round_keys(ek, rk);
-  __m128i chain = load_block(iv);
-  for (std::size_t i = 0; i < blocks; ++i, buf += kAesBlockSize) {
-    chain = rounds1<false>(_mm_xor_si128(load_block(buf), chain), rk);
-    store_block(buf, chain);
+  __m128i chain[N];
+  std::uint8_t* p[N];
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < N; ++j) {
+    chain[j] = load_block(lanes[j].prev);
+    p[j] = lanes[j].next;
+  }
+  for (std::size_t i = 0; i < blocks; ++i) {
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j)
+      chain[j] = _mm_xor_si128(load_block(p[j] + i * kAesBlockSize), chain[j]);
+    rounds<false>(chain, rk);
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j) store_block(p[j] + i * kAesBlockSize, chain[j]);
+  }
+  for (std::size_t j = 0; j < N; ++j) {
+    lanes[j].next += blocks * kAesBlockSize;
+    lanes[j].prev = lanes[j].next - kAesBlockSize;
+    lanes[j].left -= blocks;
+  }
+}
+
+template <std::size_t... N>
+constexpr auto cbc_encrypt_kernels(std::index_sequence<N...>) {
+  return std::array{&cbc_encrypt_aesni<N + 1>...};
+}
+
+// The multi-buffer scheduler: up to eight lanes run together until the
+// shortest ends, and each chain that ends hands its lane to the next
+// waiting chain.
+void cbc_encrypt_chains_aesni(const std::uint32_t* ek, std::span<const CbcChain> chains) {
+  static constexpr auto kKernels = cbc_encrypt_kernels(std::make_index_sequence<8>());
+  CbcLane lanes[kKernels.size()];
+  std::size_t busy = 0;
+  for (auto next = chains.begin();;) {
+    for (; busy < kKernels.size() && next != chains.end(); ++next)
+      lanes[busy++] = {next->buf.data(), next->buf.size() / kAesBlockSize, next->iv};
+    if (busy == 0) return;
+    std::size_t step = lanes[0].left;
+    for (std::size_t j = 1; j < busy; ++j) step = std::min(step, lanes[j].left);
+    kKernels[busy - 1](ek, lanes, step);
+    busy = static_cast<std::size_t>(
+        std::remove_if(lanes, lanes + busy, [](const CbcLane& l) { return l.left == 0; }) -
+        lanes);
   }
 }
 
@@ -421,24 +472,33 @@ AesKey make_aes_key(ByteView key) {
   return k;
 }
 
+void aes128_cbc_encrypt_chains(const Aes128& aes, std::span<const CbcChain> chains) {
+  for (const CbcChain& c : chains) {
+    if (c.buf.size() != cbc_padded_size(c.plaintext_len))
+      throw std::invalid_argument("CBC buffer must be the padded size");
+    std::uint8_t pad = static_cast<std::uint8_t>(c.buf.size() - c.plaintext_len);
+    std::fill(c.buf.begin() + static_cast<std::ptrdiff_t>(c.plaintext_len), c.buf.end(), pad);
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  if (aes.kernel_ == Aes128::Kernel::AesNi)
+    return cbc_encrypt_chains_aesni(aes.ek_.data(), chains);
+#endif
+  for (const CbcChain& c : chains) {
+    const std::uint8_t* prev = c.iv;
+    for (std::size_t off = 0; off < c.buf.size(); off += kAesBlockSize) {
+      std::uint8_t* block = c.buf.data() + off;
+      for (std::size_t i = 0; i < kAesBlockSize; ++i) block[i] ^= prev[i];
+      aes.encrypt_block(block, block);
+      prev = block;
+    }
+  }
+}
+
 void aes128_cbc_encrypt_inplace(const Aes128& aes, const std::uint8_t* iv,
                                 std::span<std::uint8_t> buf,
                                 std::size_t plaintext_len) {
-  if (buf.size() != cbc_padded_size(plaintext_len))
-    throw std::invalid_argument("CBC buffer must be the padded size");
-  std::uint8_t pad = static_cast<std::uint8_t>(buf.size() - plaintext_len);
-  for (std::size_t i = plaintext_len; i < buf.size(); ++i) buf[i] = pad;
-#if defined(__x86_64__) || defined(__i386__)
-  if (aes.kernel_ == Aes128::Kernel::AesNi)
-    return cbc_encrypt_aesni(aes.ek_.data(), iv, buf.data(), buf.size() / kAesBlockSize);
-#endif
-  const std::uint8_t* prev = iv;
-  for (std::size_t off = 0; off < buf.size(); off += kAesBlockSize) {
-    std::uint8_t* block = buf.data() + off;
-    for (std::size_t i = 0; i < kAesBlockSize; ++i) block[i] ^= prev[i];
-    aes.encrypt_block(block, block);
-    prev = block;
-  }
+  const CbcChain chain{iv, buf, plaintext_len};
+  aes128_cbc_encrypt_chains(aes, {&chain, 1});
 }
 
 Result<std::size_t> aes128_cbc_decrypt_inplace(const Aes128& aes,

@@ -9,12 +9,19 @@
 // Two kernels, chosen once per key schedule (Aes128::Kernel):
 //   - AES-NI (Gueron, "Intel Advanced Encryption Standard (AES) New
 //     Instructions Set", 2010): key expansion through AESKEYGENASSIST,
-//     CBC encryption as one serial chain, and CBC decryption and CTR
-//     four independent blocks at a time. Compiled with per-function
-//     target attributes, so the binary runs on any x86-64.
+//     CBC decryption and CTR four independent blocks at a time, and CBC
+//     encryption of up to eight chains side by side. One chain is
+//     serial (each block waits for the last), so a burst of chains
+//     advances round by round together and a chain that ends hands its
+//     lane to the next (the multi-buffer scheme of Gopal et al.,
+//     "Processing Multiple Buffers in Parallel to Increase Performance
+//     on Intel Architecture Processors", Intel 2010); one chain is the
+//     case N = 1. Compiled with per-function target attributes, so the
+//     binary runs on any x86-64.
 //   - The portable fallback: the classic 32-bit T-table formulation
 //     (four 1KB lookup tables per direction, generated at compile time
-//     from the spec). ENDBOX_FORCE_SCALAR=1 pins it.
+//     from the spec), which encrypts chains one after another.
+//     ENDBOX_FORCE_SCALAR=1 pins it.
 // Both produce the same bytes.
 #pragma once
 
@@ -31,6 +38,8 @@ inline constexpr std::size_t kAesBlockSize = 16;
 inline constexpr std::size_t kAesKeySize = 16;
 using AesKey = std::array<std::uint8_t, kAesKeySize>;
 using AesBlock = std::array<std::uint8_t, kAesBlockSize>;
+
+struct CbcChain;
 
 /// AES-128 with expanded round keys. Encrypts/decrypts a single block.
 /// Construction expands the key schedule once; sessions keep the object
@@ -54,8 +63,7 @@ class Aes128 {
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
  private:
-  friend void aes128_cbc_encrypt_inplace(const Aes128&, const std::uint8_t*,
-                                         std::span<std::uint8_t>, std::size_t);
+  friend void aes128_cbc_encrypt_chains(const Aes128&, std::span<const CbcChain>);
   friend Result<std::size_t> aes128_cbc_decrypt_inplace(
       const Aes128&, const std::uint8_t*, std::span<std::uint8_t>);
   friend void aes128_ctr_inplace(const Aes128&, const std::uint8_t*,
@@ -79,10 +87,21 @@ inline constexpr std::size_t cbc_padded_size(std::size_t n) {
   return n + (kAesBlockSize - n % kAesBlockSize);
 }
 
-/// In-place CBC encrypt: `buf` must hold cbc_padded_size(plaintext_len)
-/// bytes with the plaintext in the leading plaintext_len bytes; the
-/// PKCS#7 padding is written and the whole buffer encrypted in place.
-/// `iv` points at 16 bytes.
+/// One in-place CBC encryption: `buf` holds cbc_padded_size(plaintext_len)
+/// bytes with the plaintext in the leading plaintext_len bytes; `iv`
+/// points at 16 bytes.
+struct CbcChain {
+  const std::uint8_t* iv;
+  std::span<std::uint8_t> buf;
+  std::size_t plaintext_len;
+};
+
+/// Writes each chain's PKCS#7 padding and encrypts it in place, with the
+/// same bytes as encrypting the chains one by one. With AES-NI up to
+/// eight chains run side by side. Chains must not overlap.
+void aes128_cbc_encrypt_chains(const Aes128& aes, std::span<const CbcChain> chains);
+
+/// One chain of aes128_cbc_encrypt_chains.
 void aes128_cbc_encrypt_inplace(const Aes128& aes, const std::uint8_t* iv,
                                 std::span<std::uint8_t> buf,
                                 std::size_t plaintext_len);

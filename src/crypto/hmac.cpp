@@ -36,6 +36,11 @@ Sha256Digest HmacKey::mac(ByteView data) const {
   return m.finish();
 }
 
+std::array<Sha256Digest, 2> HmacKey::mac_pair(ByteView a, ByteView b) const {
+  auto inner = Sha256::finish_pair(inner_, a, inner_, b);
+  return Sha256::finish_pair(outer_, inner[0], outer_, inner[1]);
+}
+
 bool HmacKey::verify(ByteView data, ByteView mac) const {
   Sha256Digest d = this->mac(data);
   return ct_equal(ByteView(d.data(), d.size()), mac);

@@ -38,6 +38,10 @@ class HmacKey {
 
   /// One-shot MAC over a single span (no allocation).
   Sha256Digest mac(ByteView data) const;
+  /// The MACs of two spans, as two mac() calls give them; with SHA-NI
+  /// the inner and then the outer hashes run as pairs
+  /// (Sha256::finish_pair).
+  std::array<Sha256Digest, 2> mac_pair(ByteView a, ByteView b) const;
 
   /// Constant-time verification against an expected MAC.
   bool verify(ByteView data, ByteView mac) const;

@@ -1,5 +1,6 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/cpu_features.hpp"
@@ -65,47 +66,88 @@ void compress_portable(std::uint32_t* state, const std::uint8_t* block) {
 // becomes CDGH, so `abef` and `cdgh` swap roles within a group and are
 // back in order at its end. Meanwhile MSG1/MSG2 extend the schedule:
 // W[n] = MSG2(MSG1(W[n-4], W[n-3]) + ALIGNR(W[n-1], W[n-2], 4), W[n-1]),
-// with four message vectors rotating through `w`.
-__attribute__((target("sha,sse4.1"))) void compress_shani(std::uint32_t* state,
-                                                          const std::uint8_t* data,
-                                                          std::size_t blocks) {
+// with four message vectors rotating through `w`. N independent
+// streams (N = 2 for a pair of MACs) compress `blocks` blocks each, one
+// group of every stream at a time, so one stream's RNDS2 latency
+// overlaps the other's.
+template <std::size_t N>
+__attribute__((target("sha,sse4.1"))) void compress_shani(
+    std::array<std::uint32_t*, N> state, std::array<const std::uint8_t*, N> data,
+    std::size_t blocks) {
   const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-  __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xb1);
-  __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1b);
-  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
-  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
-
-  for (; blocks > 0; --blocks, data += 64) {
-    const __m128i abef_in = abef, cdgh_in = cdgh;
-    __m128i w[4];
-#pragma GCC unroll 16
-    for (int g = 0; g < 16; ++g) {
-      if (g < 4)
-        w[g] = _mm_shuffle_epi8(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + g * 16)), byte_swap);
-      __m128i wk = _mm_add_epi32(
-          w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK.data() + g * 4)));
-      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-      if (g >= 3 && g < 15) {  // W for group g + 1
-        __m128i& next = w[(g + 1) % 4];
-        next = _mm_add_epi32(next, _mm_alignr_epi8(w[g % 4], w[(g + 3) % 4], 4));
-        next = _mm_sha256msg2_epu32(next, w[g % 4]);
-      }
-      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
-      if (g >= 1 && g < 13)  // first half of W for group g + 3
-        w[(g + 3) % 4] = _mm_sha256msg1_epu32(w[(g + 3) % 4], w[g % 4]);
-    }
-    abef = _mm_add_epi32(abef, abef_in);
-    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  __m128i abef[N], cdgh[N];
+  for (std::size_t s = 0; s < N; ++s) {
+    __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state[s])), 0xb1);
+    __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state[s] + 4)), 0x1b);
+    abef[s] = _mm_alignr_epi8(cdab, efgh, 8);
+    cdgh[s] = _mm_blend_epi16(efgh, cdab, 0xf0);
   }
 
-  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
-  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xf0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+  for (; blocks > 0; --blocks) {
+    __m128i abef_in[N], cdgh_in[N], w[N][4];
+    for (std::size_t s = 0; s < N; ++s) {
+      abef_in[s] = abef[s];
+      cdgh_in[s] = cdgh[s];
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      const __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK.data() + g * 4));
+#pragma GCC unroll 2
+      for (std::size_t s = 0; s < N; ++s) {
+        if (g < 4)
+          w[s][g] = _mm_shuffle_epi8(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(data[s] + g * 16)), byte_swap);
+        __m128i wk = _mm_add_epi32(w[s][g % 4], k);
+        cdgh[s] = _mm_sha256rnds2_epu32(cdgh[s], abef[s], wk);
+        if (g >= 3 && g < 15) {  // W for group g + 1
+          __m128i& next = w[s][(g + 1) % 4];
+          next = _mm_add_epi32(next, _mm_alignr_epi8(w[s][g % 4], w[s][(g + 3) % 4], 4));
+          next = _mm_sha256msg2_epu32(next, w[s][g % 4]);
+        }
+        abef[s] = _mm_sha256rnds2_epu32(abef[s], cdgh[s], _mm_shuffle_epi32(wk, 0x0e));
+        if (g >= 1 && g < 13)  // first half of W for group g + 3
+          w[s][(g + 3) % 4] = _mm_sha256msg1_epu32(w[s][(g + 3) % 4], w[s][g % 4]);
+      }
+    }
+    for (std::size_t s = 0; s < N; ++s) {
+      abef[s] = _mm_add_epi32(abef[s], abef_in[s]);
+      cdgh[s] = _mm_add_epi32(cdgh[s], cdgh_in[s]);
+      data[s] += 64;
+    }
+  }
+
+  for (std::size_t s = 0; s < N; ++s) {
+    __m128i feba = _mm_shuffle_epi32(abef[s], 0x1b);
+    __m128i dchg = _mm_shuffle_epi32(cdgh[s], 0xb1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state[s]), _mm_blend_epi16(feba, dchg, 0xf0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state[s] + 4), _mm_alignr_epi8(dchg, feba, 8));
+  }
 }
 
 #endif  // x86
+
+// Writes the padded final block(s) of a message of `total` bytes whose
+// unhashed remainder (< 64 bytes) is `rest`; returns 1 or 2 blocks.
+std::size_t pad_final(ByteView rest, std::uint64_t total, std::uint8_t (&out)[128]) {
+  std::size_t blocks = rest.size() < 56 ? 1 : 2;
+  std::fill(std::copy(rest.begin(), rest.end(), out), out + blocks * 64, std::uint8_t{0});
+  out[rest.size()] = 0x80;
+  std::uint64_t bits = total * 8;
+  for (std::size_t i = 1; i <= 8; ++i, bits >>= 8)
+    out[blocks * 64 - i] = static_cast<std::uint8_t>(bits);
+  return blocks;
+}
+
+Sha256Digest to_digest(const std::array<std::uint32_t, 8>& state) {
+  Sha256Digest digest;
+  for (std::size_t i = 0; i < 8; ++i) {
+    digest[i * 4] = static_cast<std::uint8_t>(state[i] >> 24);
+    digest[i * 4 + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    digest[i * 4 + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    digest[i * 4 + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+  return digest;
+}
 
 }  // namespace
 
@@ -126,7 +168,7 @@ Sha256::Sha256(Kernel kernel)
 
 void Sha256::process_blocks(const std::uint8_t* data, std::size_t blocks) {
 #if defined(__x86_64__) || defined(__i386__)
-  if (kernel_ == Kernel::ShaNi) return compress_shani(state_.data(), data, blocks);
+  if (kernel_ == Kernel::ShaNi) return compress_shani<1>({state_.data()}, {data}, blocks);
 #endif
   for (; blocks > 0; --blocks, data += 64) compress_portable(state_.data(), data);
 }
@@ -155,25 +197,53 @@ void Sha256::update(ByteView data) {
 }
 
 Sha256Digest Sha256::finish() {
-  std::uint64_t bit_len = total_bytes_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  std::size_t pad_len = (buffered_ < 56) ? 56 - buffered_ : 120 - buffered_;
-  update(ByteView(pad, pad_len));
-  std::uint8_t len_be[8];
-  for (int i = 7; i >= 0; --i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len);
-    bit_len >>= 8;
-  }
-  update(ByteView(len_be, 8));
+  std::uint8_t last[128];
+  process_blocks(last, pad_final({buffer_.data(), buffered_}, total_bytes_, last));
+  return to_digest(state_);
+}
 
-  Sha256Digest digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    digest[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    digest[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    digest[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
+std::array<Sha256Digest, 2> Sha256::finish_pair(Sha256 a, ByteView da, Sha256 b,
+                                                 ByteView db) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (a.kernel_ == Kernel::ShaNi && b.kernel_ == Kernel::ShaNi && a.buffered_ == 0 &&
+      b.buffered_ == 0) {
+    // Each message is two runs of blocks: its whole blocks in place,
+    // then its padded final blocks. Both streams compress together
+    // while each has blocks left in its current run.
+    struct Run {
+      const std::uint8_t* at;
+      std::size_t blocks;
+    };
+    std::uint8_t last[2][128];
+    Run runs[2][2];
+    Sha256* h[2] = {&a, &b};
+    ByteView msg[2] = {da, db};
+    for (std::size_t s = 0; s < 2; ++s) {
+      std::size_t whole = msg[s].size() / 64;
+      runs[s][0] = {msg[s].data(), whole};
+      runs[s][1] = {last[s], pad_final(msg[s].subspan(whole * 64),
+                                       h[s]->total_bytes_ + msg[s].size(), last[s])};
+    }
+    std::size_t r[2] = {0, 0};
+    for (;;) {
+      for (std::size_t s = 0; s < 2; ++s)
+        while (r[s] < 2 && runs[s][r[s]].blocks == 0) ++r[s];
+      if (r[0] == 2 || r[1] == 2) break;
+      Run& x = runs[0][r[0]];
+      Run& y = runs[1][r[1]];
+      std::size_t n = std::min(x.blocks, y.blocks);
+      compress_shani<2>({a.state_.data(), b.state_.data()}, {x.at, y.at}, n);
+      x = {x.at + n * 64, x.blocks - n};
+      y = {y.at + n * 64, y.blocks - n};
+    }
+    for (std::size_t s = 0; s < 2; ++s)
+      for (; r[s] < 2; ++r[s]) h[s]->process_blocks(runs[s][r[s]].at, runs[s][r[s]].blocks);
+    return {to_digest(a.state_), to_digest(b.state_)};
   }
-  return digest;
+#endif
+  a.update(da);
+  b.update(db);
+  return {a.finish(), b.finish()};
 }
 
 Sha256Digest Sha256::hash(ByteView data) {

@@ -9,6 +9,9 @@
 //   - The portable fallback, written from the spec. ENDBOX_FORCE_SCALAR=1
 //     pins it.
 // update() hands the kernel every whole block of its input at once.
+// finish_pair() hashes two messages at once: on SHA-NI their blocks run
+// as two interleaved streams, so one stream's SHA256RNDS2 latency
+// overlaps the other's (the pair of MACs a tunnel burst seals).
 #pragma once
 
 #include <array>
@@ -38,6 +41,13 @@ class Sha256 {
 
   void update(ByteView data);
   Sha256Digest finish();
+
+  /// The digests of `a` continued with `da` and of `b` continued with
+  /// `db`, as update() + finish() on each would give. With SHA-NI on
+  /// both and no partial block buffered, both run as one two-stream
+  /// compression; otherwise one after the other.
+  static std::array<Sha256Digest, 2> finish_pair(Sha256 a, ByteView da, Sha256 b,
+                                                 ByteView db);
 
   /// One-shot convenience.
   static Sha256Digest hash(ByteView data);

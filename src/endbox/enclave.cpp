@@ -194,16 +194,6 @@ bool EndBoxEnclave::run_click_burst(click::PacketBatch&& batch) {
   return routed;
 }
 
-void EndBoxEnclave::seal_egress_packet(net::Packet&& packet, EgressBatch& out) {
-  if (options_.c2c_flagging) packet.set_processed_flag();
-  packet.decrypted_payload.clear();  // never leaks out of the enclave
-  packet.serialize_into(egress_packet_scratch_);
-  out.frame_count = session_->seal_packet_wire_at(egress_packet_scratch_,
-                                                  out.frames, out.frame_count);
-  ++out.accepted;
-  pool_.release(std::move(packet));
-}
-
 Status EndBoxEnclave::ecall_process_egress_batch(click::PacketBatch&& batch,
                                                  EgressBatch& out) {
   EcallGuard guard(*this);
@@ -219,10 +209,18 @@ Status EndBoxEnclave::ecall_process_egress_batch(click::PacketBatch&& batch,
   if (run_click_burst(std::move(batch))) {
     // Lane order: per-flow order is exact (a flow lives in one lane).
     for (std::size_t s = 0; s < sharded_->shard_count(); ++s) {
-      for (net::Packet& packet : shard_rigs_[s]->accepted)
-        seal_egress_packet(std::move(packet), out);
+      for (net::Packet& packet : shard_rigs_[s]->accepted) {
+        if (options_.c2c_flagging) packet.set_processed_flag();
+        packet.decrypted_payload.clear();  // never leaks out of the enclave
+        if (out.accepted == egress_wires_.size()) egress_wires_.emplace_back();
+        packet.serialize_into(egress_wires_[out.accepted++]);
+        pool_.release(std::move(packet));
+      }
       shard_rigs_[s]->accepted.clear();
     }
+    // The whole accepted burst is one run of the seal body.
+    out.frame_count = session_->seal_packets_wire_at(
+        std::span<const Bytes>(egress_wires_.data(), out.accepted), out.frames, 0);
   }
   // Packets that never reached ToDevice (discarded mid-graph) count as
   // rejected.

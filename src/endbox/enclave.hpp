@@ -10,7 +10,8 @@
 // The data path is one shape: the graph runs on a ShardedRouter of N
 // flow-hashed lanes (one lane by default — the case N = 1, not a
 // separate path), and the two data ecalls each take a burst and push
-// it through once. A single packet or frame is a burst of one.
+// it through once; egress seals the accepted burst as one run of the
+// tunnel's seal body. A single packet or frame is a burst of one.
 #pragma once
 
 #include <memory>
@@ -121,7 +122,9 @@ class EndBoxEnclave : public sgx::Enclave {
   // ---- Data path (the 4 steps of Fig 3, one ecall per burst) ----------
   /// Egress: copy in 1, Click 2, verdict 3, seal 4 for a whole burst,
   /// with one enclave transition and one virtual call per element,
-  /// sealing the accepted packets into `out`. Input packet buffers are
+  /// sealing the accepted packets into `out` as one run of the seal
+  /// body (vpn::SealRun: CBC chains side by side, MACs in pairs; the
+  /// same bytes as sealing them one by one). Input packet buffers are
   /// recycled into packet_pool(); `out`'s frame buffers are reused
   /// across calls, so the steady-state egress burst performs no heap
   /// allocation.
@@ -216,8 +219,6 @@ class EndBoxEnclave : public sgx::Enclave {
   void ensure_shard_rigs(std::size_t count);
   /// Factory building shard i's router from shard i's registry.
   click::ShardedRouter::RouterFactory shard_router_factory();
-  /// Seals one accepted packet into `out` and recycles its buffers.
-  void seal_egress_packet(net::Packet&& packet, EgressBatch& out);
 
   Rng& rng_;
   crypto::RsaPublicKey ca_public_key_;
@@ -240,7 +241,9 @@ class EndBoxEnclave : public sgx::Enclave {
 
   click::PacketBatch ingress_stage_;  ///< pre-Click staging for ingress bursts
   net::PacketPool pool_;
-  Bytes egress_packet_scratch_;  ///< reused for egress serialisation
+  /// The accepted packets of an egress burst, serialised for the seal;
+  /// each buffer's capacity is reused.
+  std::vector<Bytes> egress_wires_;
   std::uint64_t rejected_ = 0;
   std::uint64_t c2c_bypassed_ = 0;
 };

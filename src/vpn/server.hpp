@@ -26,9 +26,13 @@
 // Each direction has one lane body. Opening: open_batch runs it on
 // every lane; the per-frame handle(), which also takes the control
 // channel (handshakes, pings), runs it on the session's lane and copies
-// the completed packet out. Sealing: seal_jobs runs it per lane and
-// seal_packet_wire_at for one session; both size their output up front.
-// The gateway oracle is a model in tests/oracle/gateway.hpp.
+// the completed packet out. Sealing: the body is vpn::SealRun, which
+// writes each frame in place and seals a run of one session's frames
+// with their CBC chains side by side and their MACs in pairs.
+// seal_jobs hands it each session's consecutive jobs on a lane;
+// seal_packet_wire_at and create_ping are runs of one. Both data seals
+// size their output up front. The gateway oracle is a model in
+// tests/oracle/gateway.hpp.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +49,7 @@
 #include "common/hash.hpp"
 #include "common/lifecycle_table.hpp"
 #include "common/rng.hpp"
+#include "common/wire_buffer.hpp"
 #include "sim/clock.hpp"
 #include "vpn/fragment.hpp"
 #include "vpn/replay.hpp"
@@ -123,7 +128,7 @@ class VpnServer {
   Result<Event> handle(ByteView wire, sim::Time now);
 
   /// Seals an IP packet towards a client session into complete wire
-  /// frames through the session's scratch buffer, mirroring
+  /// frames as a run of one of the seal body, mirroring
   /// VpnClientSession::seal_packet_wire_at: writes this packet's frames
   /// at `frames[at..]`, reusing slot capacity (steady-state
   /// allocation-free), and returns the index one past the last frame
@@ -178,9 +183,10 @@ class VpnServer {
   /// up front (so `frames` is sized once and jobs never contend for
   /// slots), appends each job to its session's lane list, and the
   /// lanes seal run-to-completion (on the worker pool when two or more
-  /// are busy) — each job's frames land at its precomputed `frames`
-  /// range, so the output is byte-identical at any lane count and
-  /// preserves input order. Returns the total frame count. Throws std::logic_error on
+  /// are busy), each session's consecutive jobs as one run of the seal
+  /// body — each job's frames land at its precomputed `frames` range,
+  /// so the output is byte-identical at any lane count and to sealing
+  /// the jobs one by one, and preserves input order. Returns the total frame count. Throws std::logic_error on
   /// unknown sessions (validated on the caller before any lane
   /// starts, as the disjoint-slot computation requires).
   std::size_t seal_jobs(std::span<const SealJob> jobs, std::vector<Bytes>& frames);
@@ -230,7 +236,7 @@ class VpnServer {
 
   /// Changes the session-shard count at runtime: every session moves
   /// wholesale to the shard its id now hashes to — keys, replay
-  /// window, pending fragment groups and seal scratch intact — pooled
+  /// window and pending fragment groups intact — pooled
   /// buffers are adopted into the new shards, and per-shard statistics
   /// fold into the new shard set, so nothing is lost or double-counted
   /// across the transition. The worker pool is reused when shrinking
@@ -332,7 +338,9 @@ class VpnServer {
     std::uint64_t next_packet_id = 1;
     std::uint32_t next_frag_id = 1;
     std::uint64_t next_ping_seq = 1;
-    WireBuffer seal_scratch;  ///< reused by the seal fast path
+    /// Unused; kept so that the session's size and construction stay
+    /// as they were (see VpnClientSession::seal_scratch_).
+    WireBuffer seal_scratch;
   };
   /// Bounded per-shard session store: open addressing under the
   /// configured capacity, generation-stamped slots, idle expiry via
@@ -416,18 +424,19 @@ class VpnServer {
   /// Appends `shard`'s opened results to `out` (swapping packet
   /// buffers, so the circulation stays allocation-free).
   static void collect_lane(SessionShard& shard, OpenBatch& out);
-  /// Seals the jobs listed on `shard` into their slots.
+  /// Seals the jobs listed on `shard` into their slots, each session's
+  /// consecutive jobs as one run of the seal body.
   void seal_lane_jobs(SessionShard& shard, std::span<const SealJob> jobs,
                       std::vector<Bytes>& frames);
   /// Tops up lanes that starved this burst from the richest sibling
   /// pool, so a hot lane adopts circulating buffers instead of
   /// allocating silently forever (runs single-threaded between bursts).
   void rebalance_lane_pools();
-  /// Seals one packet's fragments for `session` into the pre-sized
-  /// slots frames[at..], never touching the vector itself (worker-safe).
-  std::size_t seal_fragments(std::uint32_t session_id, Session& session,
-                             ByteView ip_packet, std::vector<Bytes>& frames,
-                             std::size_t at);
+  /// Adds one packet's fragments for `session` to `run`, bound for the
+  /// pre-sized slots frames[at..], never touching the vector itself
+  /// (worker-safe). Returns the index one past its last slot.
+  std::size_t add_fragments(SealRun& run, Session& session, ByteView ip_packet,
+                            std::vector<Bytes>& frames, std::size_t at);
 
   /// One cached handshake reply: answers retransmitted/duplicated
   /// inits idempotently. The nonce disambiguates hash collisions.

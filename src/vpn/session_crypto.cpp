@@ -1,5 +1,8 @@
 #include "vpn/session_crypto.hpp"
 
+#include <algorithm>
+#include <string_view>
+
 namespace endbox::vpn {
 
 namespace {
@@ -33,11 +36,6 @@ FragmentHeader read_frag(const std::uint8_t* p) {
   frag.index = get_u16(p + 12);
   frag.count = get_u16(p + 14);
   return frag;
-}
-
-void append_mac(const SessionKeys& keys, std::string_view label, WireBuffer& out) {
-  crypto::Sha256Digest mac = mac_over(keys, label, out.view());
-  std::memcpy(out.append(kMacSize), mac.data(), kMacSize);
 }
 
 bool check_mac(const SessionKeys& keys, std::string_view label, ByteView body) {
@@ -82,30 +80,75 @@ SessionKeys derive_vpn_keys(std::uint64_t seed, ByteView client_nonce,
   return keys;
 }
 
-void seal_data_body(const SessionKeys& keys, const FragmentHeader& frag,
-                    ByteView payload, Rng& rng, WireBuffer& out) {
-  out.reset(kSealHeadroom);
-  // Ciphertext first (payload padded and encrypted in place at the
-  // buffer's data offset), then IV and fragment header prepended into
-  // headroom, then the MAC appended — no intermediate buffers.
-  std::size_t padded = crypto::cbc_padded_size(payload.size());
-  out.reserve_tail(padded + kMacSize);
-  std::uint8_t* ct = out.append(padded);
-  if (!payload.empty()) std::memcpy(ct, payload.data(), payload.size());
-  std::uint8_t* iv = out.prepend(16);
-  rng.fill({iv, 16});
-  crypto::aes128_cbc_encrypt_inplace(keys.aes(), iv, {ct, padded}, payload.size());
-  write_frag(out.prepend(kFragHeaderSize), frag);
-  append_mac(keys, "data", out);
+void SealRun::add(const FragmentHeader& frag, ByteView payload, Bytes& frame) {
+  write_frag(items_[count_].head.data(), frag);
+  push(payload, frame);
 }
 
-void seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
-                         ByteView payload, WireBuffer& out) {
-  out.reset(kSealHeadroom);
-  out.reserve_tail(payload.size() + kMacSize);
-  out.append(payload);
-  write_frag(out.prepend(kFragHeaderSize), frag);
-  append_mac(keys, "integ", out);
+void SealRun::add(const PingInfo& info, Bytes& frame) {
+  std::uint8_t* head = items_[count_].head.data();
+  put_u64(head, info.seq);
+  put_u32(head + 8, info.config_version);
+  put_u32(head + 12, info.grace_period_secs);
+  push({}, frame);
+}
+
+void SealRun::push(ByteView payload, Bytes& frame) {
+  items_[count_].payload = payload;
+  items_[count_].frame = &frame;
+  if (++count_ == kGroup) flush();
+}
+
+void SealRun::flush() {
+  // Frame: [type][session_id][head:16][iv:16, Data only][payload + pad][mac:32].
+  // The MAC covers label || head || iv || ciphertext; the label is
+  // written over the end of the wire header, hashed in place, and
+  // overwritten by the header once the MAC is done.
+  const bool encrypt = type_ == MsgType::Data;
+  const std::string_view label = encrypt                     ? "data"
+                                 : type_ == MsgType::Ping    ? "ping"
+                                                             : "integ";
+  const std::size_t label_at = kWireHeaderSize - label.size();
+  const std::size_t body_at = kWireHeaderSize + kFragHeaderSize + (encrypt ? 16 : 0);
+  std::array<crypto::CbcChain, kGroup> chains;
+  std::array<std::size_t, kGroup> authed_len;
+  for (std::size_t i = 0; i < count_; ++i) {
+    const Item& item = items_[i];
+    std::size_t len =
+        encrypt ? crypto::cbc_padded_size(item.payload.size()) : item.payload.size();
+    item.frame->resize(body_at + len + kMacSize);
+    std::uint8_t* p = item.frame->data();
+    std::memcpy(p + label_at, label.data(), label.size());
+    std::memcpy(p + kWireHeaderSize, item.head.data(), kFragHeaderSize);
+    std::copy(item.payload.begin(), item.payload.end(), p + body_at);
+    if (encrypt) {
+      rng_.fill({p + body_at - 16, 16});
+      chains[i] = {p + body_at - 16, {p + body_at, len}, item.payload.size()};
+    }
+    authed_len[i] = body_at - label_at + len;
+  }
+  if (encrypt) crypto::aes128_cbc_encrypt_chains(keys_.aes(), {chains.data(), count_});
+
+  const crypto::HmacKey& hmac = keys_.hmac();
+  auto authed = [&](std::size_t i) {
+    return ByteView(items_[i].frame->data() + label_at, authed_len[i]);
+  };
+  auto put_mac = [&](std::size_t i, const crypto::Sha256Digest& mac) {
+    std::memcpy(items_[i].frame->data() + label_at + authed_len[i], mac.data(), kMacSize);
+  };
+  std::size_t i = 0;
+  for (; i + 1 < count_; i += 2) {
+    auto macs = hmac.mac_pair(authed(i), authed(i + 1));
+    put_mac(i, macs[0]);
+    put_mac(i + 1, macs[1]);
+  }
+  if (i < count_) put_mac(i, hmac.mac(authed(i)));
+  for (i = 0; i < count_; ++i) {
+    std::uint8_t* p = items_[i].frame->data();
+    p[0] = static_cast<std::uint8_t>(type_);
+    put_u32(p + 1, session_id_);
+  }
+  count_ = 0;
 }
 
 Result<OpenedBody> open_data_body(const SessionKeys& keys, Bytes&& body) {
@@ -137,17 +180,6 @@ Result<OpenedBody> open_integrity_body(const SessionKeys& keys, Bytes&& body) {
   opened.payload =
       move_out_payload(std::move(body), kFragHeaderSize, payload_len);
   return opened;
-}
-
-void seal_ping_body(const SessionKeys& keys, const PingInfo& info,
-                    WireBuffer& out) {
-  out.reset(kSealHeadroom);
-  out.reserve_tail(16 + kMacSize);
-  std::uint8_t* p = out.append(16);
-  put_u64(p, info.seq);
-  put_u32(p + 8, info.config_version);
-  put_u32(p + 12, info.grace_period_secs);
-  append_mac(keys, "ping", out);
 }
 
 Result<PingInfo> open_ping_body(const SessionKeys& keys, ByteView body) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <vector>
 
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
@@ -14,6 +16,8 @@
 #include "crypto/hmac.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
+#include "oracle/session_crypto_reference.hpp"
+#include "vpn/session_crypto.hpp"
 
 namespace endbox::crypto {
 namespace {
@@ -490,6 +494,135 @@ TEST(CryptoKernels, ShaNiMatchesPortableOverRandomChunkings) {
         << "key " << key.size() << " B, message " << len << " B";
   }
 }
+
+TEST(CryptoKernels, MultiChainCbcMatchesThePortableSingleChain) {
+  Rng rng(2010);
+  // 1-8 chains of unequal length (plaintexts of 0-130 whole blocks plus
+  // a random tail), then runs of 9-20 that refill freed lanes. Each
+  // chain sits at its own odd offset and ends at its allocation's end.
+  for (int round = 0; round < 120; ++round) {
+    std::size_t count = round < 96 ? 1 + round % 8 : rng.uniform(9, 20);
+    auto key = make_aes_key(rng.bytes(16));
+    Aes128 soft(key, AesKernel::Portable);
+    std::vector<Bytes> ivs, plains;
+    std::vector<Unaligned> want, got_soft, got_hard;
+    for (std::size_t c = 0; c < count; ++c) {
+      ivs.push_back(rng.bytes(16));
+      plains.push_back(rng.bytes(rng.uniform(0, 130) * kAesBlockSize + rng.uniform(0, 15)));
+      std::size_t padded = cbc_padded_size(plains.back().size());
+      std::size_t offset = 1 + (round + c) % 15;
+      want.emplace_back(plains.back(), offset, padded);
+      got_soft.emplace_back(plains.back(), offset, padded);
+      got_hard.emplace_back(plains.back(), offset, padded);
+      aes128_cbc_encrypt_inplace(soft, ivs.back().data(), want.back().span(),
+                                 plains.back().size());
+    }
+    auto encrypt = [&](AesKernel kernel, std::vector<Unaligned>& bufs) {
+      std::vector<CbcChain> chains;
+      for (std::size_t c = 0; c < count; ++c)
+        chains.push_back({ivs[c].data(), bufs[c].span(), plains[c].size()});
+      aes128_cbc_encrypt_chains(Aes128(key, kernel), chains);
+      for (std::size_t c = 0; c < count; ++c)
+        ASSERT_EQ(to_hex(bufs[c].bytes()), to_hex(want[c].bytes()))
+            << "chain " << c << " of " << count << ", " << plains[c].size() << " B";
+    };
+    SCOPED_TRACE("round " + std::to_string(round));
+    encrypt(AesKernel::Portable, got_soft);
+    if (common::hardware_has_aes()) encrypt(AesKernel::AesNi, got_hard);
+  }
+  if (!common::hardware_has_aes())
+    GTEST_SKIP() << "no AES-NI on this host: the multi-chain kernel is unchecked";
+}
+
+TEST(CryptoKernels, TwoStreamShaNiMatchesThePortableCompression) {
+  Rng rng(2012);
+  // Message pairs of random, unequal lengths from states that have
+  // hashed a whole number of blocks (the two-stream case) or a partial
+  // one (one after the other); each pair against portable
+  // update() + finish(), and HMAC pairs against mac().
+  for (int round = 0; round < 300; ++round) {
+    std::size_t prefix = round % 3 == 0 ? 64 * rng.uniform(0, 2) : rng.uniform(0, 130);
+    Bytes head = rng.bytes(prefix);
+    Bytes a = rng.bytes(round < 130 ? static_cast<std::size_t>(round) : rng.uniform(0, 3000));
+    Bytes b = rng.bytes(rng.uniform(0, 3000));
+    auto portable = [&](ByteView msg) {
+      Sha256 h(ShaKernel::Portable);
+      h.update(head);
+      h.update(msg);
+      return h.finish();
+    };
+    auto pair_at = [&](ShaKernel kernel) {
+      Sha256 h(kernel);
+      h.update(head);
+      return Sha256::finish_pair(h, a, h, b);
+    };
+    SCOPED_TRACE("prefix " + std::to_string(prefix) + ", lengths " +
+                 std::to_string(a.size()) + " and " + std::to_string(b.size()));
+    std::array<Sha256Digest, 2> want{portable(a), portable(b)};
+    EXPECT_EQ(pair_at(ShaKernel::Portable), want);
+    Bytes key = rng.bytes(rng.uniform(0, 100));
+    std::array<Sha256Digest, 2> macs{HmacKey(key, ShaKernel::Portable).mac(a),
+                                     HmacKey(key, ShaKernel::Portable).mac(b)};
+    EXPECT_EQ(HmacKey(key, ShaKernel::Portable).mac_pair(a, b), macs);
+    if (!common::hardware_has_sha()) continue;
+    EXPECT_EQ(pair_at(ShaKernel::ShaNi), want);
+    EXPECT_EQ(HmacKey(key, ShaKernel::ShaNi).mac_pair(a, b), macs);
+  }
+  if (!common::hardware_has_sha())
+    GTEST_SKIP() << "no SHA-NI on this host: the two-stream kernel is unchecked";
+}
+
+// Every AES x SHA kernel pairing seals the same burst, in one process:
+// a host (or CI runner) may have AES-NI without SHA-NI. 37 fragments
+// fill two groups of the seal body and leave an odd tail, whose last
+// MAC runs alone; each frame must match the byte-wise oracle.
+struct KernelPairing {
+  AesKernel aes;
+  ShaKernel sha;
+};
+
+class SealKernelPairings : public ::testing::TestWithParam<KernelPairing> {};
+
+TEST_P(SealKernelPairings, SealBurstMatchesTheOracle) {
+  const KernelPairing pairing = GetParam();
+  if (pairing.aes == AesKernel::AesNi && !common::hardware_has_aes())
+    GTEST_SKIP() << "no AES-NI on this host: the hardware AES half is unchecked";
+  if (pairing.sha == ShaKernel::ShaNi && !common::hardware_has_sha())
+    GTEST_SKIP() << "no SHA-NI on this host: the hardware SHA half is unchecked";
+  Rng rng(2018);
+  vpn::SessionKeys keys(rng.bytes(16), rng.bytes(32));
+  keys.aes_cache.emplace(make_aes_key(keys.enc_key), pairing.aes);
+  keys.hmac_cache.emplace(keys.mac_key, pairing.sha);
+  for (vpn::MsgType type : {vpn::MsgType::Data, vpn::MsgType::DataIntegrityOnly}) {
+    std::vector<Bytes> payloads;
+    for (std::size_t i = 0; i < 37; ++i) payloads.push_back(rng.bytes(rng.uniform(0, 1600)));
+    std::vector<Bytes> frames(payloads.size());
+    Rng iv_rng(5), ref_rng(5);
+    vpn::SealRun run(keys, type, 0x0a0b0c0d, iv_rng);
+    for (std::size_t i = 0; i < payloads.size(); ++i)
+      run.add(vpn::FragmentHeader{i + 1, 3, 0, 1}, payloads[i], frames[i]);
+    run.flush();
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      vpn::FragmentHeader frag{i + 1, 3, 0, 1};
+      Bytes want{static_cast<std::uint8_t>(type), 0x0a, 0x0b, 0x0c, 0x0d};
+      append(want, type == vpn::MsgType::Data
+                       ? vpn::reference::seal_data_body(keys, frag, payloads[i], ref_rng)
+                       : vpn::reference::seal_integrity_body(keys, frag, payloads[i]));
+      ASSERT_EQ(to_hex(frames[i]), to_hex(want)) << "frame " << i << ", " << payloads[i].size() << " B";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AesSha, SealKernelPairings,
+    ::testing::Values(KernelPairing{AesKernel::Portable, ShaKernel::Portable},
+                      KernelPairing{AesKernel::AesNi, ShaKernel::Portable},
+                      KernelPairing{AesKernel::Portable, ShaKernel::ShaNi},
+                      KernelPairing{AesKernel::AesNi, ShaKernel::ShaNi}),
+    [](const ::testing::TestParamInfo<KernelPairing>& info) {
+      return std::string(info.param.aes == AesKernel::AesNi ? "AesNi" : "PortableAes") +
+             (info.param.sha == ShaKernel::ShaNi ? "ShaNi" : "PortableSha");
+    });
 
 // ---- toy RSA -------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 // Fast-path performance-contract tests: the zero-allocation guarantees
-// of the WireBuffer seal/open path and of the pooled, batched enclave
-// ingress -> Click -> egress loop, WireBuffer/PacketPool semantics
-// (rejected ingress frames keep the pool whole), the
+// of the seal/open path (one frame and bursts) and of the pooled,
+// batched enclave ingress -> Click -> egress loop, WireBuffer/PacketPool
+// semantics (rejected ingress frames keep the pool whole), the
 // seal_packet_wire_at frame format, and the FlowKey hash's collision
 // behaviour. The allocation assertions use replaced global operator
 // new/delete, so this suite owns its own binary.
@@ -21,6 +21,7 @@
 #include "sgx/enclave.hpp"
 #include "sgx/platform.hpp"
 #include "sgx/quote.hpp"
+#include "seal_frames.hpp"
 #include "vpn/client.hpp"
 #include "vpn/server.hpp"
 #include "vpn/session_crypto.hpp"
@@ -67,18 +68,18 @@ TEST(ZeroAlloc, SteadyStateSealOf1500BytePacketDoesNotAllocate) {
   Rng rng(5);
   Bytes payload = rng.bytes(1500);
   vpn::FragmentHeader frag{1, 1, 0, 1};
-  WireBuffer out;
+  Bytes frame;
+  auto seal = [&] {
+    vpn::SealRun run(keys, vpn::MsgType::Data, 1, rng);
+    run.add(frag, payload, frame);
+    run.flush();
+    ++frag.packet_id;
+  };
 
-  // Warm-up sizes the buffer; afterwards reuse must be allocation-free.
-  for (int i = 0; i < 4; ++i) {
-    vpn::seal_data_body(keys, frag, payload, rng, out);
-    ++frag.packet_id;
-  }
+  // Warm-up sizes the frame; afterwards reuse must be allocation-free.
+  for (int i = 0; i < 4; ++i) seal();
   std::uint64_t before = g_allocations;
-  for (int i = 0; i < 200; ++i) {
-    vpn::seal_data_body(keys, frag, payload, rng, out);
-    ++frag.packet_id;
-  }
+  for (int i = 0; i < 200; ++i) seal();
   EXPECT_EQ(g_allocations - before, 0u);
 }
 
@@ -87,9 +88,7 @@ TEST(ZeroAlloc, SteadyStateOpenOf1500BytePacketDoesNotAllocate) {
   Rng rng(6);
   Bytes payload = rng.bytes(1500);
   vpn::FragmentHeader frag{9, 2, 0, 1};
-  WireBuffer sealed;
-  vpn::seal_data_body(keys, frag, payload, rng, sealed);
-  Bytes sealed_template(sealed.view().begin(), sealed.view().end());
+  Bytes sealed_template = vpn::seal_data_body(keys, frag, payload, rng);
 
   // The body buffer cycles: assign from the template, move into open,
   // recover the (shrunk) payload buffer, repeat.
@@ -118,16 +117,16 @@ TEST(ZeroAlloc, SteadyStateIntegrityOnlySealDoesNotAllocate) {
   Rng rng(7);
   Bytes payload = rng.bytes(1500);
   vpn::FragmentHeader frag{1, 1, 0, 1};
-  WireBuffer out;
-  for (int i = 0; i < 4; ++i) {
-    vpn::seal_integrity_body(keys, frag, payload, out);
+  Bytes frame;
+  auto seal = [&] {
+    vpn::SealRun run(keys, vpn::MsgType::DataIntegrityOnly, 1, rng);
+    run.add(frag, payload, frame);
+    run.flush();
     ++frag.packet_id;
-  }
+  };
+  for (int i = 0; i < 4; ++i) seal();
   std::uint64_t before = g_allocations;
-  for (int i = 0; i < 200; ++i) {
-    vpn::seal_integrity_body(keys, frag, payload, out);
-    ++frag.packet_id;
-  }
+  for (int i = 0; i < 200; ++i) seal();
   EXPECT_EQ(g_allocations - before, 0u);
 }
 
@@ -304,6 +303,45 @@ TEST_F(WireFixture, SealPacketWireFragmentsAtTheMtuAndReassembles) {
       delivered = in->ip_packet;
   }
   EXPECT_EQ(delivered, ip_packet);
+}
+
+TEST_F(WireFixture, SealPacketWireAtPastTheEndSizesTheFramesFirst) {
+  // `at` may lie past the end of `frames`: the seal sizes the vector to
+  // at + fragment count before it writes, and the slots in between
+  // stay empty.
+  vpn::VpnClientConfig config;
+  config.mtu = 1000;
+  auto client = connect(config);
+  Rng payload_rng(12);
+  Bytes ip_packet = payload_rng.bytes(2500);
+  std::vector<Bytes> frames(1);
+  std::size_t at = frames.size() + 2;
+  EXPECT_EQ(client.seal_packet_wire_at(ip_packet, frames, at), at + 3);
+  ASSERT_EQ(frames.size(), at + 3);
+  EXPECT_TRUE(frames[1].empty());
+  EXPECT_TRUE(frames[2].empty());
+  Bytes delivered;
+  for (std::size_t f = at; f < frames.size(); ++f) {
+    auto event = server.handle(frames[f], clock.now());
+    ASSERT_TRUE(event.ok()) << event.error();
+    if (auto* in = std::get_if<vpn::VpnServer::PacketIn>(&*event)) delivered = in->ip_packet;
+  }
+  EXPECT_EQ(delivered, ip_packet);
+}
+
+TEST_F(WireFixture, SteadyStateSealJobsBurstOverTwoSessionsDoesNotAllocate) {
+  auto first = connect();
+  auto second = connect();
+  Rng payload_rng(14);
+  Bytes payload = payload_rng.bytes(1500);
+  std::vector<vpn::VpnServer::SealJob> jobs;
+  for (std::size_t k = 0; k < 16; ++k)
+    jobs.push_back({(k < 8 ? first : second).session_id(), payload});
+  std::vector<Bytes> frames;
+  for (int warm = 0; warm < 4; ++warm) ASSERT_EQ(server.seal_jobs(jobs, frames), 16u);
+  std::uint64_t before = g_allocations;
+  for (int iter = 0; iter < 50; ++iter) ASSERT_EQ(server.seal_jobs(jobs, frames), 16u);
+  EXPECT_EQ(g_allocations - before, 0u);
 }
 
 TEST_F(WireFixture, DegenerateZeroMtuStillDeliversEveryByte) {
@@ -495,6 +533,24 @@ TEST_F(EnclaveLoopFixture, SteadyStateEgressBatchLoopDoesNotAllocate) {
   }
   EXPECT_EQ(g_allocations - before, 0u)
       << "the pooled egress burst (acquire -> Click chain -> seal) allocated";
+}
+
+TEST_F(EnclaveLoopFixture, SteadyState16PacketEgressBurstDoesNotAllocate) {
+  // The whole accepted burst is one run of the seal body.
+  auto& enclave = client->enclave();
+  click::PacketBatch batch;
+  EgressBatch out;
+  constexpr std::size_t kBurst = 16;
+  auto burst = [&] {
+    fill_batch(batch, kBurst, 1472);
+    ASSERT_TRUE(enclave.ecall_process_egress_batch(std::move(batch), out).ok());
+    batch.clear();
+    ASSERT_EQ(out.frame_count, kBurst);
+  };
+  for (int warm = 0; warm < 6; ++warm) burst();
+  std::uint64_t before = g_allocations;
+  for (int iter = 0; iter < 50; ++iter) burst();
+  EXPECT_EQ(g_allocations - before, 0u);
 }
 
 TEST_F(EnclaveLoopFixture, SteadyStateIngressBatchLoopDoesNotAllocate) {

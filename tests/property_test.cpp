@@ -14,6 +14,7 @@
 #include "idps/aho_corasick.hpp"
 #include "oracle/naive_scanner.hpp"
 #include "oracle/session_crypto_reference.hpp"
+#include "seal_frames.hpp"
 #include "vpn/session_crypto.hpp"
 
 namespace endbox {
@@ -125,12 +126,8 @@ TEST_P(VpnBodySweep, SealOpenRoundTripAndTamperDetection) {
   Bytes payload = rng.bytes(size);
   vpn::FragmentHeader frag{7, 3, 0, 1};
 
-  WireBuffer sealed;
-  if (encrypted)
-    vpn::seal_data_body(keys, frag, payload, rng, sealed);
-  else
-    vpn::seal_integrity_body(keys, frag, payload, sealed);
-  Bytes body = sealed.take();
+  Bytes body = encrypted ? vpn::seal_data_body(keys, frag, payload, rng)
+                         : vpn::seal_integrity_body(keys, frag, payload);
   auto opened = encrypted ? vpn::open_data_body(keys, Bytes(body))
                           : vpn::open_integrity_body(keys, Bytes(body));
   ASSERT_TRUE(opened.ok()) << opened.error();
@@ -400,13 +397,12 @@ TEST_P(SealEquivalenceSweep, WireBufferSealIsByteIdenticalToReference) {
   // Identically-seeded RNGs draw identical IVs, so the two seals must
   // produce the same bytes end to end.
   Rng rng_new(555), rng_ref(555);
-  WireBuffer out;
-  vpn::seal_data_body(keys, frag, payload, rng_new, out);
+  Bytes out = vpn::seal_data_body(keys, frag, payload, rng_new);
   Bytes ref = vpn::reference::seal_data_body(keys, frag, payload, rng_ref);
-  EXPECT_EQ(Bytes(out.view().begin(), out.view().end()), ref);
+  EXPECT_EQ(out, ref);
 
   // Cross-open: each implementation opens the other's output.
-  auto ref_opened = vpn::reference::open_data_body(keys, out.view());
+  auto ref_opened = vpn::reference::open_data_body(keys, out);
   ASSERT_TRUE(ref_opened.ok()) << ref_opened.error();
   EXPECT_EQ(ref_opened->payload, payload);
   EXPECT_EQ(ref_opened->frag.packet_id, frag.packet_id);
@@ -416,10 +412,9 @@ TEST_P(SealEquivalenceSweep, WireBufferSealIsByteIdenticalToReference) {
   EXPECT_EQ(new_opened->frag.frag_id, frag.frag_id);
 
   // Integrity-only mode has no RNG input; byte identity is direct.
-  WireBuffer integ;
-  vpn::seal_integrity_body(keys, frag, payload, integ);
+  Bytes integ = vpn::seal_integrity_body(keys, frag, payload);
   Bytes integ_ref = vpn::reference::seal_integrity_body(keys, frag, payload);
-  EXPECT_EQ(Bytes(integ.view().begin(), integ.view().end()), integ_ref);
+  EXPECT_EQ(integ, integ_ref);
   auto integ_opened = vpn::open_integrity_body(keys, Bytes(integ_ref));
   ASSERT_TRUE(integ_opened.ok()) << integ_opened.error();
   EXPECT_EQ(integ_opened->payload, payload);
@@ -427,6 +422,135 @@ TEST_P(SealEquivalenceSweep, WireBufferSealIsByteIdenticalToReference) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SealEquivalenceSweep,
                          ::testing::Values(0, 1, 15, 16, 17, 100, 1499, 1500));
+
+// ---- The burst seal body: a burst seals the bytes of its bursts of one -----
+
+// Payload sizes around the CBC block, the 576 B MTU and the 9000 B one.
+constexpr std::size_t kBurstPayloads[] = {0,   1,   15,  16,  17,   559,  560,
+                                          561, 575, 576, 577, 1500, 9000};
+
+std::size_t burst_payload(Rng& rng) {
+  return kBurstPayloads[rng.uniform(0, std::size(kBurstPayloads) - 1)];
+}
+
+// A seeded run of one session's fragments, a group boundary and an odd
+// tail included, sealed by the body and by the byte-wise oracle from
+// identically seeded IV streams.
+TEST(SealBurstEquivalence, RunMatchesTheOracleFrameByFrame) {
+  Rng rng(30);
+  auto keys = vpn::derive_vpn_keys(rng.next_u64(), rng.bytes(16), rng.bytes(16));
+  for (vpn::MsgType type : {vpn::MsgType::Data, vpn::MsgType::DataIntegrityOnly}) {
+    std::vector<Bytes> payloads;
+    for (int i = 0; i < 37; ++i) payloads.push_back(rng.bytes(burst_payload(rng)));
+    std::vector<Bytes> frames(payloads.size());
+    Rng iv_rng(31), ref_rng(31);
+    vpn::SealRun run(keys, type, 0x01020304, iv_rng);
+    for (std::size_t i = 0; i < payloads.size(); ++i)
+      run.add(vpn::FragmentHeader{i + 1, 7, static_cast<std::uint16_t>(i), 37},
+              payloads[i], frames[i]);
+    run.flush();
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      vpn::FragmentHeader frag{i + 1, 7, static_cast<std::uint16_t>(i), 37};
+      Bytes want{static_cast<std::uint8_t>(type), 0x01, 0x02, 0x03, 0x04};
+      append(want, type == vpn::MsgType::Data
+                       ? vpn::reference::seal_data_body(keys, frag, payloads[i], ref_rng)
+                       : vpn::reference::seal_integrity_body(keys, frag, payloads[i]));
+      ASSERT_EQ(frames[i], want) << "frame " << i << ", " << payloads[i].size() << " B";
+    }
+  }
+}
+
+testing::WorldOptions twin_options(std::size_t mtu, bool encrypt) {
+  testing::WorldOptions options;
+  options.seed = 0x7717;
+  options.clients = 8;
+  options.vpn_config.mtu = mtu;
+  options.client_options.mtu = mtu;
+  options.client_options.encrypt_data = encrypt;
+  return options;
+}
+
+std::uint32_t session_of(World& world, std::size_t client) {
+  return world.rigs[client]->client.enclave().session()->session_id();
+}
+
+// Twin gateways, seeded alike: seal_jobs over seeded bursts of 1-64
+// packets from 1-8 sessions (runs of one session and interleavings)
+// against the twin's per-packet seal_packet_wire_at in job order.
+TEST(SealBurstEquivalence, SealJobsMatchATwinGatewaysPerPacketSeals) {
+  for (std::size_t mtu : {std::size_t{576}, std::size_t{9000}}) {
+    SCOPED_TRACE("MTU " + std::to_string(mtu));
+    World burst(twin_options(mtu, true)), single(twin_options(mtu, true));
+    Rng rng(mtu);
+    std::vector<Bytes> burst_frames, single_frames;
+    for (int round = 0; round < 24; ++round) {
+      std::size_t sessions = rng.uniform(1, 8);
+      std::size_t packets = rng.uniform(1, 64);
+      std::vector<Bytes> payloads;
+      std::vector<vpn::VpnServer::SealJob> jobs;
+      for (std::size_t k = 0; k < packets; ++k) payloads.push_back(rng.bytes(burst_payload(rng)));
+      for (std::size_t k = 0; k < packets; ++k) {
+        // Even rounds keep each session's jobs together, odd ones mix them.
+        std::size_t client = round % 2 == 0 ? k * sessions / packets : rng.uniform(0, sessions - 1);
+        jobs.push_back({session_of(burst, client), payloads[k]});
+      }
+      std::size_t n = burst.server.vpn().seal_jobs(jobs, burst_frames);
+      std::size_t m = 0;
+      for (const auto& job : jobs)
+        m = single.server.vpn().seal_packet_wire_at(job.session_id, job.ip_packet,
+                                                    single_frames, m);
+      ASSERT_EQ(n, m) << "round " << round;
+      for (std::size_t f = 0; f < n; ++f)
+        ASSERT_EQ(burst_frames[f], single_frames[f]) << "round " << round << ", frame " << f;
+    }
+  }
+}
+
+// Twin enclaves, seeded alike: an egress burst of 1-64 packets against
+// the same packets sent as bursts of one, in Data and integrity-only
+// mode at MTU 576 and 9000.
+TEST(SealBurstEquivalence, EnclaveEgressBurstMatchesBurstsOfOne) {
+  for (std::size_t mtu : {std::size_t{576}, std::size_t{9000}}) {
+    for (bool encrypt : {true, false}) {
+      SCOPED_TRACE("MTU " + std::to_string(mtu) + (encrypt ? ", Data" : ", integrity-only"));
+      World burst(twin_options(mtu, encrypt)), single(twin_options(mtu, encrypt));
+      Rng rng(mtu + encrypt);
+      EgressBatch burst_out, single_out;
+      for (int round = 0; round < 12; ++round) {
+        std::size_t client = rng.uniform(0, 7);
+        std::vector<std::size_t> sizes;
+        for (std::size_t k = rng.uniform(1, 64); k > 0; --k) sizes.push_back(burst_payload(rng));
+        auto fill = [&](World& world, click::PacketBatch& batch, std::size_t k) {
+          net::Packet packet = world.rigs[client]->client.enclave().packet_pool().acquire();
+          packet.src = net::Ipv4(10, 8, 0, 2);
+          packet.dst = net::Ipv4(10, 0, 0, 1);
+          packet.proto = net::IpProto::Udp;
+          packet.src_port = static_cast<std::uint16_t>(40000 + k);
+          packet.dst_port = 5001;
+          packet.payload.assign(sizes[k], static_cast<std::uint8_t>(k));
+          batch.push_back(std::move(packet));
+        };
+        EndBoxEnclave& burst_enclave = burst.rigs[client]->client.enclave();
+        EndBoxEnclave& single_enclave = single.rigs[client]->client.enclave();
+        click::PacketBatch batch;
+        for (std::size_t k = 0; k < sizes.size(); ++k) fill(burst, batch, k);
+        ASSERT_TRUE(burst_enclave.ecall_process_egress_batch(std::move(batch), burst_out).ok());
+        ASSERT_EQ(burst_out.accepted, sizes.size());
+        std::vector<Bytes> singles;
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+          click::PacketBatch one;
+          fill(single, one, k);
+          ASSERT_TRUE(single_enclave.ecall_process_egress_batch(std::move(one), single_out).ok());
+          for (std::size_t f = 0; f < single_out.frame_count; ++f)
+            singles.push_back(single_out.frames[f]);
+        }
+        ASSERT_EQ(burst_out.frame_count, singles.size()) << "round " << round;
+        for (std::size_t f = 0; f < singles.size(); ++f)
+          ASSERT_EQ(burst_out.frames[f], singles[f]) << "round " << round << ", frame " << f;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace endbox

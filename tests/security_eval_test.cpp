@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "endbox_world.hpp"
+#include "seal_frames.hpp"
 
 namespace endbox {
 namespace {
@@ -33,9 +34,7 @@ TEST(SecurityEval, TrafficEncryptedWithWrongKeysRejected) {
   vpn::WireMessage forged;
   forged.type = vpn::MsgType::Data;
   forged.session_id = 1;
-  WireBuffer body;
-  vpn::seal_data_body(wrong, {1, 1, 0, 1}, to_bytes("evil"), rng, body);
-  forged.body = body.take();
+  forged.body = vpn::seal_data_body(wrong, {1, 1, 0, 1}, to_bytes("evil"), rng);
   EXPECT_FALSE(world.server.handle_wire(forged.serialize(), 0).ok());
   EXPECT_EQ(world.server.vpn().auth_failures(), 1u);
 }

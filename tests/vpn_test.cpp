@@ -727,9 +727,7 @@ TEST_F(TunnelFixture, CraftedPingRejected) {
   forged.session_id = client.session_id();
   PingInfo fake{1, 999, 0};
   SessionKeys wrong_keys{Bytes(16, 0), Bytes(32, 0)};
-  WireBuffer body;
-  seal_ping_body(wrong_keys, fake, body);
-  forged.body = body.take();
+  forged.body = seal_ping_body(wrong_keys, fake);
   EXPECT_FALSE(server.handle(forged.serialize(), clock.now()).ok());
   EXPECT_EQ(server.auth_failures(), 1u);
 }
